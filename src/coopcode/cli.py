@@ -24,9 +24,7 @@ import numpy as np
 
 from . import analytic, netcode, simkernel
 from .gf import MAX_ELL, field_new
-from .netcode import FieldTooSmallError
 
-SCHEME_CHOICES = ("dncc", "rncc", "selection", "ncc", "cc")
 KIND_CHOICES = ("vandermonde", "cauchy", "random")
 FMT = "{:.10g}"
 
@@ -134,8 +132,8 @@ def _schemes(args) -> list:
     if not names:
         raise ValueError("scheme list is empty")
     for s in names:
-        if s not in SCHEME_CHOICES:
-            raise ValueError(f"unknown scheme {s!r}; choose from {', '.join(SCHEME_CHOICES)}")
+        if s not in simkernel.SCHEMES:
+            raise ValueError(f"unknown scheme {s!r}; choose from {', '.join(simkernel.SCHEMES)}")
     return names
 
 
@@ -331,14 +329,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, grid=True, sim=True)
     p.add_argument("--kind", choices=KIND_CHOICES, default="vandermonde")
     p.add_argument("--scheme", default="dncc", help="comma-separated subset of "
-                   + ",".join(SCHEME_CHOICES))
+                   + ",".join(simkernel.SCHEMES))
     p.add_argument("--traffic", choices=("multicast", "unicast"), default="multicast")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("dmt", help="diversity-multiplexing tradeoff curves")
     _add_common(p)
     p.add_argument("--scheme", default="dncc", help="comma-separated subset of "
-                   + ",".join(SCHEME_CHOICES))
+                   + ",".join(simkernel.SCHEMES))
     p.add_argument("--gamma", type=int, default=None,
                    help="decoding threshold for dncc/rncc (default N, the ideal code)")
     p.add_argument("--k-select", type=int, default=None,
@@ -356,8 +354,6 @@ def main(argv=None) -> int:
     try:
         args = _apply_config(parser, list(argv))
         return args.fn(args)
-    except FieldTooSmallError as exc:
-        return _die(str(exc))
     except (ValueError, OSError) as exc:
         return _die(str(exc))
 

@@ -310,7 +310,12 @@ def load_code(text: str) -> NetworkCode:
     construction = meta.get("construction", "explicit")
     code = build_explicit(mat, n)
     if construction != "explicit":
+        # the header's kappa is only a claim: keep it if the exhaustive
+        # check confirms it, drop it where that check is out of reach
         kappa = meta.get("certified_kappa")
+        if not (kappa == n and mat.rows <= MDS_EXHAUSTIVE_CAP
+                and _every_n_subset_full_rank(mat, n)):
+            kappa = None
         code = NetworkCode(code.n_sources, code.n_relays, code.field,
                            code.matrix, construction, kappa)
     return code

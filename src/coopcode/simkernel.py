@@ -19,9 +19,15 @@ bit-identical no matter how chunks are ordered or spread over workers.
 
 Two implementations coexist on purpose: a scalar per-trial reference
 (run_trial*) used by the tests, and a vectorized engine used by
-run_sweep.  For certified full-diversity codes under strategy A the
-engine can shortcut rank checks to row counting; pass fast_path=False to
-force the general batched elimination instead.
+run_sweep.  For dncc, rncc and selection the engine decides exactly, for
+any code: whether destination j decodes depends only on which rows
+reached it, so each (trial, j) is packed into an int64 pattern key (the
+direct rows that arrived, the entries of every delivered relay row after
+strategy-B masking -- one bit per code entry, or the l-bit coefficient
+for rncc -- and j itself under unicast).  Each chunk ranks only its
+distinct keys, or every possible key when there are at most 2**TABLE_BITS
+of them, and gathers the outcomes back; keys wider than KEY_BITS fall
+back to ranking every (trial, j).
 """
 
 import math
@@ -35,6 +41,9 @@ from .ffmat import FfMatrix
 from .netcode import NetworkCode
 
 CHUNK_TRIALS = 1 << 14  # fixed chunk size; part of the reproducibility contract
+TABLE_BITS = 12    # pattern keys this narrow are decided by enumerating them all
+KEY_BITS = 62      # widest pattern key packed into an int64
+RANK_BLOCK = 4096  # matrices per _batch_rank call; bounds the decide's memory
 
 SCHEMES = ("dncc", "rncc", "selection", "ncc", "cc")
 COOP_SCHEMES = ("dncc", "rncc", "selection")
@@ -94,7 +103,15 @@ class Scenario:
             raise ValueError("traffic must be 'multicast' or 'unicast'")
         if self.rate_r0 <= 0:
             raise ValueError("rate_r0 must be positive")
-        if isinstance(self.beta, (int, float)) and self.beta <= 0:
+        if isinstance(self.beta, PerLinkBeta):
+            n, m = self.n_sources, self.n_relays
+            for name, shape in (("sr", (n, m)), ("sd", (n, n)), ("rd", (m, n))):
+                table = np.asarray(getattr(self.beta, name), dtype=float)
+                if table.shape != shape:
+                    raise ValueError(f"beta.{name} must have shape {shape}, got {table.shape}")
+                if not (np.isfinite(table) & (table > 0)).all():
+                    raise ValueError(f"beta.{name} entries must be finite and positive")
+        elif isinstance(self.beta, (int, float)) and self.beta <= 0:
             raise ValueError("beta must be positive")
         if self.scheme in ("dncc", "selection"):
             if self.code is None:
@@ -160,11 +177,6 @@ class OutageReport:
 
 def tau_for(rho: float, rate_r0: float) -> float:
     return (2.0 ** rate_r0 - 1.0) / rho
-
-
-def link_ok(gain: float, rho: float, rate_r0: float) -> bool:
-    """True iff the link supports rate_r0: log2(1 + gain*rho) > rate_r0."""
-    return gain > tau_for(rho, rate_r0)
 
 
 # -- scalar reference implementation ------------------------------------------
@@ -341,7 +353,100 @@ def _batch_rank(mats: np.ndarray, fld: Field) -> np.ndarray:
     return rk
 
 
-def _coop_failures(scn, tau, gsr, gsd, grd, coeffs, fast_path):
+class _PatternKey:
+    """Bit layout that packs one (trial, destination) arrival pattern into
+    an int64.
+
+    Bits [0, N) flag the direct rows e_k that arrived.  Then come the relay
+    *slots*, `width` bits each: slot (i, k) holds the symbol of entry k of
+    relay i's row as delivered, zero when the row did not arrive.  An entry
+    is symbol * scale[i, k]; entries whose scale is 0 never vary and get
+    no slot.  Unicast keys carry the destination index above the slots.
+    """
+
+    def __init__(self, field, scale, width, unicast):
+        m, n = scale.shape
+        self.n, self.m, self.width, self.unicast = n, m, width, unicast
+        self.field, self.scale = field, scale
+        self.slot_i, self.slot_k = np.nonzero(scale)
+        self.shifts = n + width * np.arange(len(self.slot_i), dtype=np.int64)
+        self.low = n + width * len(self.slot_i)
+        self.bits = self.low + ((n - 1).bit_length() if unicast else 0)
+        self.span = (n if unicast else 1) << self.low  # keys lie in [0, span)
+
+    def regime(self, count):
+        """How a chunk of `count` patterns is decided: "table" enumerates
+        every key, "unique" ranks the distinct ones, "wide" ranks each."""
+        if self.bits > KEY_BITS:
+            return "wide"
+        return "table" if self.bits <= TABLE_BITS and self.span <= count else "unique"
+
+    def pack(self, ok_sd, deliver, sym):
+        """(B, N) keys; ok_sd[b, k, j], deliver[b, i, j] and the (B, M, N)
+        relay row symbols sym[b, i, k]."""
+        nb, n = ok_sd.shape[0], self.n
+        keys = np.zeros((nb, n), dtype=np.int64)
+        if self.unicast:
+            keys += np.arange(n, dtype=np.int64) << self.low
+        for k in range(n):
+            keys += ok_sd[:, k, :] * np.int64(1 << k)
+        for i in np.unique(self.slot_i):
+            mine = self.slot_i == i
+            row = np.zeros(nb, dtype=np.int64)     # relay i's slots, as sent
+            for k, shift in zip(self.slot_k[mine], self.shifts[mine]):
+                row += sym[:, i, k] * (np.int64(1) << shift)
+            keys += deliver[:, i, :] * row[:, None]
+        return keys
+
+    def unpack(self, keys):
+        """(direct, relay, dest) arrays of the patterns, as fails() takes them."""
+        n = self.n
+        direct = (keys[:, None] >> np.arange(n)) & 1
+        syms = (keys[:, None] >> self.shifts) & ((1 << self.width) - 1)
+        relay = np.zeros((len(keys), self.m, n), dtype=np.int32)
+        relay[:, self.slot_i, self.slot_k] = syms * self.scale[self.slot_i, self.slot_k]
+        return direct, relay, keys >> self.low
+
+    def fails(self, direct, relay, dest):
+        """Failure flag of each arrival pattern: destination dest[p] holding
+        the direct rows e_k with direct[p, k] set plus the relay rows
+        relay[p] (an all-zero row is one that did not arrive)."""
+        count, n, m = len(direct), self.n, self.m
+        e = np.zeros((count, n + m + self.unicast, n), dtype=np.int32)
+        diag = np.arange(n)
+        e[:, diag, diag] = direct
+        e[:, n:n + m] = relay
+        if not self.unicast:
+            return _batch_rank(e, self.field) < n
+        base = _batch_rank(e[:, :n + m].copy(), self.field)
+        e[np.arange(count), n + m, dest] = 1
+        return _batch_rank(e, self.field) != base
+
+
+def _pattern_key(scn: Scenario) -> _PatternKey:
+    """The key layout of a dncc/rncc/selection scenario.  A relay row entry
+    is a per-trial rncc coefficient (an l-bit symbol), or a fixed code
+    entry that is in the row or not (a 1-bit symbol)."""
+    n, m = scn.n_sources, scn.n_relays
+    unicast = scn.traffic == "unicast"
+    if scn.scheme == "rncc":
+        return _PatternKey(scn.field, np.ones((m, n), dtype=np.int64),
+                           scn.field.ell, unicast)
+    return _PatternKey(scn.code.field, scn.code.relay_block.to_array().astype(np.int64),
+                       1, unicast)
+
+
+def _blockwise(count, fails_of):
+    """Evaluate fails_of(lo, hi) over [0, count) in RANK_BLOCK slices, which
+    bounds the size of the matrix stacks in flight."""
+    out = np.empty(count, dtype=bool)
+    for lo in range(0, count, RANK_BLOCK):
+        hi = min(lo + RANK_BLOCK, count)
+        out[lo:hi] = fails_of(lo, hi)
+    return out
+
+
+def _coop_failures(scn, tau, gsr, gsd, grd, coeffs):
     """(B, N) boolean failure flags for the dncc/rncc/selection family."""
     n, m = scn.n_sources, scn.n_relays
     nb = gsr.shape[0]
@@ -357,57 +462,44 @@ def _coop_failures(scn, tau, gsr, gsd, grd, coeffs, fast_path):
     else:
         selected = np.ones((nb, m), dtype=bool)
 
-    decoded = ok_sr.sum(axis=1)                 # (B, M)
-    full = decoded == n
+    # a relay sends once it decoded all N sources (A) or any (B); looping
+    # over the short source axis is faster than a numpy reduction along it
+    merge = np.logical_and if scn.strategy == "A" else np.logical_or
+    heard = ok_sr[:, 0].copy()                  # (B, M)
+    for k in range(1, n):
+        merge(heard, ok_sr[:, k], out=heard)
+    transmitting = heard & selected
     if scn.strategy == "A":
-        transmitting = full & selected
+        keep = np.broadcast_to(True, (nb, m, n))
     else:
-        transmitting = (decoded >= 1) & selected
+        keep = ok_sr.transpose(0, 2, 1)         # keep[b, i, k] = relay i decoded k
+    deliver = transmitting[:, :, None] & ok_rd  # deliver[b, i, j]
 
-    certified = (scn.scheme != "rncc" and scn.code is not None
-                 and scn.code.certified_kappa == n)
-    use_counting = (fast_path is not False) and scn.strategy == "A" and certified
-    if fast_path is True and not use_counting:
-        raise ValueError("fast path needs strategy A and a certified code")
+    # decide each distinct arrival pattern once: from a table of every
+    # possible key when keys are narrow, else from the chunk's distinct
+    # keys; patterns too wide for an int64 are ranked one by one
+    key = _pattern_key(scn)
+    regime = key.regime(nb * n)
+    sym = np.where(keep, coeffs, 0) if scn.scheme == "rncc" else keep
+    if regime == "wide":
+        relay = (sym * key.scale).astype(np.int32)
+        flat_b, flat_j = np.divmod(np.arange(nb * n), n)
 
-    fails = np.empty((nb, n), dtype=bool)
-    if use_counting:
-        # every arriving row is a full row of a kappa=N code: decodable
-        # iff enough rows arrive (own direct link also suffices for unicast)
-        for j in range(n):
-            rows = ok_sd[:, :, j].sum(axis=1) + (transmitting & ok_rd[:, :, j]).sum(axis=1)
-            if scn.traffic == "multicast":
-                fails[:, j] = rows < n
-            else:
-                fails[:, j] = ~ok_sd[:, j, j] & (rows < n)
-        return fails
+        def fails_of(lo, hi):
+            b, j = flat_b[lo:hi], flat_j[lo:hi]
+            rows = np.where(deliver[b, :, j][:, :, None], relay[b], 0)
+            return key.fails(ok_sd[b, :, j], rows, j)
 
-    if scn.scheme == "rncc":
-        rowvals = coeffs.astype(np.int32)       # (B, M, N)
-        fld = scn.field
+        return _blockwise(nb * n, fails_of).reshape(nb, n)
+
+    keys = key.pack(ok_sd, deliver, sym)
+    if regime == "table":
+        distinct, index = np.arange(key.span, dtype=np.int64), keys
     else:
-        rowvals = np.broadcast_to(
-            scn.code.relay_block.to_array().astype(np.int32), (nb, m, n))
-        fld = scn.code.field
-
-    if scn.strategy == "B":
-        keep = ok_sr.transpose(0, 2, 1)         # keep[b, i, k] = decoded k at relay i
-        rowvals = np.where(keep, rowvals, 0)
-
-    extra = 1 if scn.traffic == "unicast" else 0
-    for j in range(n):
-        e = np.zeros((nb, n + m + extra, n), dtype=np.int32)
-        diag = np.arange(n)
-        e[:, diag, diag] = ok_sd[:, :, j].astype(np.int32)
-        deliver = (transmitting & ok_rd[:, :, j])[:, :, None]
-        e[:, n:n + m, :] = np.where(deliver, rowvals, 0)
-        if scn.traffic == "multicast":
-            fails[:, j] = _batch_rank(e, fld) < n
-        else:
-            base = _batch_rank(e[:, :n + m, :].copy(), fld)
-            e[:, n + m, j] = 1
-            fails[:, j] = _batch_rank(e, fld) != base
-    return fails
+        distinct, index = np.unique(keys.ravel(), return_inverse=True)
+    table = _blockwise(len(distinct),
+                       lambda lo, hi: key.fails(*key.unpack(distinct[lo:hi])))
+    return table[index].reshape(nb, n)
 
 
 def _ncc_failures(scn, tau, gsr, gsd, grd):
@@ -445,13 +537,12 @@ def _cc_failures(scn, tau, gsr, gsd, grd):
     return fails
 
 
-def _chunk_counts(scn: Scenario, grid_index: int, chunk_index: int,
-                  count: int, fast_path):
+def _chunk_counts(scn: Scenario, grid_index: int, chunk_index: int, count: int):
     rng = chunk_rng(scn.seed, grid_index, chunk_index)
     gsr, gsd, grd, coeffs = draw_chunk(scn, rng, count)
     tau = tau_for(scn.snr_grid[grid_index], scn.rate_r0)
     if scn.scheme in COOP_SCHEMES:
-        fails = _coop_failures(scn, tau, gsr, gsd, grd, coeffs, fast_path)
+        fails = _coop_failures(scn, tau, gsr, gsd, grd, coeffs)
     elif scn.scheme == "ncc":
         fails = _ncc_failures(scn, tau, gsr, gsd, grd)
     else:
@@ -460,12 +551,12 @@ def _chunk_counts(scn: Scenario, grid_index: int, chunk_index: int,
 
 
 def _sweep_task(args):
-    scn, grid_index, chunk_index, count, fast_path = args
-    dest, system = _chunk_counts(scn, grid_index, chunk_index, count, fast_path)
+    scn, grid_index, chunk_index, count = args
+    dest, system = _chunk_counts(scn, grid_index, chunk_index, count)
     return grid_index, dest, system
 
 
-def run_sweep(scn: Scenario, workers: int = 1, fast_path=None) -> OutageReport:
+def run_sweep(scn: Scenario, workers: int = 1) -> OutageReport:
     """Simulate every grid point; deterministic in (scenario, CHUNK_TRIALS)
     and independent of `workers`."""
     n_chunks = (scn.trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
@@ -473,19 +564,18 @@ def run_sweep(scn: Scenario, workers: int = 1, fast_path=None) -> OutageReport:
     for g in range(len(scn.snr_grid)):
         for c in range(n_chunks):
             count = min(CHUNK_TRIALS, scn.trials - c * CHUNK_TRIALS)
-            tasks.append((scn, g, c, count, fast_path))
+            tasks.append((scn, g, c, count))
     dest_tot = np.zeros((len(scn.snr_grid), scn.n_sources), dtype=np.int64)
     sys_tot = np.zeros(len(scn.snr_grid), dtype=np.int64)
     if workers <= 1:
-        results = map(_sweep_task, tasks)
+        results = list(map(_sweep_task, tasks))
     else:
-        pool = ProcessPoolExecutor(max_workers=workers)
-        results = pool.map(_sweep_task, tasks, chunksize=max(1, len(tasks) // (workers * 4)))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_sweep_task, tasks,
+                                    chunksize=max(1, len(tasks) // (workers * 4))))
     for g, dest, system in results:
         dest_tot[g] += dest
         sys_tot[g] += system
-    if workers > 1:
-        pool.shutdown()
     points = tuple(
         SweepPoint(scn.snr_grid[g], tuple(int(v) for v in dest_tot[g]),
                    int(sys_tot[g]), scn.trials)

@@ -1,13 +1,23 @@
 """Monte Carlo kernel: trial semantics, batching, determinism, and oracles."""
 
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
 
 from coopcode.analytic import LinkParams, outage_bounds_multicast, outage_bounds_unicast
 from coopcode.gf import field_new
-from coopcode.netcode import build_cauchy, build_vandermonde
+from coopcode.ffmat import FfMatrix
+from coopcode.netcode import (
+    build_cauchy,
+    build_explicit,
+    build_random,
+    build_vandermonde,
+    dump_code,
+    load_code,
+    mds_check,
+)
 from coopcode.simkernel import (
     CHUNK_TRIALS,
     PerLinkBeta,
@@ -16,7 +26,6 @@ from coopcode.simkernel import (
     TrialDraw,
     chunk_rng,
     draw_chunk,
-    link_ok,
     run_sweep,
     run_trial,
     run_trial_cc,
@@ -25,10 +34,11 @@ from coopcode.simkernel import (
     selected_link_gain_cdf,
     tau_for,
 )
-from coopcode.simkernel import _cc_failures, _coop_failures, _ncc_failures
+from coopcode.simkernel import _cc_failures, _coop_failures, _ncc_failures, _pattern_key
 
 F4 = field_new(2)
 F16 = field_new(4)
+F256 = field_new(8)
 CODE22 = build_vandermonde(2, 2, F4)
 
 
@@ -53,12 +63,12 @@ def _draw(gsr, gsd, grd, coeffs=None):
     )
 
 
-def test_link_ok_strict_threshold():
+def test_run_trial_strict_threshold():
     # rho=1, r0=1 -> tau=1; log2(1+1) == r0 exactly is NOT enough
     assert tau_for(1.0, 1.0) == 1.0
-    assert not link_ok(1.0, 1.0, 1.0)
-    assert link_ok(1.01, 1.0, 1.0)
-    assert not link_ok(0.0, 1.0, 1.0)
+    scn = _scn(traffic="unicast")
+    at_tau = _draw([[0, 0]] * 2, [[1.0, 0], [0, 1.01]], [[0, 0]] * 2)
+    assert run_trial(scn, 1.0, at_tau) == (False, True)
 
 
 def test_run_trial_all_up_and_all_down():
@@ -184,6 +194,27 @@ def test_scenario_validation():
         _scn(strategy="C")
 
 
+def test_per_link_beta_validation():
+    good = PerLinkBeta.uniform(2, 2, 1.0)
+    _scn(beta=good)
+    bad_shapes = [
+        PerLinkBeta(sr=((1.0, 1.0, 1.0),) * 2, sd=good.sd, rd=good.rd),
+        PerLinkBeta(sr=good.sr, sd=((1.0, 1.0),), rd=good.rd),
+        PerLinkBeta(sr=good.sr, sd=good.sd, rd=((1.0, 1.0),) * 3),
+        PerLinkBeta(sr=good.sr, sd=good.sd, rd=(1.0, 1.0)),
+    ]
+    for beta in bad_shapes:
+        with pytest.raises(ValueError, match="shape"):
+            _scn(beta=beta)
+    for value in (0.0, -1.0, math.inf, math.nan):
+        for name in ("sr", "sd", "rd"):
+            table = [list(row) for row in getattr(good, name)]
+            table[1][0] = value
+            beta = PerLinkBeta(**{**good.__dict__, name: tuple(map(tuple, table))})
+            with pytest.raises(ValueError, match="finite and positive"):
+                _scn(beta=beta)
+
+
 def test_sweep_point_invariants():
     with pytest.raises(ValueError):
         SweepPoint(1.0, (5, 2), system_errors=3, trials=10)
@@ -198,7 +229,7 @@ def _assert_scalar_matches_batch(scn, rho, trials=250):
     gsr, gsd, grd, coeffs = draw_chunk(scn, rng, trials)
     tau = tau_for(rho, scn.rate_r0)
     if scn.scheme in ("dncc", "rncc", "selection"):
-        fails = _coop_failures(scn, tau, gsr, gsd, grd, coeffs, fast_path=False)
+        fails = _coop_failures(scn, tau, gsr, gsd, grd, coeffs)
         runner = run_trial
     elif scn.scheme == "ncc":
         fails = _ncc_failures(scn, tau, gsr, gsd, grd)
@@ -233,22 +264,107 @@ def test_batched_engine_matches_scalar_other_schemes():
         _assert_scalar_matches_batch(scn, grid[0])
 
 
-def test_fast_path_matches_general_elimination():
+# non-MDS random codes over GF(4): zero entries, and in RANDOM34 an all-zero
+# relay row
+RANDOM43 = build_random(4, 3, F4, seed=0)
+RANDOM34 = build_random(3, 4, F4, seed=0)
+SKEWED34 = PerLinkBeta(
+    sr=((0.5, 1.0, 2.0, 1.0), (1.0, 0.7, 1.0, 3.0), (2.0, 1.0, 0.5, 1.0)),
+    sd=((1.0, 4.0, 2.0), (0.8, 1.0, 3.0), (2.0, 2.0, 1.5)),
+    rd=((1.0, 0.6, 1.0), (2.0, 1.0, 1.0), (0.9, 1.0, 4.0), (1.0, 1.2, 0.7)),
+)
+DECIDE_CASES = {
+    "dncc-2x2": dict(scheme="dncc", n_sources=2, n_relays=2, code=CODE22),
+    "dncc-1x1": dict(scheme="dncc", n_sources=1, n_relays=1,
+                     code=build_random(1, 1, F4, seed=1)),
+    "dncc-1x4": dict(scheme="dncc", n_sources=1, n_relays=4,
+                     code=build_vandermonde(1, 4, F16)),
+    "dncc-4x3-random": dict(scheme="dncc", n_sources=4, n_relays=3, code=RANDOM43),
+    "dncc-4x4-cauchy": dict(scheme="dncc", n_sources=4, n_relays=4,
+                            code=build_cauchy(4, 4, F16)),
+    "dncc-2x2-zeros": dict(scheme="dncc", n_sources=2, n_relays=2, code=build_explicit(
+        FfMatrix(F4, [[1, 0], [0, 1], [0, 0], [2, 0]]), 2)),
+    "selection-2x2": dict(scheme="selection", n_sources=2, n_relays=2, code=CODE22,
+                          k_select=1),
+    "selection-3x4-random-perlink": dict(scheme="selection", n_sources=3, n_relays=4,
+                                         code=RANDOM34, k_select=2, beta=SKEWED34),
+    "rncc-1x1": dict(scheme="rncc", n_sources=1, n_relays=1, field=F4),
+    "rncc-2x3": dict(scheme="rncc", n_sources=2, n_relays=3, field=F16),
+    "rncc-4x4-wide": dict(scheme="rncc", n_sources=4, n_relays=4, field=F256),
+}
+DECIDE_TRIALS = 160
+
+
+def _decide_scn(case, strategy, traffic):
+    return Scenario(snr_grid=(2.0, 20.0), trials=DECIDE_TRIALS, seed=len(case),
+                    strategy=strategy, traffic=traffic, **DECIDE_CASES[case])
+
+
+@pytest.mark.parametrize("traffic", ["multicast", "unicast"])
+@pytest.mark.parametrize("strategy", ["A", "B"])
+@pytest.mark.parametrize("case", sorted(DECIDE_CASES))
+def test_pattern_decide_matches_scalar(case, strategy, traffic):
+    scn = _decide_scn(case, strategy, traffic)
+    for rho in scn.snr_grid:
+        _assert_scalar_matches_batch(scn, rho, trials=DECIDE_TRIALS)
+
+
+def test_pattern_decide_cases_cover_every_key_regime():
+    seen = {}
+    for case in DECIDE_CASES:
+        for strategy in "AB":
+            for traffic in ("multicast", "unicast"):
+                scn = _decide_scn(case, strategy, traffic)
+                regime = _pattern_key(scn).regime(DECIDE_TRIALS * scn.n_sources)
+                seen.setdefault(regime, set()).add(scn.scheme)
+    assert seen["table"] == seen["unique"] == {"dncc", "rncc", "selection"}
+    assert seen["wide"] == {"rncc"}
+
+
+def test_pattern_key_widths():
+    # 2 direct bits, then one bit per nonzero code entry or l bits per rncc
+    # coefficient; unicast adds the destination
+    assert _pattern_key(_scn()).bits == 2 + 4
+    assert _pattern_key(_scn(traffic="unicast")).bits == 2 + 4 + 1
+    zeros = DECIDE_CASES["dncc-2x2-zeros"]["code"]
+    assert _pattern_key(_scn(code=zeros)).bits == 2 + 1
+    rncc = _scn(scheme="rncc", code=None, field=F16, traffic="unicast")
+    assert _pattern_key(rncc).bits == 2 + 4 * 4 + 1
+    wide = Scenario(**DECIDE_CASES["rncc-4x4-wide"], snr_grid=(1.0,), trials=1)
+    assert _pattern_key(wide).bits == 4 + 16 * 8
+    assert _pattern_key(wide).regime(1 << 20) == "wide"
+
+
+def test_relabelled_non_mds_code_is_not_trusted():
+    code = build_random(2, 2, F4, seed=0)
+    assert not mds_check(code)
+    text = dump_code(code).replace('"random"', '"cauchy"').replace(
+        '"certified_kappa": null', '"certified_kappa": 2')
+    assert '"cauchy"' in text and '"certified_kappa": 2' in text
+    loaded = load_code(text)
+    assert loaded.construction == "cauchy"
+    assert loaded.certified_kappa is None
+    trials = 400
     for traffic in ("multicast", "unicast"):
-        scn = _scn(snr_grid=(3.0, 30.0), trials=30000, traffic=traffic, seed=13)
-        fast = run_sweep(scn, fast_path=True)
-        slow = run_sweep(scn, fast_path=False)
-        assert [p.dest_errors for p in fast.points] == [p.dest_errors for p in slow.points]
-        assert [p.system_errors for p in fast.points] == [p.system_errors for p in slow.points]
+        scn = _scn(code=loaded, snr_grid=(10.0,), trials=trials, seed=3, traffic=traffic)
+        pt = run_sweep(scn).points[0]
+        gsr, gsd, grd, _ = draw_chunk(scn, chunk_rng(scn.seed, 0, 0), trials)
+        dest = [0, 0]
+        system = 0
+        for t in range(trials):
+            fails = [not ok for ok in run_trial(scn, 10.0, TrialDraw(gsr[t], gsd[t], grd[t]))]
+            dest = [d + f for d, f in zip(dest, fails)]
+            system += any(fails)
+        assert pt.dest_errors == tuple(dest)
+        assert pt.system_errors == system
 
 
-def test_fast_path_refuses_uncertified_setups():
-    scn = _scn(scheme="rncc", code=None, field=F4, trials=4)
-    with pytest.raises(ValueError, match="fast path"):
-        run_sweep(scn, fast_path=True)
-    scn = _scn(strategy="B", trials=4)
-    with pytest.raises(ValueError, match="fast path"):
-        run_sweep(scn, fast_path=True)
+def test_sweep_pool_closes_when_a_worker_raises():
+    scn = _scn(scheme="rncc", code=None, field=F4, snr_grid=(1.0, 2.0), trials=8)
+    object.__setattr__(scn, "field", None)  # breaks the draw inside the workers
+    with pytest.raises(AttributeError):
+        run_sweep(scn, workers=2)
+    assert multiprocessing.active_children() == []
 
 
 def test_sweep_deterministic_across_workers_and_chunking():
@@ -276,7 +392,7 @@ def test_strategy_b_never_loses_to_a_with_coupled_draws():
         ea = run_sweep(_scn(strategy="A", traffic=traffic, snr_grid=(20.0,),
                             trials=60000, seed=4)).points[0]
         eb = run_sweep(_scn(strategy="B", traffic=traffic, snr_grid=(20.0,),
-                            trials=60000, seed=4), fast_path=False).points[0]
+                            trials=60000, seed=4)).points[0]
         assert all(b <= a for a, b in zip(ea.dest_errors, eb.dest_errors))
         assert eb.system_errors <= ea.system_errors
 
