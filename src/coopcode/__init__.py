@@ -16,7 +16,6 @@ from .ffmat import FfMatrix, load_matrix
 from .netcode import (
     FieldTooSmallError,
     NetworkCode,
-    PacketSpec,
     build_cauchy,
     build_explicit,
     build_random,
@@ -32,7 +31,6 @@ from .analytic import (
     DmtCurve,
     LinkParams,
     OutageBounds,
-    dmt,
     dmt_curve,
     loglog_slope,
     outage_bounds_multicast,

@@ -229,11 +229,6 @@ def dmt_curve(scheme: str, n: int, m: int, *, gamma_n: int | None = None,
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def dmt(scheme: str, n: int, m: int, r: float, *, gamma_n: int | None = None,
-        k_select: int | None = None) -> float:
-    return dmt_curve(scheme, n, m, gamma_n=gamma_n, k_select=k_select).at(r)
-
-
 def loglog_slope(xs, ys) -> float:
     """Least-squares slope of log10(ys) against log10(xs)."""
     lx = np.log10(np.asarray(xs, dtype=float))

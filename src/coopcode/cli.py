@@ -57,7 +57,7 @@ def _read_config(path: str) -> dict:
     return cfg
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv: list) -> argparse.Namespace:
+def _apply_config(parser: "_Parser", argv: list) -> argparse.Namespace:
     """Parse argv with defaults overridden by --config entries (flags win).
 
     Config values are installed as defaults on the chosen subcommand's
@@ -66,15 +66,11 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list) -> argparse.Names
     """
     pre, _ = parser.parse_known_args(argv)
     if getattr(pre, "config", None):
-        subs = next(
-            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-        )
-        sub = subs.choices[pre.command]
-        known = {a.dest: a for a in sub._actions}
+        sub = parser.commands[pre.command]
         for key, val in _read_config(pre.config).items():
-            if key not in known:
+            if key not in sub.flags:
                 raise ValueError(f"unknown config key {key!r}")
-            act = known[key]
+            act = sub.flags[key]
             parsed = act.type(val) if act.type else val
             if act.choices and parsed not in act.choices:
                 raise ValueError(
@@ -275,6 +271,21 @@ def cmd_dmt(args) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that keeps its own record of what it was built
+    from, for --config: `flags` maps each destination to the Action that
+    add_argument returned, `commands` each subcommand name to its parser."""
+
+    def __init__(self, *args, **kwargs):
+        self.flags, self.commands = {}, {}
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.flags[action.dest] = action
+        return action
+
+
 def _add_common(p, *, grid=False, sim=False):
     p.add_argument("--n", type=int, default=2, help="number of sources/destinations N")
     p.add_argument("--m", type=int, default=2, help="number of relays M")
@@ -302,19 +313,23 @@ def _add_common(p, *, grid=False, sim=False):
                        help="relays kept by selection (scheme=selection)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+def build_parser() -> _Parser:
+    ap = _Parser(
         prog="coopcode",
         description="Construct relay codes, evaluate outage bounds, and run Monte Carlo sweeps.",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("construct", help="build and serialize a relay coefficient matrix")
+    def command(name, help_text):
+        ap.commands[name] = sub.add_parser(name, help=help_text)
+        return ap.commands[name]
+
+    p = command("construct", "build and serialize a relay coefficient matrix")
     _add_common(p)
     p.add_argument("--kind", choices=KIND_CHOICES, default="vandermonde")
     p.set_defaults(fn=cmd_construct)
 
-    p = sub.add_parser("analyze", help="closed-form outage bounds over an SNR sweep")
+    p = command("analyze", "closed-form outage bounds over an SNR sweep")
     _add_common(p, grid=True)
     p.add_argument("--kind", choices=KIND_CHOICES, default="vandermonde")
     p.add_argument("--scheme", default="dncc", help="comma-separated scheme labels")
@@ -325,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-destination threshold: every lam rows span the wanted unit vector")
     p.set_defaults(fn=cmd_analyze)
 
-    p = sub.add_parser("simulate", help="Monte Carlo outage sweep")
+    p = command("simulate", "Monte Carlo outage sweep")
     _add_common(p, grid=True, sim=True)
     p.add_argument("--kind", choices=KIND_CHOICES, default="vandermonde")
     p.add_argument("--scheme", default="dncc", help="comma-separated subset of "
@@ -333,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--traffic", choices=("multicast", "unicast"), default="multicast")
     p.set_defaults(fn=cmd_simulate)
 
-    p = sub.add_parser("dmt", help="diversity-multiplexing tradeoff curves")
+    p = command("dmt", "diversity-multiplexing tradeoff curves")
     _add_common(p)
     p.add_argument("--scheme", default="dncc", help="comma-separated subset of "
                    + ",".join(simkernel.SCHEMES))

@@ -1,22 +1,72 @@
 """Dense matrices over GF(2^l): elimination, solving, and subset-rank metrics.
 
-Everything here is exact desk-scale arithmetic (Gaussian elimination with
-deterministic pivoting: first nonzero entry, lowest row index).  The subset
-metrics kruskal_rank / gamma_rank / lambda_rank enumerate row subsets
-exhaustively and are capped at 24 rows.
+Everything here is exact arithmetic (Gauss-Jordan elimination with
+deterministic pivoting: first nonzero entry, lowest row index).  Single
+matrices are reduced in pure Python (rank, solve, solve_any).  Stacks of
+matrices are reduced at once in numpy by batch_rank, which leaves each one
+in reduced row-echelon form; the simulator's decide uses it too.
+
+The subset metrics kruskal_rank / gamma_rank / lambda_rank, and the MDS
+certification in netcode, enumerate row subsets exhaustively, one subset
+size (level) at a time: each level is ranked by batch_rank in blocks of
+growing size, and e_j is in a subset's span exactly when one of its reduced
+rows equals e_j.  A metric stops at the first block that settles it.  The
+enumeration is capped at SUBSET_ROW_CAP = 24 rows.
 
 Matrices serialize to a plain text block: a header line ``q rows cols``
 followed by row-major integer entries; blank lines and ``#`` comments are
 ignored on load.
 """
 
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
 from .gf import Field, field_new
 
 SUBSET_ROW_CAP = 24  # exhaustive subset enumeration beyond this is hopeless
+SUBSET_BLOCK_MIN = 32    # row subsets in the first batch of a level
+SUBSET_BLOCK_MAX = 1024  # ... doubling up to this many per batch
+
+
+def batch_rank(mats: np.ndarray, field: Field) -> np.ndarray:
+    """Rank of each matrix in a (B, R, C) int32 stack.
+
+    Runs Gauss-Jordan elimination in place on every matrix at once, with
+    the same pivoting as the scalar FfMatrix.rank (first nonzero entry at
+    or below the current row).  Pivots are normalised to 1 and cleared
+    from every other row, so on return each matrix of `mats` is in reduced
+    row-echelon form: the first rank rows carry pivot 1s in increasing
+    columns, each pivot column is zero in every other row, and the
+    remaining rows are zero.  Returns the (B,) int64 ranks.
+    """
+    log_t, exp2_t, inv_t = field.np_tables()
+    nb, nr, nc = mats.shape
+    rk = np.zeros(nb, dtype=np.int64)
+    rowidx = np.arange(nr)[None, :]
+    for c in range(nc):
+        cand = (mats[:, :, c] != 0) & (rowidx >= rk[:, None])
+        has = cand.any(axis=1)
+        if not has.any():
+            continue
+        b = np.nonzero(has)[0]
+        src = cand[b].argmax(axis=1)
+        dst = rk[b]
+        # swap the pivot row up
+        tmp = mats[b, src, :].copy()
+        mats[b, src, :] = mats[b, dst, :]
+        mats[b, dst, :] = tmp
+        # normalize pivot row to 1 in column c
+        piv = tmp[:, c]
+        scale = inv_t[piv]
+        prow = exp2_t[log_t[tmp] + log_t[scale][:, None]]
+        mats[b, dst, :] = prow
+        # eliminate column c from every other row
+        fac = mats[b, :, c].copy()
+        fac[np.arange(len(b)), dst] = 0
+        mats[b] ^= exp2_t[log_t[fac][:, :, None] + log_t[prow][:, None, :]]
+        rk[b] += 1
+    return rk
 
 
 class FfMatrix:
@@ -116,12 +166,14 @@ class FfMatrix:
 
     # -- elimination ---------------------------------------------------------
 
-    def _rref(self, work):
-        """Reduce a list-of-lists in place; return the pivot column list."""
+    def _eliminate(self, work, ncols):
+        """Gauss-Jordan on the list-of-lists `work` in place, pivoting over
+        its first `ncols` columns only; any further columns are right-hand
+        sides carried along.  Returns the pivot column list."""
         f = self.field
         mul, inv = f.mul, f.inv
         nrows = len(work)
-        ncols = len(work[0]) if nrows else 0
+        width = len(work[0]) if nrows else 0
         pivots = []
         r = 0
         for c in range(ncols):
@@ -136,7 +188,7 @@ class FfMatrix:
             pv = inv(work[r][c])
             if pv != 1:
                 row = work[r]
-                for j in range(c, ncols):
+                for j in range(c, width):
                     if row[j]:
                         row[j] = mul(pv, row[j])
             prow = work[r]
@@ -144,7 +196,7 @@ class FfMatrix:
                 if i != r and work[i][c]:
                     fac = work[i][c]
                     row = work[i]
-                    for j in range(c, ncols):
+                    for j in range(c, width):
                         if prow[j]:
                             row[j] ^= mul(fac, prow[j])
             pivots.append(c)
@@ -156,19 +208,17 @@ class FfMatrix:
     def rank(self) -> int:
         if self.rows == 0 or self.cols == 0:
             return 0
-        work = self.to_lists()
-        return len(self._rref(work))
+        return len(self._eliminate(self.to_lists(), self.cols))
 
     def solve(self, b: "FfMatrix") -> "FfMatrix | None":
         """Unique X with self @ X == b, or None (inconsistent/underdetermined)."""
-        x = self._solve_general(b, require_unique=True)
-        return x
+        return self._solve(b, require_unique=True)
 
     def solve_any(self, b: "FfMatrix") -> "FfMatrix | None":
         """A particular X with self @ X == b (free unknowns 0), or None."""
-        return self._solve_general(b, require_unique=False)
+        return self._solve(b, require_unique=False)
 
-    def _solve_general(self, b, require_unique):
+    def _solve(self, b, require_unique):
         if not isinstance(b, FfMatrix) or b.field != self.field:
             raise ValueError("rhs must be an FfMatrix over the same field")
         if b.rows != self.rows:
@@ -177,40 +227,9 @@ class FfMatrix:
         work = [list(ra) + list(rb) for ra, rb in zip(self.to_lists(), b.to_lists())]
         if not work:
             return FfMatrix.zeros(self.field, n, k)
-        f = self.field
-        mul, inv = f.mul, f.inv
-        nrows = len(work)
-        pivots = []
-        r = 0
-        for c in range(n):  # only eliminate over the coefficient columns
-            pr = None
-            for i in range(r, nrows):
-                if work[i][c]:
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            work[r], work[pr] = work[pr], work[r]
-            pv = inv(work[r][c])
-            if pv != 1:
-                row = work[r]
-                for j in range(c, n + k):
-                    if row[j]:
-                        row[j] = mul(pv, row[j])
-            prow = work[r]
-            for i in range(nrows):
-                if i != r and work[i][c]:
-                    fac = work[i][c]
-                    row = work[i]
-                    for j in range(c, n + k):
-                        if prow[j]:
-                            row[j] ^= mul(fac, prow[j])
-            pivots.append(c)
-            r += 1
-            if r == nrows:
-                break
-        for i in range(r, nrows):  # zero coefficient row, nonzero rhs?
-            if any(work[i][n:]):
+        pivots = self._eliminate(work, n)
+        for row in work[len(pivots):]:  # zero coefficient row, nonzero rhs?
+            if any(row[n:]):
                 return None
         if require_unique and len(pivots) < n:
             return None
@@ -235,14 +254,33 @@ class FfMatrix:
                 f"subset metrics are exhaustive; capped at {SUBSET_ROW_CAP} rows"
             )
 
+    def _subset_level(self, size):
+        """Rank every `size`-row subset, in itertools.combinations order.
+
+        Yields ``(ranks, spans)`` per block of consecutive subsets: ranks[b]
+        is the rank of subset b and spans[b, j] says whether e_j lies in its
+        row span.  Blocks start at SUBSET_BLOCK_MIN subsets and double up to
+        SUBSET_BLOCK_MAX, so a caller that stops at the first failing block
+        pays little and memory stays bounded.
+        """
+        a = self._a.astype(np.int32)
+        subsets = combinations(range(self.rows), size)
+        block = SUBSET_BLOCK_MIN
+        while chunk := list(islice(subsets, block)):
+            mats = a[np.array(chunk, dtype=np.intp)]
+            ranks = batch_rank(mats, self.field)
+            # reduced rows: e_j is in the span iff some row equals e_j
+            unit = (mats == 1) & ((mats != 0).sum(axis=2) == 1)[:, :, None]
+            yield ranks, unit.any(axis=1)
+            block = min(2 * block, SUBSET_BLOCK_MAX)
+
     def kruskal_rank(self) -> int:
         """Largest r such that every set of r rows is linearly independent."""
         self._check_subset_cap()
         limit = min(self.rows, self.cols)
         for r in range(1, limit + 1):
-            for idx in combinations(range(self.rows), r):
-                if self.row_submatrix(idx).rank() < r:
-                    return r - 1
+            if any((ranks < r).any() for ranks, _ in self._subset_level(r)):
+                return r - 1
         return limit
 
     def gamma_rank(self, i: int) -> int:
@@ -254,15 +292,10 @@ class FfMatrix:
         self._check_subset_cap()
         if not 1 <= i <= min(self.rows, self.cols):
             raise ValueError(f"i must be in [1, {min(self.rows, self.cols)}]")
-        if self.rank() < i:
-            raise ValueError(f"undefined: full row set has rank below {i}")
         for g in range(i, self.rows + 1):
-            if all(
-                self.row_submatrix(idx).rank() >= i
-                for idx in combinations(range(self.rows), g)
-            ):
+            if all((ranks >= i).all() for ranks, _ in self._subset_level(g)):
                 return g
-        raise AssertionError("unreachable: full set has rank >= i")
+        raise ValueError(f"undefined: full row set has rank below {i}")
 
     def lambda_rank(self, i: int) -> int | None:
         """Smallest l such that every set of l rows spans unit vector e_i.
@@ -272,22 +305,10 @@ class FfMatrix:
         self._check_subset_cap()
         if not 0 <= i < self.cols:
             raise ValueError(f"column index must be in [0, {self.cols})")
-        if not self._spans_unit(range(self.rows), i):
-            return None
         for lam in range(1, self.rows + 1):
-            if all(
-                self._spans_unit(idx, i)
-                for idx in combinations(range(self.rows), lam)
-            ):
+            if all(spans[:, i].all() for _, spans in self._subset_level(lam)):
                 return lam
-        raise AssertionError("unreachable: full set spans e_i")
-
-    def _spans_unit(self, row_indices, i):
-        sub = self.row_submatrix(row_indices)
-        unit = [[0] * self.cols]
-        unit[0][i] = 1
-        aug = sub.vstack(FfMatrix(self.field, unit))
-        return aug.rank() == sub.rank()
+        return None
 
     # -- serialization -----------------------------------------------------------
 

@@ -82,8 +82,6 @@ class Field:
     def add(self, a: int, b: int) -> int:
         return a ^ b
 
-    sub = add  # characteristic 2
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -93,13 +91,6 @@ class Field:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return self._exp[(-self._log[a]) % (self.order - 1)]
-
-    def div(self, a: int, b: int) -> int:
-        if b == 0:
-            raise ZeroDivisionError("division by 0")
-        if a == 0:
-            return 0
-        return self._exp[(self._log[a] - self._log[b]) % (self.order - 1)]
 
     def pow(self, a: int, e: int) -> int:
         """a**e with the convention 0**0 == 1; negative e inverts (a != 0)."""
@@ -116,10 +107,7 @@ class Field:
         """An element of multiplicative order q-1 (x itself, or 1 in GF(2))."""
         return 2 if self.ell > 1 else 1
 
-    def elements(self):
-        return range(self.order)
-
-    # -- numpy table mirror (used by the batched simulator kernels) --------
+    # -- numpy table mirror (used by the batched kernel ffmat.batch_rank) --
 
     def np_tables(self):
         """Return (log, exp2, inv) int32 arrays for vectorized arithmetic.

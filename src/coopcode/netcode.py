@@ -9,7 +9,6 @@ i.e. kruskal_rank(A) == N; the Cauchy and Vandermonde builders below
 guarantee that by construction.
 """
 
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -23,22 +22,6 @@ MDS_EXHAUSTIVE_CAP = 12  # N+M above this makes subset/codeword checks infeasibl
 
 class FieldTooSmallError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class PacketSpec:
-    """Packet framing: ``blocks`` field symbols of ``ell`` bits each."""
-
-    ell: int
-    blocks: int
-
-    def __post_init__(self):
-        if self.ell < 1 or self.blocks < 1:
-            raise ValueError("ell and blocks must be >= 1")
-
-    @property
-    def bits(self) -> int:
-        return self.ell * self.blocks
 
 
 def bits_to_symbols(bits, ell: int):
@@ -99,10 +82,7 @@ def _every_n_subset_full_rank(matrix: FfMatrix, n: int) -> bool:
     """Equivalent to kruskal_rank(matrix) == n for an (N+M) x N matrix:
     any fewer-than-N rows sit inside some N-row subset, so one level of
     enumeration settles every smaller level too."""
-    for rows in itertools.combinations(range(matrix.rows), n):
-        if matrix.row_submatrix(rows).rank() != n:
-            return False
-    return True
+    return all((ranks == n).all() for ranks, _ in matrix._subset_level(n))
 
 
 def _stack_code(field, n, m, relay_rows, construction):

@@ -27,7 +27,8 @@ strategy-B masking -- one bit per code entry, or the l-bit coefficient
 for rncc -- and j itself under unicast).  Each chunk ranks only its
 distinct keys, or every possible key when there are at most 2**TABLE_BITS
 of them, and gathers the outcomes back; keys wider than KEY_BITS fall
-back to ranking every (trial, j).
+back to ranking every (trial, j).  Ranking is ffmat.batch_rank, the same
+exact batched elimination that computes the code-side subset metrics.
 """
 
 import math
@@ -37,13 +38,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import Field
-from .ffmat import FfMatrix
+from .ffmat import FfMatrix, batch_rank
 from .netcode import NetworkCode
 
 CHUNK_TRIALS = 1 << 14  # fixed chunk size; part of the reproducibility contract
 TABLE_BITS = 12    # pattern keys this narrow are decided by enumerating them all
 KEY_BITS = 62      # widest pattern key packed into an int64
-RANK_BLOCK = 4096  # matrices per _batch_rank call; bounds the decide's memory
+RANK_BLOCK = 4096  # matrices per batch_rank call; bounds the decide's memory
 
 SCHEMES = ("dncc", "rncc", "selection", "ncc", "cc")
 COOP_SCHEMES = ("dncc", "rncc", "selection")
@@ -322,37 +323,6 @@ def draw_chunk(scn: Scenario, rng: np.random.Generator, count: int):
     return gsr, gsd, grd, coeffs
 
 
-def _batch_rank(mats: np.ndarray, fld: Field) -> np.ndarray:
-    """Rank of each matrix in a (B, R, C) int32 stack (destroys `mats`)."""
-    log_t, exp2_t, inv_t = fld.np_tables()
-    nb, nr, nc = mats.shape
-    rk = np.zeros(nb, dtype=np.int64)
-    rowidx = np.arange(nr)[None, :]
-    for c in range(nc):
-        cand = (mats[:, :, c] != 0) & (rowidx >= rk[:, None])
-        has = cand.any(axis=1)
-        if not has.any():
-            continue
-        b = np.nonzero(has)[0]
-        src = cand[b].argmax(axis=1)
-        dst = rk[b]
-        # swap the pivot row up
-        tmp = mats[b, src, :].copy()
-        mats[b, src, :] = mats[b, dst, :]
-        mats[b, dst, :] = tmp
-        # normalize pivot row to 1 in column c
-        piv = tmp[:, c]
-        scale = inv_t[piv]
-        prow = exp2_t[log_t[tmp] + log_t[scale][:, None]]
-        mats[b, dst, :] = prow
-        # eliminate column c from every other row
-        fac = mats[b, :, c].copy()
-        fac[np.arange(len(b)), dst] = 0
-        mats[b] ^= exp2_t[log_t[fac][:, :, None] + log_t[prow][:, None, :]]
-        rk[b] += 1
-    return rk
-
-
 class _PatternKey:
     """Bit layout that packs one (trial, destination) arrival pattern into
     an int64.
@@ -417,10 +387,10 @@ class _PatternKey:
         e[:, diag, diag] = direct
         e[:, n:n + m] = relay
         if not self.unicast:
-            return _batch_rank(e, self.field) < n
-        base = _batch_rank(e[:, :n + m].copy(), self.field)
+            return batch_rank(e, self.field) < n
+        base = batch_rank(e[:, :n + m].copy(), self.field)
         e[np.arange(count), n + m, dest] = 1
-        return _batch_rank(e, self.field) != base
+        return batch_rank(e, self.field) != base
 
 
 def _pattern_key(scn: Scenario) -> _PatternKey:

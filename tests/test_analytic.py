@@ -8,7 +8,6 @@ import pytest
 from coopcode.analytic import (
     DmtCurve,
     LinkParams,
-    dmt,
     dmt_curve,
     loglog_slope,
     outage_bounds_multicast,
@@ -182,11 +181,11 @@ def test_dmt_curve_values():
     assert c.at(0.5) == 0.0
     assert c.at(0.7) == 0.0  # clamped outside the interval
 
-    assert dmt("ncc", 2, 2, 0.0) == 2.0
-    assert dmt("cc", 2, 2, 0.0) == 3.0  # M+1
-    assert dmt("cc", 2, 2, 0.5) == 0.0
-    assert dmt("selection", 2, 2, 0.0, k_select=2) == 4.0  # N + M(K-(N-1))
-    assert dmt("selection", 3, 3, 0.0, k_select=1) == 2.0  # K < N-1: K+1
+    assert dmt_curve("ncc", 2, 2).at(0.0) == 2.0
+    assert dmt_curve("cc", 2, 2).at(0.0) == 3.0  # M+1
+    assert dmt_curve("cc", 2, 2).at(0.5) == 0.0
+    assert dmt_curve("selection", 2, 2, k_select=2).at(0.0) == 4.0  # N + M(K-(N-1))
+    assert dmt_curve("selection", 3, 3, k_select=1).at(0.0) == 2.0  # K < N-1: K+1
     assert dmt_curve("selection", 2, 2, k_select=1).r_max == pytest.approx(2 / 3)
 
 

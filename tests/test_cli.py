@@ -187,6 +187,24 @@ def test_config_rejects_bad_choice(tmp_path, capsys):
     assert code == 2 and "sideways" in err
 
 
+def test_config_unknown_key_message(tmp_path, capsys):
+    # a flag of another subcommand is not a key of this one
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("trials = 10\n")
+    code, out, err = _run(capsys, "construct", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == "error: unknown config key 'trials'\n"
+
+
+def test_config_bad_choice_message(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("kind = hexagonal\n")
+    code, out, err = _run(capsys, "construct", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == ("error: config key 'kind': 'hexagonal' not one of "
+                   "vandermonde, cauchy, random\n")
+
+
 def test_bad_snr_grid(capsys):
     code, _, err = _run(capsys, "analyze", "--snr-start-db", "10",
                         "--snr-stop-db", "5")

@@ -10,7 +10,6 @@ from coopcode.ffmat import FfMatrix
 from coopcode.gf import field_new
 from coopcode.netcode import (
     FieldTooSmallError,
-    PacketSpec,
     bits_to_symbols,
     build_cauchy,
     build_explicit,
@@ -175,11 +174,8 @@ def test_recover_unicast():
 def test_recover_roundtrip_random_subsets():
     rng = random.Random(17)
     code = build_cauchy(3, 3, F16)
-    spec = PacketSpec(ell=4, blocks=2)
     for _ in range(25):
-        theta = FfMatrix(
-            F16, [[rng.randrange(16) for _ in range(spec.blocks)] for _ in range(3)]
-        )
+        theta = FfMatrix(F16, [[rng.randrange(16) for _ in range(2)] for _ in range(3)])
         pi = encode(code, theta)
         rows = rng.sample(range(6), rng.randrange(3, 7))
         got = recover(code, rows, pi.row_submatrix(rows))
@@ -235,11 +231,7 @@ def test_dump_load_roundtrip():
         assert (back.n_sources, back.n_relays) == (code.n_sources, code.n_relays)
 
 
-def test_packet_spec_and_bit_helpers():
-    spec = PacketSpec(ell=4, blocks=3)
-    assert spec.bits == 12
-    with pytest.raises(ValueError):
-        PacketSpec(ell=0, blocks=1)
+def test_bit_helpers():
     bits = [1, 0, 1, 1, 0, 0, 1, 0]
     assert symbols_to_bits(bits_to_symbols(bits, 4), 4) == bits
     assert bits_to_symbols([1, 0], 2) == [2]  # MSB first
