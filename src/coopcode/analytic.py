@@ -27,8 +27,10 @@ class LinkParams:
     n_relays: int
 
     def __post_init__(self):
-        if self.beta <= 0 or self.rho <= 0 or self.rate_r <= 0:
-            raise ValueError("beta, rho, rate_r must all be positive")
+        for name in ("beta", "rho", "rate_r"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.n_sources < 1 or self.n_relays < 0:
             raise ValueError("need n_sources >= 1 and n_relays >= 0")
 

@@ -9,8 +9,8 @@ in reduced row-echelon form; the simulator's decide uses it too.
 The subset metrics kruskal_rank / gamma_rank / lambda_rank, and the MDS
 certification in netcode, enumerate row subsets exhaustively, one subset
 size (level) at a time: each level is ranked by batch_rank in blocks of
-growing size, and e_j is in a subset's span exactly when one of its reduced
-rows equals e_j.  A metric stops at the first block that settles it.  The
+growing size, and unit_spans reads off the reduced rows which e_j each
+subset spans.  A metric stops at the first block that settles it.  The
 enumeration is capped at SUBSET_ROW_CAP = 24 rows.
 
 Matrices serialize to a plain text block: a header line ``q rows cols``
@@ -67,6 +67,12 @@ def batch_rank(mats: np.ndarray, field: Field) -> np.ndarray:
         mats[b] ^= exp2_t[log_t[fac][:, :, None] + log_t[prow][:, None, :]]
         rk[b] += 1
     return rk
+
+
+def unit_spans(reduced: np.ndarray) -> np.ndarray:
+    """(B, C) flags of a (B, R, C) stack that batch_rank has reduced: [b, j]
+    says whether e_j is in matrix b's row span, i.e. one of its rows is e_j."""
+    return ((reduced == 1) & ((reduced != 0).sum(axis=2) == 1)[:, :, None]).any(axis=1)
 
 
 class FfMatrix:
@@ -268,10 +274,7 @@ class FfMatrix:
         block = SUBSET_BLOCK_MIN
         while chunk := list(islice(subsets, block)):
             mats = a[np.array(chunk, dtype=np.intp)]
-            ranks = batch_rank(mats, self.field)
-            # reduced rows: e_j is in the span iff some row equals e_j
-            unit = (mats == 1) & ((mats != 0).sum(axis=2) == 1)[:, :, None]
-            yield ranks, unit.any(axis=1)
+            yield batch_rank(mats, self.field), unit_spans(mats)
             block = min(2 * block, SUBSET_BLOCK_MAX)
 
     def kruskal_rank(self) -> int:

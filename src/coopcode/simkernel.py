@@ -22,13 +22,13 @@ Two implementations coexist on purpose: a scalar per-trial reference
 run_sweep.  For dncc, rncc and selection the engine decides exactly, for
 any code: whether destination j decodes depends only on which rows
 reached it, so each (trial, j) is packed into an int64 pattern key (the
-direct rows that arrived, the entries of every delivered relay row after
-strategy-B masking -- one bit per code entry, or the l-bit coefficient
-for rncc -- and j itself under unicast).  Each chunk ranks only its
-distinct keys, or every possible key when there are at most 2**TABLE_BITS
-of them, and gathers the outcomes back; keys wider than KEY_BITS fall
-back to ranking every (trial, j).  Ranking is ffmat.batch_rank, the same
-exact batched elimination that computes the code-side subset metrics.
+direct rows that arrived and the entries of every delivered relay row
+after strategy-B masking: one bit per code entry, or the l-bit rncc
+coefficient).  Each chunk reduces its distinct keys, or all keys when
+there are at most 2**TABLE_BITS, once with ffmat.batch_rank, and each
+(trial, j) reads its outcome off the result: rank N in multicast, e_j in
+the span (ffmat.unit_spans) in unicast.  Keys wider than KEY_BITS are
+reduced per (trial, j).
 """
 
 import math
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import Field
-from .ffmat import FfMatrix, batch_rank
+from .ffmat import FfMatrix, batch_rank, unit_spans
 from .netcode import NetworkCode
 
 CHUNK_TRIALS = 1 << 14  # fixed chunk size; part of the reproducibility contract
@@ -102,8 +102,8 @@ class Scenario:
             raise ValueError("strategy must be 'A' or 'B'")
         if self.traffic not in ("multicast", "unicast"):
             raise ValueError("traffic must be 'multicast' or 'unicast'")
-        if self.rate_r0 <= 0:
-            raise ValueError("rate_r0 must be positive")
+        if not (math.isfinite(self.rate_r0) and self.rate_r0 > 0):
+            raise ValueError(f"rate_r0 must be finite and positive, got {self.rate_r0}")
         if isinstance(self.beta, PerLinkBeta):
             n, m = self.n_sources, self.n_relays
             for name, shape in (("sr", (n, m)), ("sd", (n, n)), ("rd", (m, n))):
@@ -112,8 +112,8 @@ class Scenario:
                     raise ValueError(f"beta.{name} must have shape {shape}, got {table.shape}")
                 if not (np.isfinite(table) & (table > 0)).all():
                     raise ValueError(f"beta.{name} entries must be finite and positive")
-        elif isinstance(self.beta, (int, float)) and self.beta <= 0:
-            raise ValueError("beta must be positive")
+        elif not (math.isfinite(self.beta) and self.beta > 0):
+            raise ValueError(f"beta must be finite and positive, got {self.beta}")
         if self.scheme in ("dncc", "selection"):
             if self.code is None:
                 raise ValueError(f"{self.scheme} needs a code")
@@ -324,14 +324,14 @@ def draw_chunk(scn: Scenario, rng: np.random.Generator, count: int):
 
 
 class _PatternKey:
-    """Bit layout that packs one (trial, destination) arrival pattern into
-    an int64.
+    """Bit layout that packs one arrival pattern (the rows one destination
+    holds in one trial) into an int64.
 
     Bits [0, N) flag the direct rows e_k that arrived.  Then come the relay
     *slots*, `width` bits each: slot (i, k) holds the symbol of entry k of
     relay i's row as delivered, zero when the row did not arrive.  An entry
     is symbol * scale[i, k]; entries whose scale is 0 never vary and get
-    no slot.  Unicast keys carry the destination index above the slots.
+    no slot.  Both traffic modes share the layout.
     """
 
     def __init__(self, field, scale, width, unicast):
@@ -340,9 +340,8 @@ class _PatternKey:
         self.field, self.scale = field, scale
         self.slot_i, self.slot_k = np.nonzero(scale)
         self.shifts = n + width * np.arange(len(self.slot_i), dtype=np.int64)
-        self.low = n + width * len(self.slot_i)
-        self.bits = self.low + ((n - 1).bit_length() if unicast else 0)
-        self.span = (n if unicast else 1) << self.low  # keys lie in [0, span)
+        self.bits = n + width * len(self.slot_i)
+        self.span = 1 << self.bits  # keys lie in [0, span)
 
     def regime(self, count):
         """How a chunk of `count` patterns is decided: "table" enumerates
@@ -356,8 +355,6 @@ class _PatternKey:
         relay row symbols sym[b, i, k]."""
         nb, n = ok_sd.shape[0], self.n
         keys = np.zeros((nb, n), dtype=np.int64)
-        if self.unicast:
-            keys += np.arange(n, dtype=np.int64) << self.low
         for k in range(n):
             keys += ok_sd[:, k, :] * np.int64(1 << k)
         for i in np.unique(self.slot_i):
@@ -369,28 +366,27 @@ class _PatternKey:
         return keys
 
     def unpack(self, keys):
-        """(direct, relay, dest) arrays of the patterns, as fails() takes them."""
+        """(direct, relay) arrays of the patterns, as fails() takes them."""
         n = self.n
         direct = (keys[:, None] >> np.arange(n)) & 1
         syms = (keys[:, None] >> self.shifts) & ((1 << self.width) - 1)
         relay = np.zeros((len(keys), self.m, n), dtype=np.int32)
         relay[:, self.slot_i, self.slot_k] = syms * self.scale[self.slot_i, self.slot_k]
-        return direct, relay, keys >> self.low
+        return direct, relay
 
-    def fails(self, direct, relay, dest):
-        """Failure flag of each arrival pattern: destination dest[p] holding
-        the direct rows e_k with direct[p, k] set plus the relay rows
-        relay[p] (an all-zero row is one that did not arrive)."""
-        count, n, m = len(direct), self.n, self.m
-        e = np.zeros((count, n + m + self.unicast, n), dtype=np.int32)
+    def fails(self, direct, relay):
+        """(P, N) flags: [p, j] says destination j fails when it holds the
+        direct rows e_k with direct[p, k] set plus the relay rows relay[p]
+        (an all-zero row is one that did not arrive)."""
+        count, n = len(direct), self.n
+        e = np.zeros((count, n + self.m, n), dtype=np.int32)
         diag = np.arange(n)
         e[:, diag, diag] = direct
-        e[:, n:n + m] = relay
-        if not self.unicast:
-            return batch_rank(e, self.field) < n
-        base = batch_rank(e[:, :n + m].copy(), self.field)
-        e[np.arange(count), n + m, dest] = 1
-        return batch_rank(e, self.field) != base
+        e[:, n:] = relay
+        rank = batch_rank(e, self.field)  # leaves e reduced for unit_spans
+        if self.unicast:
+            return ~unit_spans(e)
+        return np.broadcast_to((rank < n)[:, None], (count, n))
 
 
 def _pattern_key(scn: Scenario) -> _PatternKey:
@@ -407,13 +403,10 @@ def _pattern_key(scn: Scenario) -> _PatternKey:
 
 
 def _blockwise(count, fails_of):
-    """Evaluate fails_of(lo, hi) over [0, count) in RANK_BLOCK slices, which
-    bounds the size of the matrix stacks in flight."""
-    out = np.empty(count, dtype=bool)
-    for lo in range(0, count, RANK_BLOCK):
-        hi = min(lo + RANK_BLOCK, count)
-        out[lo:hi] = fails_of(lo, hi)
-    return out
+    """Concatenate fails_of(lo, hi) over [0, count) in RANK_BLOCK slices,
+    which bounds the size of the matrix stacks in flight."""
+    return np.concatenate([fails_of(lo, min(lo + RANK_BLOCK, count))
+                           for lo in range(0, count, RANK_BLOCK)])
 
 
 def _coop_failures(scn, tau, gsr, gsd, grd, coeffs):
@@ -458,7 +451,7 @@ def _coop_failures(scn, tau, gsr, gsd, grd, coeffs):
         def fails_of(lo, hi):
             b, j = flat_b[lo:hi], flat_j[lo:hi]
             rows = np.where(deliver[b, :, j][:, :, None], relay[b], 0)
-            return key.fails(ok_sd[b, :, j], rows, j)
+            return key.fails(ok_sd[b, :, j], rows)[np.arange(hi - lo), j]
 
         return _blockwise(nb * n, fails_of).reshape(nb, n)
 
@@ -469,7 +462,8 @@ def _coop_failures(scn, tau, gsr, gsd, grd, coeffs):
         distinct, index = np.unique(keys.ravel(), return_inverse=True)
     table = _blockwise(len(distinct),
                        lambda lo, hi: key.fails(*key.unpack(distinct[lo:hi])))
-    return table[index].reshape(nb, n)
+    index = index.reshape(nb, n)  # one 1-D gather per column beats a 2-D one
+    return np.stack([table[:, j][index[:, j]] for j in range(n)], axis=1)
 
 
 def _ncc_failures(scn, tau, gsr, gsd, grd):

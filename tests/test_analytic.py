@@ -37,10 +37,12 @@ def test_link_params_rate_relation():
 
 
 def test_link_params_validation():
-    for kw in (dict(beta=0.0), dict(rho=-1.0), dict(rate_r=0.0)):
+    bad = [("beta", 0.0), ("rho", -1.0), ("rate_r", 0.0)]
+    bad += [(name, v) for name in ("beta", "rho", "rate_r") for v in (math.nan, math.inf)]
+    for name, value in bad:
         base = dict(beta=1.0, rho=1.0, rate_r=1.0, n_sources=2, n_relays=2)
-        base.update(kw)
-        with pytest.raises(ValueError):
+        base[name] = value
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
             LinkParams(**base)
 
 

@@ -209,3 +209,17 @@ def test_bad_snr_grid(capsys):
     code, _, err = _run(capsys, "analyze", "--snr-start-db", "10",
                         "--snr-stop-db", "5")
     assert code == 2 and "snr" in err.lower()
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("simulate", "--beta", "nan"), "beta"),
+    (("simulate", "--beta", "inf"), "beta"),
+    (("simulate", "--r0", "nan"), "rate_r0"),
+    (("simulate", "--rate", "inf"), "rate_r0"),
+    (("analyze", "--beta", "nan"), "beta"),
+    (("analyze", "--r0", "inf"), "rate_r"),
+])
+def test_non_finite_beta_and_rate_are_rejected(capsys, argv, name):
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"{name} must be finite and positive" in err

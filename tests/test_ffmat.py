@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopcode.ffmat import SUBSET_ROW_CAP, FfMatrix, batch_rank, load_matrix
+from coopcode.ffmat import SUBSET_ROW_CAP, FfMatrix, batch_rank, load_matrix, unit_spans
 from coopcode.gf import field_new
 from coopcode.netcode import (MDS_EXHAUSTIVE_CAP, build_cauchy, build_explicit,
                               build_vandermonde, mds_check)
@@ -243,8 +243,14 @@ def test_batch_rank_leaves_reduced_row_echelon_form():
             mats[1::3, -1] = mats[1::3, 0]        # a duplicate row
             orig = mats.copy()
             ranks = batch_rank(mats, field)
-            for a, red, r in zip(orig, mats, ranks):
+            spans = unit_spans(mats)
+            assert spans.shape == (60, cols)
+            for a, red, r, spanned in zip(orig, mats, ranks, spans):
                 assert r == FfMatrix(field, a).rank()
+                for j in range(cols):
+                    unit = np.eye(cols, dtype=np.int64)[j:j + 1]
+                    with_unit = FfMatrix(field, np.vstack([a, unit])).rank()
+                    assert spanned[j] == (with_unit == r)
                 pivots = []
                 for row in red:
                     nz = np.flatnonzero(row)

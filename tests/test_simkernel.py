@@ -2,9 +2,12 @@
 
 import math
 import multiprocessing
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopcode.analytic import LinkParams, outage_bounds_multicast, outage_bounds_unicast
 from coopcode.gf import field_new
@@ -36,6 +39,7 @@ from coopcode.simkernel import (
 )
 from coopcode.simkernel import _cc_failures, _coop_failures, _ncc_failures, _pattern_key
 
+F2 = field_new(1)
 F4 = field_new(2)
 F16 = field_new(4)
 F256 = field_new(8)
@@ -192,6 +196,11 @@ def test_scenario_validation():
         _scn(code=build_vandermonde(3, 2, F16))
     with pytest.raises(ValueError):
         _scn(strategy="C")
+    for value in (0.0, -1.0, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="beta must be finite and positive"):
+            _scn(beta=value)
+        with pytest.raises(ValueError, match="rate_r0 must be finite and positive"):
+            _scn(rate_r0=value)
 
 
 def test_per_link_beta_validation():
@@ -323,16 +332,67 @@ def test_pattern_decide_cases_cover_every_key_regime():
 
 def test_pattern_key_widths():
     # 2 direct bits, then one bit per nonzero code entry or l bits per rncc
-    # coefficient; unicast adds the destination
+    # coefficient; both traffic modes share the layout
     assert _pattern_key(_scn()).bits == 2 + 4
-    assert _pattern_key(_scn(traffic="unicast")).bits == 2 + 4 + 1
+    assert _pattern_key(_scn(traffic="unicast")).bits == 2 + 4
     zeros = DECIDE_CASES["dncc-2x2-zeros"]["code"]
     assert _pattern_key(_scn(code=zeros)).bits == 2 + 1
-    rncc = _scn(scheme="rncc", code=None, field=F16, traffic="unicast")
-    assert _pattern_key(rncc).bits == 2 + 4 * 4 + 1
+    for traffic in ("multicast", "unicast"):
+        rncc = _scn(scheme="rncc", code=None, field=F16, traffic=traffic)
+        assert _pattern_key(rncc).bits == 2 + 4 * 4
     wide = Scenario(**DECIDE_CASES["rncc-4x4-wide"], snr_grid=(1.0,), trials=1)
     assert _pattern_key(wide).bits == 4 + 16 * 8
     assert _pattern_key(wide).regime(1 << 20) == "wide"
+
+
+@st.composite
+def _coop_scenarios(draw):
+    """dncc (cauchy, vandermonde, random, or explicit with zero entries),
+    rncc or selection on N, M in 1..4 over GF(2), GF(4) or GF(16), with
+    either strategy and traffic mode and a scalar or per-link beta."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    field = draw(st.sampled_from((F2, F4, F16)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scheme = draw(st.sampled_from(("dncc", "rncc", "selection")))
+    kw = dict(scheme=scheme, n_sources=n, n_relays=m,
+              strategy=draw(st.sampled_from("AB")),
+              traffic=draw(st.sampled_from(("multicast", "unicast"))))
+    if scheme == "rncc":
+        kw["field"] = field
+    else:
+        kinds = ["random", "explicit"]
+        kinds += ["vandermonde"] * (field.order >= n + m)
+        kinds += ["cauchy"] * (field.order > n + m)
+        kind = draw(st.sampled_from(kinds))
+        if kind == "explicit":
+            relay = rng.integers(0, field.order, size=(m, n)) * (rng.random((m, n)) < 0.5)
+            matrix = FfMatrix.identity(field, n).vstack(FfMatrix(field, relay))
+            kw["code"] = build_explicit(matrix, n)
+        elif kind == "random":
+            kw["code"] = build_random(n, m, field, seed=int(rng.integers(1 << 16)))
+        else:
+            kw["code"] = {"cauchy": build_cauchy, "vandermonde": build_vandermonde}[kind](
+                n, m, field)
+    if scheme == "selection":
+        kw["k_select"] = draw(st.integers(1, m))
+    if draw(st.booleans()):
+        kw["beta"] = PerLinkBeta(*(tuple(map(tuple, rng.uniform(0.25, 4.0, shape)))
+                                   for shape in ((n, m), (n, n), (m, n))))
+    else:
+        kw["beta"] = draw(st.sampled_from((0.5, 1.0, 2.0)))
+    return Scenario(snr_grid=(2.0, 20.0), trials=64, seed=draw(st.integers(0, 99)), **kw)
+
+
+# derandomized: a fixed example sequence, as deterministic as the other tests
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_coop_scenarios())
+def test_batched_decide_and_code_round_trip_match_reference(scn):
+    for rho in scn.snr_grid:
+        _assert_scalar_matches_batch(scn, rho, trials=48)
+    if scn.code is not None:
+        reloaded = replace(scn, code=load_code(dump_code(scn.code)))
+        assert reloaded.code.matrix == scn.code.matrix
+        assert run_sweep(reloaded).points == run_sweep(scn).points
 
 
 def test_relabelled_non_mds_code_is_not_trusted():
