@@ -204,8 +204,8 @@ def dmt_curve(scheme: str, n: int, m: int, *, gamma_n: int | None = None,
       N+M-(gamma_n-1) for weaker codes.
     selection: only the best k_select relays transmit, shortening the
       schedule to N+k_select slots.
-    ncc: best-relay XOR forwarding (needs every overheard packet), fixed
-      diversity 2.
+    ncc: best-relay XOR forwarding (needs every overheard packet), the
+      selection line with k_select=1: diversity 2, or M+1 at N=1.
     cc: repetition-based cooperation, diversity M+1 at half multiplexing.
     """
     if n < 1 or m < 1:
@@ -215,17 +215,15 @@ def dmt_curve(scheme: str, n: int, m: int, *, gamma_n: int | None = None,
         if not n <= g <= n + m:
             raise ValueError(f"gamma_n must be in [{n}, {n + m}]")
         return DmtCurve(scheme, n + m - (g - 1), n / (n + m))
-    if scheme == "selection":
-        if k_select is None or not 1 <= k_select <= m:
+    if scheme in ("selection", "ncc"):
+        k = 1 if scheme == "ncc" else k_select
+        if k is None or not 1 <= k <= m:
             raise ValueError("selection needs k_select in [1, M]")
-        k = k_select
         if k < n - 1:
             d0 = k + 1
         else:
             d0 = n + m * (k - (n - 1))
         return DmtCurve(scheme, d0, n / (n + k))
-    if scheme == "ncc":
-        return DmtCurve(scheme, 2, n / (n + 1))
     if scheme == "cc":
         return DmtCurve(scheme, m + 1, 0.5)
     raise ValueError(f"unknown scheme {scheme!r}")

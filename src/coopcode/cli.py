@@ -103,6 +103,9 @@ def _snr_grid_db(args) -> list:
     start, stop, step = args.snr_start_db, args.snr_stop_db, args.snr_step_db
     if stop is None:
         stop = start
+    for flag, value in (("start", start), ("stop", stop), ("step", step)):
+        if not math.isfinite(value):
+            raise ValueError(f"--snr-{flag}-db must be finite, got {value}")
     if step <= 0:
         raise ValueError("snr-step-db must be positive")
     if stop < start:

@@ -20,8 +20,11 @@ bit-identical no matter how chunks are ordered or spread over workers.
 Two implementations coexist on purpose: a scalar per-trial reference
 (run_trial*) used by the tests, and a vectorized engine used by
 run_sweep.  For dncc, rncc and selection the engine decides exactly, for
-any code: whether destination j decodes depends only on which rows
-reached it, so each (trial, j) is packed into an int64 pattern key (the
+any code.  ncc runs on it as selection with k=1 and strategy A over the
+XOR code (all-ones relay rows over GF(2)): e_j is in the span iff the
+direct row arrived, or the XOR row did with every other direct row.
+Whether destination j decodes depends only on which rows reached it, so
+each (trial, j) is packed into an int64 pattern key (the
 direct rows that arrived and the entries of every delivered relay row
 after strategy-B masking: one bit per code entry, or the l-bit rncc
 coefficient).  Each chunk reduces its distinct keys, or all keys when
@@ -33,13 +36,13 @@ reduced per (trial, j).
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gf import Field
+from .gf import Field, field_new
 from .ffmat import FfMatrix, batch_rank, unit_spans
-from .netcode import NetworkCode
+from .netcode import NetworkCode, build_explicit
 
 CHUNK_TRIALS = 1 << 14  # fixed chunk size; part of the reproducibility contract
 TABLE_BITS = 12    # pattern keys this narrow are decided by enumerating them all
@@ -418,7 +421,12 @@ def _coop_failures(scn, tau, gsr, gsd, grd, coeffs):
     ok_rd = grd > tau              # (B, M, N)
 
     if scn.scheme == "selection":
-        h = np.minimum(gsr.min(axis=1), grd.min(axis=2))   # (B, M)
+        # bottleneck gain over relay i's 2N adjacent links; as for `heard`
+        # below, folding over the short source axis beats a reduction
+        h = np.minimum(gsr[:, 0], grd[:, :, 0])        # (B, M)
+        for k in range(1, n):
+            np.minimum(h, gsr[:, k], out=h)
+            np.minimum(h, grd[:, :, k], out=h)
         order = np.argsort(-h, axis=1, kind="stable")[:, :scn.k_select]
         selected = np.zeros((nb, m), dtype=bool)
         np.put_along_axis(selected, order, True, axis=1)
@@ -466,28 +474,6 @@ def _coop_failures(scn, tau, gsr, gsd, grd, coeffs):
     return np.stack([table[:, j][index[:, j]] for j in range(n)], axis=1)
 
 
-def _ncc_failures(scn, tau, gsr, gsd, grd):
-    n, m = scn.n_sources, scn.n_relays
-    nb = gsr.shape[0]
-    ok_sr = gsr > tau
-    ok_sd = gsd > tau
-    ok_rd = grd > tau
-    h = np.minimum(gsr.min(axis=1), grd.min(axis=2))
-    best = np.argmax(h, axis=1)                 # first max = lowest index
-    rows = np.arange(nb)
-    relay_decoded = ok_sr[rows, :, best].all(axis=1)
-    fails = np.empty((nb, n), dtype=bool)
-    for j in range(n):
-        direct = ok_sd[:, j, j]
-        cross = np.ones(nb, dtype=bool)
-        for k in range(n):
-            if k != j:
-                cross &= ok_sd[:, k, j]
-        relay_path = relay_decoded & ok_rd[rows, best, j] & cross
-        fails[:, j] = ~(direct | relay_path)
-    return fails
-
-
 def _cc_failures(scn, tau, gsr, gsd, grd):
     n, m = scn.n_sources, scn.n_relays
     ok_sr = gsr > tau
@@ -501,14 +487,22 @@ def _cc_failures(scn, tau, gsr, gsd, grd):
     return fails
 
 
+def _ncc_as_selection(scn: Scenario) -> Scenario:
+    """The selection scenario that decides exactly as ncc does: the best
+    relay (k=1) forwards the XOR of all N packets once it decoded them all
+    (strategy A).  It draws the same gains and no coefficients."""
+    n, gf2 = scn.n_sources, field_new(1)
+    xor = FfMatrix.identity(gf2, n).vstack(FfMatrix(gf2, [[1] * n] * scn.n_relays))
+    return replace(scn, scheme="selection", code=build_explicit(xor, n),
+                   k_select=1, strategy="A")
+
+
 def _chunk_counts(scn: Scenario, grid_index: int, chunk_index: int, count: int):
     rng = chunk_rng(scn.seed, grid_index, chunk_index)
     gsr, gsd, grd, coeffs = draw_chunk(scn, rng, count)
     tau = tau_for(scn.snr_grid[grid_index], scn.rate_r0)
     if scn.scheme in COOP_SCHEMES:
         fails = _coop_failures(scn, tau, gsr, gsd, grd, coeffs)
-    elif scn.scheme == "ncc":
-        fails = _ncc_failures(scn, tau, gsr, gsd, grd)
     else:
         fails = _cc_failures(scn, tau, gsr, gsd, grd)
     return fails.sum(axis=0), int(fails.any(axis=1).sum())
@@ -524,11 +518,12 @@ def run_sweep(scn: Scenario, workers: int = 1) -> OutageReport:
     """Simulate every grid point; deterministic in (scenario, CHUNK_TRIALS)
     and independent of `workers`."""
     n_chunks = (scn.trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
+    work = _ncc_as_selection(scn) if scn.scheme == "ncc" else scn
     tasks = []
     for g in range(len(scn.snr_grid)):
         for c in range(n_chunks):
             count = min(CHUNK_TRIALS, scn.trials - c * CHUNK_TRIALS)
-            tasks.append((scn, g, c, count))
+            tasks.append((work, g, c, count))
     dest_tot = np.zeros((len(scn.snr_grid), scn.n_sources), dtype=np.int64)
     sys_tot = np.zeros(len(scn.snr_grid), dtype=np.int64)
     if workers <= 1:

@@ -199,6 +199,17 @@ def test_dmt_gamma_degrades_curve_pointwise():
         assert weak.at(r) < ideal.at(r)
 
 
+def test_dmt_ncc_is_the_selection_k1_line():
+    # with N=1 there are no cross links: the XOR row is the packet itself
+    for m in range(1, 4):
+        assert dmt_curve("ncc", 1, m).d0 == m + 1
+    for n in range(1, 5):
+        for m in range(1, 4):
+            ncc = dmt_curve("ncc", n, m)
+            sel = dmt_curve("selection", n, m, k_select=1)
+            assert (ncc.d0, ncc.r_max) == (sel.d0, sel.r_max)
+
+
 def test_dmt_validation():
     with pytest.raises(ValueError):
         dmt_curve("dncc", 2, 2, gamma_n=1)

@@ -211,6 +211,15 @@ def test_bad_snr_grid(capsys):
     assert code == 2 and "snr" in err.lower()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["--snr-start-db", "--snr-stop-db", "--snr-step-db"])
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_non_finite_snr_grid_is_rejected(capsys, command, flag, value):
+    code, out, err = _run(capsys, command, f"{flag}={value}")
+    assert (code, out) == (2, "")
+    assert f"{flag} must be finite" in err
+
+
 @pytest.mark.parametrize("argv, name", [
     (("simulate", "--beta", "nan"), "beta"),
     (("simulate", "--beta", "inf"), "beta"),

@@ -37,7 +37,7 @@ from coopcode.simkernel import (
     selected_link_gain_cdf,
     tau_for,
 )
-from coopcode.simkernel import _cc_failures, _coop_failures, _ncc_failures, _pattern_key
+from coopcode.simkernel import _cc_failures, _coop_failures, _ncc_as_selection, _pattern_key
 
 F2 = field_new(1)
 F4 = field_new(2)
@@ -241,7 +241,7 @@ def _assert_scalar_matches_batch(scn, rho, trials=250):
         fails = _coop_failures(scn, tau, gsr, gsd, grd, coeffs)
         runner = run_trial
     elif scn.scheme == "ncc":
-        fails = _ncc_failures(scn, tau, gsr, gsd, grd)
+        fails = _coop_failures(_ncc_as_selection(scn), tau, gsr, gsd, grd, coeffs)
         runner = run_trial_ncc
     else:
         fails = _cc_failures(scn, tau, gsr, gsd, grd)
@@ -348,16 +348,19 @@ def test_pattern_key_widths():
 @st.composite
 def _coop_scenarios(draw):
     """dncc (cauchy, vandermonde, random, or explicit with zero entries),
-    rncc or selection on N, M in 1..4 over GF(2), GF(4) or GF(16), with
-    either strategy and traffic mode and a scalar or per-link beta."""
+    rncc, selection or ncc (unicast only) on N, M in 1..4 over GF(2), GF(4)
+    or GF(16), with either strategy and traffic mode and a scalar or
+    per-link beta."""
     n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     field = draw(st.sampled_from((F2, F4, F16)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    scheme = draw(st.sampled_from(("dncc", "rncc", "selection")))
+    scheme = draw(st.sampled_from(("dncc", "rncc", "selection", "ncc")))
     kw = dict(scheme=scheme, n_sources=n, n_relays=m,
               strategy=draw(st.sampled_from("AB")),
               traffic=draw(st.sampled_from(("multicast", "unicast"))))
-    if scheme == "rncc":
+    if scheme == "ncc":
+        kw["traffic"] = "unicast"
+    elif scheme == "rncc":
         kw["field"] = field
     else:
         kinds = ["random", "explicit"]
