@@ -17,6 +17,7 @@ violated bound.
 """
 
 import argparse
+import ctypes
 import math
 import sys
 
@@ -232,6 +233,8 @@ def _scenario_for(scheme: str, args, grid_rho, r0: float):
 
 
 def cmd_simulate(args) -> int:
+    if args.workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {args.workers}")
     n, m = args.n, args.m
     r0 = _rate_r0(args, n, m)
     schemes = _schemes(args)
@@ -365,7 +368,23 @@ def build_parser() -> _Parser:
     return ap
 
 
+def _pin_malloc_thresholds() -> None:
+    """Fix glibc's mmap threshold at 64 MiB and its trim threshold at 256
+    MiB.  The simulator's per-chunk arrays (hundreds of KiB each) then
+    always come from the heap; left to glibc's sliding threshold they are
+    mapped afresh, and page-faulted, or not, depending on earlier frees.
+    A no-op where the C library has no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 64 << 20)   # M_MMAP_THRESHOLD
+    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _pin_malloc_thresholds()
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]

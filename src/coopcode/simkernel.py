@@ -27,11 +27,14 @@ Whether destination j decodes depends only on which rows reached it, so
 each (trial, j) is packed into an int64 pattern key (the
 direct rows that arrived and the entries of every delivered relay row
 after strategy-B masking: one bit per code entry, or the l-bit rncc
-coefficient).  Each chunk reduces its distinct keys, or all keys when
-there are at most 2**TABLE_BITS, once with ffmat.batch_rank, and each
-(trial, j) reads its outcome off the result: rank N in multicast, e_j in
-the span (ffmat.unit_spans) in unicast.  Keys wider than KEY_BITS are
-reduced per (trial, j).
+coefficient).  Each chunk decides its distinct keys, or all keys when
+there are at most 2**TABLE_BITS, once, and each (trial, j) reads its
+outcome off the result: rank N in multicast, e_j in the span in unicast.
+Only the relay rows are eliminated (ffmat.batch_rank, ffmat.unit_spans):
+the held direct rows e_k are accounted for by zeroing their columns k,
+and distinct keys are taken after clearing those columns' relay entries,
+so equivalent patterns share one key.  Keys wider than KEY_BITS are
+decided per (trial, j).
 """
 
 import math
@@ -334,7 +337,8 @@ class _PatternKey:
     *slots*, `width` bits each: slot (i, k) holds the symbol of entry k of
     relay i's row as delivered, zero when the row did not arrive.  An entry
     is symbol * scale[i, k]; entries whose scale is 0 never vary and get
-    no slot.  Both traffic modes share the layout.
+    no slot.  Both traffic modes share the layout.  A held direct row e_k
+    makes the slots of column k irrelevant: drop_covered clears them.
     """
 
     def __init__(self, field, scale, width, unicast):
@@ -345,6 +349,8 @@ class _PatternKey:
         self.shifts = n + width * np.arange(len(self.slot_i), dtype=np.int64)
         self.bits = n + width * len(self.slot_i)
         self.span = 1 << self.bits  # keys lie in [0, span)
+        self.col_bits = [sum(((1 << width) - 1) << int(s) for s in self.shifts[self.slot_k == k])
+                         for k in range(n)]  # column k's relay slots, as a mask
 
     def regime(self, count):
         """How a chunk of `count` patterns is decided: "table" enumerates
@@ -377,19 +383,33 @@ class _PatternKey:
         relay[:, self.slot_i, self.slot_k] = syms * self.scale[self.slot_i, self.slot_k]
         return direct, relay
 
+    def drop_covered(self, keys):
+        """The keys with every relay slot of a column k cleared whose direct
+        row e_k is held (col_bits[k] are the bits of column k's slots).
+        fails() ignores those entries, so equivalent patterns share a key."""
+        out = keys.copy()
+        for k, bits in enumerate(self.col_bits):
+            if bits:
+                out &= ~(((keys >> k) & 1) * np.int64(bits))
+        return out
+
     def fails(self, direct, relay):
         """(P, N) flags: [p, j] says destination j fails when it holds the
         direct rows e_k with direct[p, k] set plus the relay rows relay[p]
-        (an all-zero row is one that did not arrive)."""
-        count, n = len(direct), self.n
-        e = np.zeros((count, n + self.m, n), dtype=np.int32)
-        diag = np.arange(n)
-        e[:, diag, diag] = direct
-        e[:, n:] = relay
-        rank = batch_rank(e, self.field)  # leaves e reduced for unit_spans
+        (an all-zero row is one that did not arrive).
+
+        Only the relay rows are eliminated.  The held rows E_D span the
+        kernel of the projection that zeroes the columns D, so the pattern
+        has rank |D| + rank(relay'), where relay' is relay with those
+        columns zeroed, and it spans e_j iff j is in D or relay' spans e_j.
+        """
+        held = direct != 0
+        relay = np.where(held[:, None, :], 0, relay)
+        rank = batch_rank(relay, self.field)  # leaves relay reduced for unit_spans
         if self.unicast:
-            return ~unit_spans(e)
-        return np.broadcast_to((rank < n)[:, None], (count, n))
+            return ~(held | unit_spans(relay))
+        short = rank + held.sum(axis=1) < self.n
+        return np.broadcast_to(short[:, None], held.shape)
 
 
 def _pattern_key(scn: Scenario) -> _PatternKey:
@@ -467,7 +487,7 @@ def _coop_failures(scn, tau, gsr, gsd, grd, coeffs):
     if regime == "table":
         distinct, index = np.arange(key.span, dtype=np.int64), keys
     else:
-        distinct, index = np.unique(keys.ravel(), return_inverse=True)
+        distinct, index = np.unique(key.drop_covered(keys).ravel(), return_inverse=True)
     table = _blockwise(len(distinct),
                        lambda lo, hi: key.fails(*key.unpack(distinct[lo:hi])))
     index = index.reshape(nb, n)  # one 1-D gather per column beats a 2-D one
@@ -516,7 +536,10 @@ def _sweep_task(args):
 
 def run_sweep(scn: Scenario, workers: int = 1) -> OutageReport:
     """Simulate every grid point; deterministic in (scenario, CHUNK_TRIALS)
-    and independent of `workers`."""
+    and independent of `workers`, which caps the worker processes: no more
+    start than there are (grid point, chunk) tasks."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     n_chunks = (scn.trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
     work = _ncc_as_selection(scn) if scn.scheme == "ncc" else scn
     tasks = []
@@ -526,7 +549,8 @@ def run_sweep(scn: Scenario, workers: int = 1) -> OutageReport:
             tasks.append((work, g, c, count))
     dest_tot = np.zeros((len(scn.snr_grid), scn.n_sources), dtype=np.int64)
     sys_tot = np.zeros(len(scn.snr_grid), dtype=np.int64)
-    if workers <= 1:
+    workers = min(workers, len(tasks))
+    if workers == 1:
         results = list(map(_sweep_task, tasks))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from coopcode import cli
 from coopcode.cli import main
 from coopcode.netcode import load_code
 
@@ -232,3 +233,22 @@ def test_non_finite_beta_and_rate_are_rejected(capsys, argv, name):
     code, out, err = _run(capsys, *argv)
     assert (code, out) == (2, "")
     assert f"{name} must be finite and positive" in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_simulate_rejects_workers_below_one(capsys, workers):
+    code, out, err = _run(capsys, "simulate", "--workers", workers)
+    assert (code, out) == (2, "")
+    assert f"--workers must be >= 1, got {workers}" in err
+
+
+@pytest.mark.parametrize("libc", [object(), OSError("no C library")])
+def test_malloc_pinning_is_a_no_op_without_mallopt(monkeypatch, capsys, libc):
+    def cdll(name):
+        if isinstance(libc, Exception):
+            raise libc
+        return libc
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    code, out, _ = _run(capsys, "construct")
+    assert code == 0 and out

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coopcode import simkernel
 from coopcode.analytic import LinkParams, outage_bounds_multicast, outage_bounds_unicast
 from coopcode.gf import field_new
-from coopcode.ffmat import FfMatrix
+from coopcode.ffmat import FfMatrix, batch_rank, unit_spans
 from coopcode.netcode import (
     build_cauchy,
     build_explicit,
@@ -37,7 +38,13 @@ from coopcode.simkernel import (
     selected_link_gain_cdf,
     tau_for,
 )
-from coopcode.simkernel import _cc_failures, _coop_failures, _ncc_as_selection, _pattern_key
+from coopcode.simkernel import (
+    _cc_failures,
+    _coop_failures,
+    _ncc_as_selection,
+    _pattern_key,
+    _PatternKey,
+)
 
 F2 = field_new(1)
 F4 = field_new(2)
@@ -345,6 +352,83 @@ def test_pattern_key_widths():
     assert _pattern_key(wide).regime(1 << 20) == "wide"
 
 
+def _stacked_fails(key, direct, relay):
+    """Reference decide: stack the held unit rows e_k on the relay rows and
+    eliminate the whole (N+M) x N matrix of every pattern."""
+    count, n = len(direct), key.n
+    e = np.zeros((count, n + key.m, n), dtype=np.int32)
+    diag = np.arange(n)
+    e[:, diag, diag] = direct
+    e[:, n:] = relay
+    rank = batch_rank(e, key.field)
+    if key.unicast:
+        return ~unit_spans(e)
+    return np.broadcast_to((rank < n)[:, None], (count, n))
+
+
+# (scheme, N, M, field): dncc layouts lose a slot per zero code entry, so
+# their regime depends on the drawn code; the rncc ones pin one regime each
+KEY_LAYOUTS = [
+    ("dncc", 1, 1, F4), ("dncc", 2, 2, F4), ("dncc", 3, 2, F16), ("dncc", 2, 4, F2),
+    ("dncc", 4, 4, F16), ("dncc", 6, 6, F16), ("dncc", 7, 8, F256),
+    ("rncc", 1, 1, F4), ("rncc", 2, 2, F4), ("rncc", 3, 3, F16), ("rncc", 4, 4, F256),
+]
+KEY_REGIME_COUNT = CHUNK_TRIALS * 2  # patterns in a full N=2 chunk
+
+
+@st.composite
+def _key_patterns(draw):
+    """A key layout (dncc, with zero code entries, or rncc; either traffic
+    mode) and a batch of arrival patterns: as packed keys when they fit an
+    int64, else as (direct, relay) arrays."""
+    scheme, n, m, field = draw(st.sampled_from(KEY_LAYOUTS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p_direct, p_deliver, p_entry, p_zero = (
+        draw(st.sampled_from((0.0, 0.3, 0.7, 1.0))) for _ in range(4))
+    if scheme == "rncc":
+        scale, width = np.ones((m, n), dtype=np.int64), field.ell
+    else:
+        scale = rng.integers(1, field.order, size=(m, n)) * (rng.random((m, n)) >= p_zero)
+        width = 1
+    key = _PatternKey(field, scale, width, draw(st.booleans()))
+    count = draw(st.integers(1, 48))
+    direct = (rng.random((count, n)) < p_direct).astype(np.int64)
+    slots = len(key.slot_i)
+    syms = rng.integers(0, 1 << width, size=(count, slots))
+    syms *= (rng.random((count, slots)) < p_entry) & (rng.random((count, m)) < p_deliver)[
+        :, key.slot_i]
+    if key.regime(KEY_REGIME_COUNT) == "wide":
+        relay = np.zeros((count, m, n), dtype=np.int32)
+        relay[:, key.slot_i, key.slot_k] = syms * scale[key.slot_i, key.slot_k]
+        return key, None, direct, relay
+    keys = (direct << np.arange(n)).sum(axis=1) + (syms << key.shifts).sum(axis=1)
+    return key, keys, *key.unpack(keys)
+
+
+def test_key_layouts_cover_every_regime():
+    regimes = {_PatternKey(f, np.ones((m, n), dtype=np.int64), f.ell, False).regime(
+        KEY_REGIME_COUNT) for scheme, n, m, f in KEY_LAYOUTS if scheme == "rncc"}
+    assert regimes == {"table", "unique", "wide"}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_key_patterns())
+def test_relay_only_decide_matches_stacked_elimination(case):
+    key, keys, direct, relay = case
+    got = key.fails(direct, relay.copy())
+    assert got.shape == (len(direct), key.n)
+    assert np.array_equal(got, _stacked_fails(key, direct, relay))
+    if keys is None:
+        return
+    canon = key.drop_covered(keys)
+    low = (1 << key.n) - 1
+    assert np.array_equal(canon & low, keys & low)  # direct bits are kept
+    assert not (canon & ~keys).any()                # bits are only cleared
+    for k, bits in enumerate(key.col_bits):         # covered slots are cleared
+        assert not (canon[direct[:, k] == 1] & bits).any()
+    assert np.array_equal(key.fails(*key.unpack(canon)), got)
+
+
 @st.composite
 def _coop_scenarios(draw):
     """dncc (cauchy, vandermonde, random, or explicit with zero entries),
@@ -428,6 +512,39 @@ def test_sweep_pool_closes_when_a_worker_raises():
     with pytest.raises(AttributeError):
         run_sweep(scn, workers=2)
     assert multiprocessing.active_children() == []
+
+
+def test_run_sweep_rejects_workers_below_one():
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            run_sweep(_scn(), workers=workers)
+
+
+def test_run_sweep_starts_no_more_workers_than_chunks(monkeypatch):
+    started = []
+
+    class RecordingPool:  # stands in for the pool, so no process starts
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(simkernel, "ProcessPoolExecutor", RecordingPool)
+    scn = _scn(snr_grid=(1.0, 5.0, 25.0), trials=100, seed=5)  # 3 chunks
+    serial = run_sweep(scn)
+    assert started == []
+    for workers, size in ((2, 2), (3, 3), (1000, 3)):
+        assert run_sweep(scn, workers=workers) == serial
+        assert started[-1] == size
+    run_sweep(_scn(trials=100), workers=8)  # 1 chunk: no pool at all
+    assert started == [2, 3, 3]
 
 
 def test_sweep_deterministic_across_workers_and_chunking():
