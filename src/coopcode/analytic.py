@@ -6,6 +6,11 @@ per-packet rate r0 iff gain > tau = (2**r0 - 1)/rho.  With N sources and
 M relays the cooperative schedule fits N packets into N+M slots, giving
 r0 = R*(N+M)/N for a system rate of R bits per channel use.
 
+Both outage brackets are one count of surviving transmissions against a
+code threshold (gamma_N in multicast, lambda_j in unicast).  Unicast
+differs only in that destination j's own direct row is conditioned to be
+down: a factor p0, and the count runs over the other N-1+M rows.
+
 All formulas are evaluated with expm1/exp so they stay accurate for
 tau -> 0 (rho up to 1e8 and beyond).
 """
@@ -96,59 +101,58 @@ class OutageBounds:
             raise ValueError(f"invalid bracket [{self.lower}, {self.upper}]")
 
 
+def _bracket(lp: LinkParams, t: int, own: int) -> OutageBounds:
+    """The one count behind both brackets: decoding never fails once t of
+    the N+M-own counted transmissions survive.  ``own=1`` (unicast)
+    conditions the destination's own direct row on being down, a factor p0
+    on the upper bound and beta on k_up."""
+    n, m_relays = lp.n_sources, lp.n_relays
+    total = n + m_relays
+    beta = lp.beta
+    down = p0(lp)
+    upper = 0.0
+    k_up = 0.0
+    for m in range(m_relays + 1):
+        k = total - own - m
+        fm = p_fm(lp, m)
+        upper += fm * sum(p_ekl(lp, k, l) for l in range(min(t - 1, k) + 1))
+        if t - 1 <= k:
+            k_up += (math.comb(m_relays, m) * (n * beta) ** m
+                     * math.comb(k, t - 1) * beta ** (k - (t - 1)))
+    if own:
+        upper *= down
+        k_up *= beta
+    d = total - (t - 1)
+    lower = p_fm(lp, 0) * down ** d * (1.0 - down) ** (t - 1)
+    return OutageBounds(lower, min(upper, 1.0), beta ** d, k_up)
+
+
 def outage_bounds_multicast(lp: LinkParams, gamma_n: int) -> OutageBounds:
     """Bracket on P(a destination misses at least one of the N packets).
 
     ``gamma_n`` is the code's gamma-rank at level N: with fewer than
     N+M-(gamma_n-1) failed transmissions, decoding never fails; with at
-    most gamma_n-1 survivors it always fails.
+    most gamma_n-1 survivors it always fails.  The count runs over all N+M
+    transmissions (`_bracket` with own=0).
     """
-    n, m_relays = lp.n_sources, lp.n_relays
-    total = n + m_relays
-    if not n <= gamma_n <= total:
-        raise ValueError(f"gamma_n must be in [N, N+M] = [{n}, {total}]")
-    beta = lp.beta
-    upper = 0.0
-    k_up = 0.0
-    for m in range(m_relays + 1):
-        k = total - m
-        fm = p_fm(lp, m)
-        upper += fm * sum(p_ekl(lp, k, l) for l in range(min(gamma_n - 1, k) + 1))
-        if gamma_n - 1 <= k:
-            k_up += (math.comb(m_relays, m) * (n * beta) ** m
-                     * math.comb(k, gamma_n - 1) * beta ** (k - (gamma_n - 1)))
-    d = total - (gamma_n - 1)
-    lower = p_fm(lp, 0) * p0(lp) ** d * (1.0 - p0(lp)) ** (gamma_n - 1)
-    return OutageBounds(lower, min(upper, 1.0), beta ** d, k_up)
+    total = lp.n_sources + lp.n_relays
+    if not lp.n_sources <= gamma_n <= total:
+        raise ValueError(f"gamma_n must be in [N, N+M] = [{lp.n_sources}, {total}]")
+    return _bracket(lp, gamma_n, own=0)
 
 
 def outage_bounds_unicast(lp: LinkParams, lambda_i: int) -> OutageBounds:
     """Bracket on P(destination i misses its own packet).
 
-    ``lambda_i`` is the code's lambda-rank for coordinate i.  The upper
-    bound conditions on the direct link being down (factor p0) and counts
-    survivors among the other N-1+M transmissions.
+    ``lambda_i`` is the code's lambda-rank for coordinate i.  It is the
+    multicast count with the threshold lambda_i, conditioned on the direct
+    link being down (factor p0), over the other N-1+M transmissions
+    (`_bracket` with own=1).
     """
-    n, m_relays = lp.n_sources, lp.n_relays
-    total = n + m_relays
+    total = lp.n_sources + lp.n_relays
     if not 1 <= lambda_i <= total:
         raise ValueError(f"lambda_i must be in [1, N+M] = [1, {total}]")
-    beta = lp.beta
-    direct_down = p0(lp)
-    upper = 0.0
-    k_up = 0.0
-    for m in range(m_relays + 1):
-        k = n - 1 + m_relays - m
-        fm = p_fm(lp, m)
-        upper += fm * sum(p_ekl(lp, k, l) for l in range(min(lambda_i - 1, k) + 1))
-        if lambda_i - 1 <= k:
-            k_up += (math.comb(m_relays, m) * (n * beta) ** m
-                     * math.comb(k, lambda_i - 1) * beta ** (k - (lambda_i - 1)))
-    upper *= direct_down
-    k_up *= beta
-    d = total - (lambda_i - 1)
-    lower = p_fm(lp, 0) * direct_down ** d * (1.0 - direct_down) ** (lambda_i - 1)
-    return OutageBounds(lower, min(upper, 1.0), beta ** d, k_up)
+    return _bracket(lp, lambda_i, own=1)
 
 
 def system_outage(per_dest) -> float:

@@ -87,7 +87,7 @@ def _field_for(q: int | None, n: int, m: int):
     if q is None:
         q = 1 << max(1, math.ceil(math.log2(n + m + 1)))
     ell = q.bit_length() - 1
-    if q != 1 << ell or not 1 <= ell <= MAX_ELL:
+    if q < 2 or q != 1 << ell or ell > MAX_ELL:
         raise ValueError(f"q must be a power of two with 2 <= q <= 2**{MAX_ELL}, got {q}")
     return field_new(ell)
 
@@ -120,6 +120,8 @@ def _snr_grid_db(args) -> list:
 
 
 def _rate_r0(args, n: int, m: int) -> float:
+    if n < 1:
+        raise ValueError(f"--n must be >= 1, got {n}")
     if args.r0 is not None and args.rate is not None:
         raise ValueError("give either --r0 or --rate, not both")
     if args.rate is not None:
@@ -156,25 +158,18 @@ def cmd_analyze(args) -> int:
             raise ValueError(f"analyze covers the coded schemes dncc/rncc, not {s!r}")
     grid_db = _snr_grid_db(args)
 
-    gamma = args.gamma
-    lams = [args.lam] * n if args.lam is not None else None
-    if (args.traffic == "multicast" and gamma is None) or (
-        args.traffic == "unicast" and lams is None
-    ):
-        field = _field_for(args.q, n, m)
-        code = _build_code(args.kind, n, m, field, args.seed)
+    if args.traffic == "multicast":
+        bound, given = analytic.outage_bounds_multicast, args.gamma
+    else:
+        bound, given = analytic.outage_bounds_unicast, args.lam
+    if given is not None:
+        thresholds = [given] * n
+    else:
+        code = _build_code(args.kind, n, m, _field_for(args.q, n, m), args.seed)
         if args.traffic == "multicast":
-            gamma = code.matrix.gamma_rank(n)
+            thresholds = [code.matrix.gamma_rank(n)] * n
         else:
-            lams = []
-            for j in range(n):
-                lam = code.matrix.lambda_rank(j)
-                if lam is None:
-                    raise ValueError(
-                        f"constructed matrix cannot deliver packet {j}: "
-                        "unit vector outside the row space"
-                    )
-                lams.append(lam)
+            thresholds = [code.matrix.lambda_rank(j) for j in range(n)]
 
     lines = ["snr_db,scheme,traffic,p0,p_low,p_up,p_system_low,p_system_up"]
     for db in grid_db:
@@ -182,13 +177,9 @@ def cmd_analyze(args) -> int:
         lp = analytic.LinkParams.from_rate_r0(
             beta=args.beta, rho=rho, rate_r0=r0, n_sources=n, n_relays=m
         )
-        if args.traffic == "multicast":
-            b = analytic.outage_bounds_multicast(lp, gamma)
-            lows, ups = [b.lower] * n, [b.upper] * n
-        else:
-            per = [analytic.outage_bounds_unicast(lp, lam) for lam in lams]
-            lows = [b.lower for b in per]
-            ups = [b.upper for b in per]
+        per = {t: bound(lp, t) for t in set(thresholds)}
+        lows = [per[t].lower for t in thresholds]
+        ups = [per[t].upper for t in thresholds]
         row = [
             FMT.format(db),
             "",  # scheme, filled below

@@ -114,9 +114,6 @@ class FfMatrix:
     def shape(self):
         return self._a.shape
 
-    def entry(self, i: int, j: int) -> int:
-        return int(self._a[i, j])
-
     def to_lists(self):
         return self._a.tolist()
 

@@ -98,6 +98,8 @@ class Scenario:
             raise ValueError("need n_sources >= 1 and n_relays >= 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         grid = tuple(float(r) for r in self.snr_grid)
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("snr_grid must be non-empty and strictly increasing")

@@ -8,6 +8,7 @@ import pytest
 from coopcode.analytic import (
     DmtCurve,
     LinkParams,
+    OutageBounds,
     dmt_curve,
     loglog_slope,
     outage_bounds_multicast,
@@ -141,6 +142,60 @@ def test_bounds_bracket_over_random_parameters():
         lam = rng.randrange(1, n + m + 1)
         u = outage_bounds_unicast(lp, lam)
         assert 0.0 <= u.lower <= u.upper <= 1.0
+
+
+def _ref_multicast(lp, gamma_n):
+    """The multicast bracket as written before both modes shared one count."""
+    n, m_relays = lp.n_sources, lp.n_relays
+    total = n + m_relays
+    beta = lp.beta
+    upper = 0.0
+    k_up = 0.0
+    for m in range(m_relays + 1):
+        k = total - m
+        fm = p_fm(lp, m)
+        upper += fm * sum(p_ekl(lp, k, l) for l in range(min(gamma_n - 1, k) + 1))
+        if gamma_n - 1 <= k:
+            k_up += (math.comb(m_relays, m) * (n * beta) ** m
+                     * math.comb(k, gamma_n - 1) * beta ** (k - (gamma_n - 1)))
+    d = total - (gamma_n - 1)
+    lower = p_fm(lp, 0) * p0(lp) ** d * (1.0 - p0(lp)) ** (gamma_n - 1)
+    return OutageBounds(lower, min(upper, 1.0), beta ** d, k_up)
+
+
+def _ref_unicast(lp, lambda_i):
+    """The unicast bracket as written before both modes shared one count."""
+    n, m_relays = lp.n_sources, lp.n_relays
+    total = n + m_relays
+    beta = lp.beta
+    direct_down = p0(lp)
+    upper = 0.0
+    k_up = 0.0
+    for m in range(m_relays + 1):
+        k = n - 1 + m_relays - m
+        fm = p_fm(lp, m)
+        upper += fm * sum(p_ekl(lp, k, l) for l in range(min(lambda_i - 1, k) + 1))
+        if lambda_i - 1 <= k:
+            k_up += (math.comb(m_relays, m) * (n * beta) ** m
+                     * math.comb(k, lambda_i - 1) * beta ** (k - (lambda_i - 1)))
+    upper *= direct_down
+    k_up *= beta
+    d = total - (lambda_i - 1)
+    lower = p_fm(lp, 0) * direct_down ** d * (1.0 - direct_down) ** (lambda_i - 1)
+    return OutageBounds(lower, min(upper, 1.0), beta ** d, k_up)
+
+
+def test_shared_bracket_matches_the_separate_formulas_exactly():
+    for n in range(1, 7):
+        for m in range(0, 7):
+            for beta in (0.5, 1.0, 2.5):
+                for r0 in (0.5, 2.0):
+                    for db in (-10.0, 10.0, 40.0, 80.0):
+                        lp = _lp(10 ** (db / 10), n=n, m=m, beta=beta, r0=r0)
+                        for g in range(n, n + m + 1):
+                            assert outage_bounds_multicast(lp, gamma_n=g) == _ref_multicast(lp, g)
+                        for lam in range(1, n + m + 1):
+                            assert outage_bounds_unicast(lp, lambda_i=lam) == _ref_unicast(lp, lam)
 
 
 def test_upper_bound_monotone_in_snr():

@@ -2,9 +2,10 @@
 
 import pytest
 
-from coopcode import cli
+from coopcode import analytic, cli
 from coopcode.cli import main
-from coopcode.netcode import load_code
+from coopcode.gf import field_new
+from coopcode.netcode import build_random, load_code
 
 
 def _run(capsys, *argv):
@@ -84,6 +85,28 @@ def test_analyze_unicast_with_lambda_flag(capsys):
     header, rows = _rows(out)
     row = dict(zip(header, rows[0]))
     assert float(row["p_up"]) <= float(row["p0"])  # direct-link factor
+
+
+def test_analyze_unicast_uses_each_destinations_lambda(capsys):
+    argv = ["--n", "3", "--m", "2", "--q", "2", "--kind", "random", "--seed", "6"]
+    lams = [build_random(3, 2, field_new(1), 6).matrix.lambda_rank(j) for j in range(3)]
+    assert lams == [5, 3, 4]
+    code, out, _ = _run(capsys, "analyze", *argv, "--traffic", "unicast",
+                        "--snr-start-db", "0", "--snr-stop-db", "30", "--snr-step-db", "10")
+    assert code == 0
+    header, rows = _rows(out)
+    assert len(rows) == 4
+    for db, cells in zip((0, 10, 20, 30), rows):
+        row = dict(zip(header, cells))
+        lp = analytic.LinkParams.from_rate_r0(
+            beta=1.0, rho=10.0 ** (db / 10.0), rate_r0=1.0, n_sources=3, n_relays=2
+        )
+        per = [analytic.outage_bounds_unicast(lp, lam) for lam in lams]
+        lows, ups = [b.lower for b in per], [b.upper for b in per]
+        assert row["p_low"] == cli.FMT.format(sum(lows) / 3)
+        assert row["p_up"] == cli.FMT.format(sum(ups) / 3)
+        assert row["p_system_low"] == cli.FMT.format(analytic.system_outage(lows))
+        assert row["p_system_up"] == cli.FMT.format(analytic.system_outage(ups))
 
 
 def test_analyze_rejects_uncoded_schemes(capsys):
@@ -252,3 +275,16 @@ def test_malloc_pinning_is_a_no_op_without_mallopt(monkeypatch, capsys, libc):
     monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
     code, out, _ = _run(capsys, "construct")
     assert code == 0 and out
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_zero_sources_with_a_system_rate_is_rejected(capsys, command):
+    code, out, err = _run(capsys, command, "--n", "0", "--rate", "1")
+    assert (code, out, err) == (2, "", "error: --n must be >= 1, got 0\n")
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate", "construct"])
+def test_field_size_below_two_is_rejected(capsys, command):
+    code, out, err = _run(capsys, command, "--q", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: q must be a power of two with 2 <= q <= 2**16, got 0\n"

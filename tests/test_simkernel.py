@@ -208,6 +208,9 @@ def test_scenario_validation():
             _scn(beta=value)
         with pytest.raises(ValueError, match="rate_r0 must be finite and positive"):
             _scn(rate_r0=value)
+    for value in (-1, 2.5, "3"):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            _scn(seed=value)
 
 
 def test_per_link_beta_validation():
