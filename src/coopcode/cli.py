@@ -72,7 +72,10 @@ def _apply_config(parser: "_Parser", argv: list) -> argparse.Namespace:
             if key not in sub.flags:
                 raise ValueError(f"unknown config key {key!r}")
             act = sub.flags[key]
-            parsed = act.type(val) if act.type else val
+            try:
+                parsed = act.type(val) if act.type else val
+            except ValueError as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from None
             if act.choices and parsed not in act.choices:
                 raise ValueError(
                     f"config key {key!r}: {val!r} not one of {', '.join(map(str, act.choices))}"

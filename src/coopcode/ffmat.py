@@ -9,9 +9,10 @@ in reduced row-echelon form; the simulator's decide uses it too.
 The subset metrics kruskal_rank / gamma_rank / lambda_rank, and the MDS
 certification in netcode, enumerate row subsets exhaustively, one subset
 size (level) at a time: each level is ranked by batch_rank in blocks of
-growing size, and unit_spans reads off the reduced rows which e_j each
-subset spans.  A metric stops at the first block that settles it.  The
-enumeration is capped at SUBSET_ROW_CAP = 24 rows.
+SUBSET_BLOCK subsets, and unit_spans reads off the reduced rows which e_j
+each subset spans.  A matrix ranks each level at most once and keeps its
+record (least rank, unit vectors every subset spans), which every metric
+reads.  The enumeration is capped at SUBSET_ROW_CAP = 24 rows.
 
 Matrices serialize to a plain text block: a header line ``q rows cols``
 followed by row-major integer entries; blank lines and ``#`` comments are
@@ -25,8 +26,7 @@ import numpy as np
 from .gf import Field, field_new
 
 SUBSET_ROW_CAP = 24  # exhaustive subset enumeration beyond this is hopeless
-SUBSET_BLOCK_MIN = 32    # row subsets in the first batch of a level
-SUBSET_BLOCK_MAX = 1024  # ... doubling up to this many per batch
+SUBSET_BLOCK = 1024  # row subsets ranked per batch_rank call, bounding memory
 
 
 def batch_rank(mats: np.ndarray, field: Field) -> np.ndarray:
@@ -78,7 +78,7 @@ def unit_spans(reduced: np.ndarray) -> np.ndarray:
 class FfMatrix:
     """An immutable rows x cols matrix with entries in a Field."""
 
-    __slots__ = ("field", "_a")
+    __slots__ = ("field", "_a", "_levels")
 
     def __init__(self, field: Field, entries):
         a = np.array(entries, dtype=np.int64)
@@ -89,6 +89,11 @@ class FfMatrix:
         a.setflags(write=False)
         self.field = field
         self._a = a
+        self._levels = {}  # subset size -> _level record; entries never change
+
+    def __reduce__(self):
+        # rebuild through __init__, so the entries come back read-only
+        return (FfMatrix, (self.field, self._a))
 
     # -- constructors -------------------------------------------------------
 
@@ -257,29 +262,27 @@ class FfMatrix:
                 f"subset metrics are exhaustive; capped at {SUBSET_ROW_CAP} rows"
             )
 
-    def _subset_level(self, size):
-        """Rank every `size`-row subset, in itertools.combinations order.
-
-        Yields ``(ranks, spans)`` per block of consecutive subsets: ranks[b]
-        is the rank of subset b and spans[b, j] says whether e_j lies in its
-        row span.  Blocks start at SUBSET_BLOCK_MIN subsets and double up to
-        SUBSET_BLOCK_MAX, so a caller that stops at the first failing block
-        pays little and memory stays bounded.
-        """
-        a = self._a.astype(np.int32)
-        subsets = combinations(range(self.rows), size)
-        block = SUBSET_BLOCK_MIN
-        while chunk := list(islice(subsets, block)):
-            mats = a[np.array(chunk, dtype=np.intp)]
-            yield batch_rank(mats, self.field), unit_spans(mats)
-            block = min(2 * block, SUBSET_BLOCK_MAX)
+    def _level(self, size):
+        """``(least rank, spans)`` over every `size`-row subset: spans[j]
+        says whether every such subset spans e_j.  Ranked once per matrix,
+        SUBSET_BLOCK subsets per batch_rank call, then read from the record."""
+        if size not in self._levels:
+            a = self._a.astype(np.int32)
+            subsets = combinations(range(self.rows), size)
+            least, spans = size, np.ones(self.cols, dtype=bool)
+            while chunk := list(islice(subsets, SUBSET_BLOCK)):
+                mats = a[np.array(chunk, dtype=np.intp)]
+                least = min(least, int(batch_rank(mats, self.field).min()))
+                spans &= unit_spans(mats).all(axis=0)
+            self._levels[size] = (least, tuple(spans.tolist()))
+        return self._levels[size]
 
     def kruskal_rank(self) -> int:
         """Largest r such that every set of r rows is linearly independent."""
         self._check_subset_cap()
         limit = min(self.rows, self.cols)
         for r in range(1, limit + 1):
-            if any((ranks < r).any() for ranks, _ in self._subset_level(r)):
+            if self._level(r)[0] < r:
                 return r - 1
         return limit
 
@@ -293,7 +296,7 @@ class FfMatrix:
         if not 1 <= i <= min(self.rows, self.cols):
             raise ValueError(f"i must be in [1, {min(self.rows, self.cols)}]")
         for g in range(i, self.rows + 1):
-            if all((ranks >= i).all() for ranks, _ in self._subset_level(g)):
+            if self._level(g)[0] >= i:
                 return g
         raise ValueError(f"undefined: full row set has rank below {i}")
 
@@ -306,7 +309,7 @@ class FfMatrix:
         if not 0 <= i < self.cols:
             raise ValueError(f"column index must be in [0, {self.cols})")
         for lam in range(1, self.rows + 1):
-            if all(spans[:, i].all() for _, spans in self._subset_level(lam)):
+            if self._level(lam)[1][i]:
                 return lam
         return None
 

@@ -118,16 +118,13 @@ class Field:
         if self._np is None:
             q = self.order
             sentinel = 2 * (q - 1)
-            log = np.empty(q, dtype=np.int32)
+            log = np.array(self._log, dtype=np.int32)
             log[0] = sentinel
-            for v in range(1, q):
-                log[v] = self._log[v]
+            exp = np.array(self._exp, dtype=np.int32)
             exp2 = np.zeros(2 * sentinel + 1, dtype=np.int32)
-            for i in range(sentinel):
-                exp2[i] = self._exp[i % (q - 1)]
+            exp2[:sentinel] = np.tile(exp, 2)
             inv = np.zeros(q, dtype=np.int32)
-            for v in range(1, q):
-                inv[v] = self.inv(v)
+            inv[1:] = exp[-log[1:] % (q - 1)]
             self._np = (log, exp2, inv)
         return self._np
 
@@ -144,17 +141,18 @@ class Field:
         return hash((self.ell, self.prim_poly))
 
     def __reduce__(self):
-        return (Field, (self.ell, self.prim_poly))
+        # unpickle to this process's cached field, so tables are built once
+        return (_cached_field, (self.ell, self.prim_poly))
 
     def __repr__(self):
         return f"Field(ell={self.ell}, prim_poly=0b{self.prim_poly:b})"
 
 
 @lru_cache(maxsize=None)
-def _cached_field(ell: int) -> Field:
-    return Field(ell)
+def _cached_field(ell: int, prim_poly: int | None) -> Field:
+    return Field(ell, prim_poly)
 
 
 def field_new(ell: int) -> Field:
     """GF(2^ell) with the default primitive polynomial (cached)."""
-    return _cached_field(ell)
+    return _cached_field(ell, DEFAULT_PRIM_POLY.get(ell))

@@ -82,13 +82,11 @@ def _every_n_subset_full_rank(matrix: FfMatrix, n: int) -> bool:
     """Equivalent to kruskal_rank(matrix) == n for an (N+M) x N matrix:
     any fewer-than-N rows sit inside some N-row subset, so one level of
     enumeration settles every smaller level too."""
-    return all((ranks == n).all() for ranks, _ in matrix._subset_level(n))
+    return matrix._level(n)[0] == n
 
 
 def _stack_code(field, n, m, relay_rows, construction):
-    a = FfMatrix.identity(field, n)
-    if m:
-        a = a.vstack(FfMatrix(field, relay_rows))
+    a = FfMatrix.identity(field, n).vstack(FfMatrix(field, relay_rows))
     code = NetworkCode(n, m, field, a, construction,
                        certified_kappa=n if construction in ("cauchy", "vandermonde") else None)
     if construction in ("cauchy", "vandermonde") and n + m <= MDS_EXHAUSTIVE_CAP:
@@ -168,6 +166,8 @@ def build_random(n: int, m: int, field: Field, seed: int) -> NetworkCode:
     """Uniform i.i.d. relay coefficients (zeros allowed), reproducible by seed."""
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     rows = rng.integers(0, field.order, size=(m, n)).tolist()
     return _stack_code(field, n, m, rows, "random")

@@ -229,6 +229,25 @@ def test_config_bad_choice_message(tmp_path, capsys):
                    "vandermonde, cauchy, random\n")
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("n", "two", "invalid literal for int() with base 10: 'two'"),
+    ("beta", "x", "could not convert string to float: 'x'"),
+])
+def test_config_bad_value_names_the_key(tmp_path, capsys, key, value, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    code, out, err = _run(capsys, "analyze", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == f"error: config key '{key}': {message}\n"
+
+
+@pytest.mark.parametrize("command", ["construct", "analyze"])
+def test_random_code_rejects_a_negative_seed(capsys, command):
+    code, out, err = _run(capsys, command, "--kind", "random", "--seed", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: seed must be a non-negative integer, got -1\n"
+
+
 def test_bad_snr_grid(capsys):
     code, _, err = _run(capsys, "analyze", "--snr-start-db", "10",
                         "--snr-stop-db", "5")

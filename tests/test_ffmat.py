@@ -1,13 +1,16 @@
 """Finite-field matrices: rank/solve/invert plus the subset-rank metrics."""
 
+import pickle
 import random
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coopcode import ffmat
 from coopcode.ffmat import SUBSET_ROW_CAP, FfMatrix, batch_rank, load_matrix, unit_spans
 from coopcode.gf import field_new
 from coopcode.netcode import (MDS_EXHAUSTIVE_CAP, build_cauchy, build_explicit,
@@ -362,3 +365,34 @@ def test_batched_metrics_on_certified_codes():
                 assert mds_check(code) and _ref_every_n_full_rank(code.matrix, n)
                 assert code.matrix.kruskal_rank() == n
                 _check_metrics(code.matrix)
+
+
+def test_each_subset_level_is_ranked_once(monkeypatch):
+    ranked = []
+
+    def counting_batch_rank(mats, field):
+        ranked.append(len(mats))
+        return batch_rank(mats, field)
+
+    monkeypatch.setattr(ffmat, "batch_rank", counting_batch_rank)
+    a = build_vandermonde(6, 6, F16).matrix
+    assert sum(ranked) == comb(12, 6)  # certification ranks the 6-row level
+    assert a.gamma_rank(6) == 6
+    assert sum(ranked) == comb(12, 6)  # ... which gamma_rank(6) reads back
+    assert [a.lambda_rank(j) for j in range(6)] == [6] * 6
+    # all six lambdas share levels 1..5, ranked once each: 1585 subsets
+    assert sum(ranked) == sum(comb(12, s) for s in range(1, 7))
+    before = sum(ranked)
+    assert a.kruskal_rank() == 6
+    assert [a.gamma_rank(i) for i in range(1, 7)] == list(range(1, 7))
+    assert [a.lambda_rank(j) for j in range(6)] == [6] * 6
+    assert sum(ranked) == before
+
+
+def test_pickled_matrix_is_equal_read_only_and_gives_the_same_metrics():
+    a = build_vandermonde(3, 3, F16).matrix
+    b = pickle.loads(pickle.dumps(a))
+    assert b == a and not b.to_array().flags.writeable
+    assert b.kruskal_rank() == a.kruskal_rank() == 3
+    assert b.gamma_rank(3) == a.gamma_rank(3)
+    assert [b.lambda_rank(j) for j in range(3)] == [a.lambda_rank(j) for j in range(3)]

@@ -130,6 +130,31 @@ def test_np_tables_reproduce_scalar_mul():
         assert all(f.mul(int(v), int(inv[v])) == 1 for v in nz)
 
 
+def _loop_np_tables(f):
+    """The per-element loop np_tables once was: the reference for the numpy build."""
+    q = f.order
+    sentinel = 2 * (q - 1)
+    log = np.empty(q, dtype=np.int32)
+    log[0] = sentinel
+    for v in range(1, q):
+        log[v] = f._log[v]
+    exp2 = np.zeros(2 * sentinel + 1, dtype=np.int32)
+    for i in range(sentinel):
+        exp2[i] = f._exp[i % (q - 1)]
+    inv = np.zeros(q, dtype=np.int32)
+    for v in range(1, q):
+        inv[v] = f.inv(v)
+    return log, exp2, inv
+
+
+@pytest.mark.parametrize("ell", range(1, MAX_ELL + 1))
+def test_np_tables_match_the_loop_reference(ell):
+    f = field_new(ell)
+    for got, want in zip(f.np_tables(), _loop_np_tables(f)):
+        assert got.dtype == want.dtype == np.int32
+        assert np.array_equal(got, want)
+
+
 def test_field_equality_and_pickle():
     f = field_new(5)
     assert f == Field(5)
@@ -138,6 +163,14 @@ def test_field_equality_and_pickle():
     g = pickle.loads(pickle.dumps(f))
     assert g == f
     assert g.mul(7, 9) == f.mul(7, 9)
+    # unpickling hands back this process's field, tables already built
+    for ell in (1, 5, 16):
+        assert pickle.loads(pickle.dumps(field_new(ell))) is field_new(ell)
+    assert pickle.loads(pickle.dumps(Field(5))) is f
+    custom = Field(4, 0b11001)  # x^4 + x^3 + 1, primitive but not the default
+    back = pickle.loads(pickle.dumps(custom))
+    assert back == custom and back != field_new(4)
+    assert [back.mul(3, v) for v in range(16)] == [custom.mul(3, v) for v in range(16)]
 
 
 def test_field_new_is_cached():

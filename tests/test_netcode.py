@@ -91,6 +91,15 @@ def test_random_code_determinism_and_shape():
     assert tiny.matrix.rows == 3 and tiny.matrix.cols == 2
 
 
+def test_random_code_seed_must_be_a_non_negative_integer():
+    for bad in (-1, 2.5):
+        with pytest.raises(ValueError,
+                           match=f"^seed must be a non-negative integer, got {bad}$"):
+            build_random(2, 2, F16, seed=bad)
+    assert build_random(2, 2, F16, seed=np.int64(7)).matrix == \
+        build_random(2, 2, F16, seed=7).matrix
+
+
 def test_random_code_rank_deficiency_exact_fraction_q4():
     # Exhausting all q^(M*N) = 256 relay blocks over GF(4) for N=M=2:
     # P(kappa < 2) = 5/q - 9/q^2 + 7/q^3 - 2/q^4 = 202/256.  Counted here
