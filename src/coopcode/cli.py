@@ -200,24 +200,16 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _scenario_for(scheme: str, args, grid_rho, r0: float):
-    n, m = args.n, args.m
-    code = None
-    field = None
-    if scheme in ("dncc", "selection"):
-        field = _field_for(args.q, n, m)
-        code = _build_code(args.kind, n, m, field, args.seed)
-    elif scheme == "rncc":
-        field = _field_for(args.q, n, m)
+def _scenario_for(scheme: str, args, grid_rho, r0: float, code, field):
     return simkernel.Scenario(
         scheme=scheme,
-        n_sources=n,
-        n_relays=m,
+        n_sources=args.n,
+        n_relays=args.m,
         snr_grid=tuple(grid_rho),
         trials=args.trials,
         seed=args.seed,
-        code=code,
-        field=field,
+        code=code if scheme in ("dncc", "selection") else None,
+        field=field if scheme in ("dncc", "selection", "rncc") else None,
         strategy=args.strategy,
         traffic=args.traffic,
         beta=args.beta,
@@ -235,11 +227,18 @@ def cmd_simulate(args) -> int:
     grid_db = _snr_grid_db(args)
     grid_rho = [10.0 ** (db / 10.0) for db in grid_db]
 
+    # one field and one code per command, shared by every scheme that uses it
+    field = code = None
+    if {"dncc", "selection", "rncc"} & set(schemes):
+        field = _field_for(args.q, n, m)
+    if {"dncc", "selection"} & set(schemes):
+        code = _build_code(args.kind, n, m, field, args.seed)
+    scenarios = [_scenario_for(s, args, grid_rho, r0, code, field) for s in schemes]
+    reports = simkernel.run_sweep(scenarios, workers=args.workers)
+
     dest_cols = ",".join(f"dest{j}_rate" for j in range(n))
     lines = [f"snr_db,scheme,strategy,traffic,trials,{dest_cols},avg_outage,system_rate,ci95"]
-    for s in schemes:
-        scn = _scenario_for(s, args, grid_rho, r0)
-        report = simkernel.run_sweep(scn, workers=args.workers)
+    for s, scn, report in zip(schemes, scenarios, reports):
         for db, pt in zip(grid_db, report.points):
             cells = [FMT.format(db), s, scn.strategy, scn.traffic, str(pt.trials)]
             cells += [FMT.format(r) for r in pt.dest_rates]

@@ -55,27 +55,34 @@ class Field:
         self._build_tables()
         self._np = None  # numpy table mirror, built on demand
 
+    def _times_x(self, v):
+        """v * x modulo prim_poly, elementwise over an int64 array."""
+        v = v << 1
+        return v ^ ((v >> self.ell) & 1) * self.prim_poly
+
     def _build_tables(self):
+        # powers[i] = x^i mod prim_poly for i in [0, q).  Doubling: the
+        # block x^L .. x^(2L-1) is x^0 .. x^(L-1) times the constant x^L,
+        # multiplied shift-and-add over the constant's bits.  This holds in
+        # GF(2)[x]/(prim_poly) for any modulus, primitive or not.
         q = self.order
-        exp = [0] * (q - 1)  # exp[i] = x^i
-        log = [0] * q        # log[v] = i with x^i == v; log[0] unused
-        seen = [False] * q
-        acc = 1
-        for i in range(q - 1):
-            if seen[acc]:
-                raise ValueError(
-                    f"0b{self.prim_poly:b} is not primitive over GF(2)"
-                )
-            seen[acc] = True
-            exp[i] = acc
-            log[acc] = i
-            acc <<= 1
-            if acc & q:
-                acc ^= self.prim_poly
-        if acc != 1:  # x^(q-1) must close the cycle
+        powers = np.ones(1, dtype=np.int64)
+        for _ in range(self.ell):
+            x_l = int(self._times_x(powers[-1:])[0])  # x^L, L = len(powers)
+            block, shifted = np.zeros_like(powers), powers
+            for b in range(x_l.bit_length()):
+                if x_l >> b & 1:
+                    block ^= shifted
+                shifted = self._times_x(shifted)
+            powers = np.concatenate([powers, block])
+        exp = powers[:q - 1]
+        # primitive iff x^0 .. x^(q-2) are distinct and x^(q-1) closes the cycle
+        if powers[q - 1] != 1 or np.bincount(exp, minlength=q).max() > 1:
             raise ValueError(f"0b{self.prim_poly:b} is not primitive over GF(2)")
-        self._exp = exp
-        self._log = log
+        log = np.zeros(q, dtype=np.int64)  # log[0] unused
+        log[exp] = np.arange(q - 1)
+        self._exp = exp.tolist()  # exp[i] = x^i
+        self._log = log.tolist()  # log[v] = i with x^i == v
 
     # -- scalar ops --------------------------------------------------------
 

@@ -16,6 +16,10 @@ Reproducibility: trials are processed in fixed-size chunks and the chunk
 (grid point g, chunk index c) draws from Philox keyed by the scenario
 seed with spawn key (g, c).  Counts are integers, so results are
 bit-identical no matter how chunks are ordered or spread over workers.
+The key holds no scheme, so schemes with one seed already see identical
+gains (common random numbers); run_sweep over several scenarios draws
+each chunk once and decides every scenario on that draw, with exactly
+the counts separate sweeps would give.
 
 Two implementations coexist on purpose: a scalar per-trial reference
 (run_trial*) used by the tests, and a vectorized engine used by
@@ -519,38 +523,66 @@ def _ncc_as_selection(scn: Scenario) -> Scenario:
                    k_select=1, strategy="A")
 
 
-def _chunk_counts(scn: Scenario, grid_index: int, chunk_index: int, count: int):
-    rng = chunk_rng(scn.seed, grid_index, chunk_index)
-    gsr, gsd, grd, coeffs = draw_chunk(scn, rng, count)
-    tau = tau_for(scn.snr_grid[grid_index], scn.rate_r0)
-    if scn.scheme in COOP_SCHEMES:
-        fails = _coop_failures(scn, tau, gsr, gsd, grd, coeffs)
-    else:
-        fails = _cc_failures(scn, tau, gsr, gsd, grd)
-    return fails.sum(axis=0), int(fails.any(axis=1).sum())
+def _chunk_counts(scenarios, grid_index: int, chunk_index: int, count: int):
+    """Per-scenario (dest, system) error counts of one chunk.  The chunk is
+    drawn once for all scenarios; the draw is an rncc scenario's when there
+    is one, so its coefficients continue the stream exactly as a lone rncc
+    sweep's would, and the other schemes never read them."""
+    drawer = next((s for s in scenarios if s.scheme == "rncc"), scenarios[0])
+    rng = chunk_rng(drawer.seed, grid_index, chunk_index)
+    gsr, gsd, grd, coeffs = draw_chunk(drawer, rng, count)
+    counts = []
+    for scn in scenarios:
+        tau = tau_for(scn.snr_grid[grid_index], scn.rate_r0)
+        if scn.scheme in COOP_SCHEMES:
+            fails = _coop_failures(scn, tau, gsr, gsd, grd, coeffs)
+        else:
+            fails = _cc_failures(scn, tau, gsr, gsd, grd)
+        counts.append((fails.sum(axis=0), int(fails.any(axis=1).sum())))
+    return counts
 
 
 def _sweep_task(args):
-    scn, grid_index, chunk_index, count = args
-    dest, system = _chunk_counts(scn, grid_index, chunk_index, count)
-    return grid_index, dest, system
+    scenarios, grid_index, chunk_index, count = args
+    return grid_index, _chunk_counts(scenarios, grid_index, chunk_index, count)
 
 
-def run_sweep(scn: Scenario, workers: int = 1) -> OutageReport:
+def _check_shared(scenarios) -> None:
+    """Scenarios of one sweep must draw identical chunks."""
+    if not scenarios:
+        raise ValueError("run_sweep needs at least one scenario")
+    first = scenarios[0]
+    for name in ("seed", "n_sources", "n_relays", "snr_grid", "trials", "beta"):
+        if any(getattr(s, name) != getattr(first, name) for s in scenarios):
+            raise ValueError(f"scenarios of one sweep must share {name}")
+    if len({s.field.order for s in scenarios if s.scheme == "rncc"}) > 1:
+        raise ValueError("rncc scenarios of one sweep must share field order")
+
+
+def run_sweep(scn, workers: int = 1):
     """Simulate every grid point; deterministic in (scenario, CHUNK_TRIALS)
     and independent of `workers`, which caps the worker processes: no more
-    start than there are (grid point, chunk) tasks."""
+    start than there are (grid point, chunk) tasks.
+
+    `scn` is one Scenario, which gives one OutageReport, or a sequence of
+    them, which gives a tuple of OutageReports in the same order.  The
+    scenarios of one call share each chunk's draw (common random numbers,
+    as RNG contract v1 already implies for equal seeds), so they must agree
+    on seed, sizes, grid, trials and beta, and rncc ones on field order;
+    every report equals the one a separate call would give."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    n_chunks = (scn.trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
-    work = _ncc_as_selection(scn) if scn.scheme == "ncc" else scn
-    tasks = []
-    for g in range(len(scn.snr_grid)):
-        for c in range(n_chunks):
-            count = min(CHUNK_TRIALS, scn.trials - c * CHUNK_TRIALS)
-            tasks.append((work, g, c, count))
-    dest_tot = np.zeros((len(scn.snr_grid), scn.n_sources), dtype=np.int64)
-    sys_tot = np.zeros(len(scn.snr_grid), dtype=np.int64)
+    single = isinstance(scn, Scenario)
+    scenarios = (scn,) if single else tuple(scn)
+    _check_shared(scenarios)
+    first = scenarios[0]
+    grid, trials = first.snr_grid, first.trials
+    work = tuple(_ncc_as_selection(s) if s.scheme == "ncc" else s for s in scenarios)
+    n_chunks = (trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
+    tasks = [(work, g, c, min(CHUNK_TRIALS, trials - c * CHUNK_TRIALS))
+             for g in range(len(grid)) for c in range(n_chunks)]
+    dest_tot = np.zeros((len(scenarios), len(grid), first.n_sources), dtype=np.int64)
+    sys_tot = np.zeros((len(scenarios), len(grid)), dtype=np.int64)
     workers = min(workers, len(tasks))
     if workers == 1:
         results = list(map(_sweep_task, tasks))
@@ -558,15 +590,17 @@ def run_sweep(scn: Scenario, workers: int = 1) -> OutageReport:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_task, tasks,
                                     chunksize=max(1, len(tasks) // (workers * 4))))
-    for g, dest, system in results:
-        dest_tot[g] += dest
-        sys_tot[g] += system
-    points = tuple(
-        SweepPoint(scn.snr_grid[g], tuple(int(v) for v in dest_tot[g]),
-                   int(sys_tot[g]), scn.trials)
-        for g in range(len(scn.snr_grid))
-    )
-    return OutageReport(scn, points)
+    for g, counts in results:
+        for s, (dest, system) in enumerate(counts):
+            dest_tot[s, g] += dest
+            sys_tot[s, g] += system
+    reports = tuple(
+        OutageReport(scenario, tuple(
+            SweepPoint(grid[g], tuple(int(v) for v in dest_tot[s, g]),
+                       int(sys_tot[s, g]), trials)
+            for g in range(len(grid))))
+        for s, scenario in enumerate(scenarios))
+    return reports[0] if single else reports
 
 
 # -- selection-rule sampling ---------------------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from coopcode import analytic, cli
+from coopcode import analytic, cli, netcode, simkernel
 from coopcode.cli import main
 from coopcode.gf import field_new
 from coopcode.netcode import build_random, load_code
@@ -146,6 +146,39 @@ def test_simulate_rejects_multicast_for_ncc(capsys):
     code, _, err = _run(capsys, "simulate", "--scheme", "ncc",
                         "--traffic", "multicast", "--snr-start-db", "10")
     assert code == 2 and "unicast" in err
+
+
+def test_simulate_rejects_a_bad_scheme_mix_before_drawing(monkeypatch, capsys):
+    draws = []
+    draw_chunk = simkernel.draw_chunk
+    monkeypatch.setattr(simkernel, "draw_chunk",
+                        lambda *a: draws.append(1) or draw_chunk(*a))
+    code, out, err = _run(capsys, "simulate", "--scheme", "dncc,ncc",
+                          "--traffic", "multicast", "--trials", "40000",
+                          "--snr-start-db", "10")
+    assert (code, out) == (2, "")
+    assert "ncc supports unicast traffic only" in err
+    assert draws == []
+
+
+@pytest.mark.parametrize("kind, builder", [("vandermonde", "build_vandermonde"),
+                                           ("random", "build_random")])
+def test_simulate_builds_one_code_for_every_scheme(monkeypatch, capsys, kind, builder):
+    argv = ["simulate", "--kind", kind, "--q", "8", "--seed", "5", "--k-select", "1",
+            "--traffic", "unicast", "--trials", "3000", "--snr-start-db", "5",
+            "--snr-stop-db", "15", "--snr-step-db", "10"]
+    separate = []
+    for scheme in ("dncc", "selection"):
+        code, out, _ = _run(capsys, *argv, "--scheme", scheme)
+        assert code == 0
+        separate.append(out)
+    calls = []
+    build = getattr(netcode, builder)
+    monkeypatch.setattr(netcode, builder, lambda *a: calls.append(a) or build(*a))
+    code, out, _ = _run(capsys, *argv, "--scheme", "dncc,selection")
+    assert code == 0 and len(calls) == 1
+    header = separate[0].splitlines()[0]
+    assert out == header + "\n" + "".join(s.split("\n", 1)[1] for s in separate)
 
 
 def test_simulate_unknown_scheme(capsys):

@@ -155,6 +155,50 @@ def test_np_tables_match_the_loop_reference(ell):
         assert np.array_equal(got, want)
 
 
+def _loop_tables(ell, prim_poly):
+    """The per-power loop _build_tables once was: the reference for the
+    numpy build.  Returns (exp, log), or the ValueError message."""
+    q = 1 << ell
+    exp, log, seen = [0] * (q - 1), [0] * q, [False] * q
+    acc = 1
+    for i in range(q - 1):
+        if seen[acc]:
+            return f"0b{prim_poly:b} is not primitive over GF(2)"
+        seen[acc] = True
+        exp[i] = acc
+        log[acc] = i
+        acc <<= 1
+        if acc & q:
+            acc ^= prim_poly
+    if acc != 1:
+        return f"0b{prim_poly:b} is not primitive over GF(2)"
+    return exp, log
+
+
+def _tables_or_message(ell, prim_poly):
+    try:
+        f = Field(ell, prim_poly)
+    except ValueError as exc:
+        return str(exc)
+    return f._exp, f._log
+
+
+@pytest.mark.parametrize("ell", range(1, MAX_ELL + 1))
+def test_tables_match_the_loop_reference(ell):
+    polys = [DEFAULT_PRIM_POLY[ell]]
+    if ell <= 8:  # every polynomial of degree ell, primitive or not
+        polys = range(1 << ell, 1 << (ell + 1))
+    primitive = 0
+    for poly in polys:
+        want = _loop_tables(ell, poly)
+        got = _tables_or_message(ell, poly)
+        assert got == want, f"ell={ell} poly=0b{poly:b}"
+        if isinstance(got, tuple):
+            assert all(type(v) is int for v in got[0] + got[1])
+            primitive += 1
+    assert primitive >= 1
+
+
 def test_field_equality_and_pickle():
     f = field_new(5)
     assert f == Field(5)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from coopcode import simkernel
 from coopcode.analytic import LinkParams, outage_bounds_multicast, outage_bounds_unicast
-from coopcode.gf import field_new
+from coopcode.gf import Field, field_new
 from coopcode.ffmat import FfMatrix, batch_rank, unit_spans
 from coopcode.netcode import (
     build_cauchy,
@@ -548,6 +548,58 @@ def test_run_sweep_starts_no_more_workers_than_chunks(monkeypatch):
         assert started[-1] == size
     run_sweep(_scn(trials=100), workers=8)  # 1 chunk: no pool at all
     assert started == [2, 3, 3]
+
+
+_SKEWED_BETA = PerLinkBeta(sr=((0.5, 1.0), (2.0, 1.5)), sd=((1.0, 3.0), (0.7, 1.0)),
+                           rd=((1.2, 0.9), (1.0, 2.5)))
+
+
+@pytest.mark.parametrize("mix, strategy, beta", [
+    # rncc away from the front, so the shared draw must come from it
+    ((("dncc", "unicast"), ("rncc", "unicast"), ("selection", "unicast"),
+      ("ncc", "unicast"), ("cc", "unicast")), "A", 1.0),
+    ((("selection", "multicast"), ("dncc", "multicast"), ("rncc", "multicast"),
+      ("dncc", "unicast")), "B", _SKEWED_BETA),
+    ((("cc", "unicast"), ("rncc", "multicast"), ("rncc", "unicast")), "B", 2.0),
+    ((("ncc", "unicast"), ("cc", "unicast")), "A", _SKEWED_BETA),
+])
+def test_shared_draw_sweep_equals_separate_sweeps(mix, strategy, beta):
+    extra = {"dncc": dict(code=CODE22), "selection": dict(code=CODE22, k_select=1),
+             "rncc": dict(code=None, field=F4), "ncc": dict(code=None),
+             "cc": dict(code=None)}
+    scenarios = [_scn(scheme=scheme, traffic=traffic, strategy=strategy, beta=beta,
+                      snr_grid=(3.0, 30.0), trials=CHUNK_TRIALS + 100, seed=17,
+                      **extra[scheme])
+                 for scheme, traffic in mix]
+    separate = tuple(run_sweep(s) for s in scenarios)
+    for workers in (1, 2):
+        shared = run_sweep(scenarios, workers=workers)
+        assert shared == separate
+        assert all(r.scenario is s for r, s in zip(shared, scenarios))
+
+
+@pytest.mark.parametrize("change, name", [
+    (dict(seed=1), "seed"),
+    (dict(n_sources=3, code=build_vandermonde(3, 2, F16)), "n_sources"),
+    (dict(n_relays=3, code=build_vandermonde(2, 3, F16)), "n_relays"),
+    (dict(snr_grid=(1.0, 3.0)), "snr_grid"),
+    (dict(trials=5), "trials"),
+    (dict(beta=PerLinkBeta.uniform(2, 2, 1.0)), "beta"),
+])
+def test_shared_draw_sweep_rejects_scenarios_that_draw_differently(change, name):
+    base = _scn()
+    with pytest.raises(ValueError, match=f"must share {name}$"):
+        run_sweep([base, replace(base, **change)])
+
+
+def test_shared_draw_sweep_rejects_rncc_fields_of_different_order_and_no_scenario():
+    rncc = _scn(scheme="rncc", code=None, field=F4)
+    run_sweep([rncc, replace(rncc, field=Field(2, 0b111), traffic="unicast")])
+    with pytest.raises(ValueError, match="must share field order"):
+        run_sweep([rncc, _scn(), replace(rncc, field=F16)])
+    for empty in ([], ()):
+        with pytest.raises(ValueError, match="at least one scenario"):
+            run_sweep(empty)
 
 
 def test_sweep_deterministic_across_workers_and_chunking():
