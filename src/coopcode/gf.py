@@ -83,6 +83,7 @@ class Field:
         log[exp] = np.arange(q - 1)
         self._exp = exp.tolist()  # exp[i] = x^i
         self._log = log.tolist()  # log[v] = i with x^i == v
+        self._arrays = (exp, log)  # the same tables, kept for np_tables
 
     # -- scalar ops --------------------------------------------------------
 
@@ -125,9 +126,8 @@ class Field:
         if self._np is None:
             q = self.order
             sentinel = 2 * (q - 1)
-            log = np.array(self._log, dtype=np.int32)
+            exp, log = (a.astype(np.int32) for a in self._arrays)
             log[0] = sentinel
-            exp = np.array(self._exp, dtype=np.int32)
             exp2 = np.zeros(2 * sentinel + 1, dtype=np.int32)
             exp2[:sentinel] = np.tile(exp, 2)
             inv = np.zeros(q, dtype=np.int32)

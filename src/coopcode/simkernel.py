@@ -39,6 +39,18 @@ the held direct rows e_k are accounted for by zeroing their columns k,
 and distinct keys are taken after clearing those columns' relay entries,
 so equivalent patterns share one key.  Keys wider than KEY_BITS are
 decided per (trial, j).
+
+The decide reads only link states: _link_states thresholds the gains,
+_decide maps the states (and the selected relays and rncc coefficients)
+to failure flags.  So when the L = NM + N^2 + MN links fit TABLE_BITS
+(N=1 with M <= 5, N=2 with M <= 2), run_sweep decides every one of the
+2**L states once per scenario, with every relay selected, and ships that
+table with the chunk tasks; a chunk then packs each trial's link states
+into a key, and the counts are its key histogram times the table.
+Selection clears the source->relay bits of its unselected relays first:
+a relay that heard nothing never transmits, just as an unselected one.
+rncc, whose relay rows vary per trial, and wider networks are decided
+per trial.
 """
 
 import math
@@ -52,7 +64,7 @@ from .ffmat import FfMatrix, batch_rank, unit_spans
 from .netcode import NetworkCode, build_explicit
 
 CHUNK_TRIALS = 1 << 14  # fixed chunk size; part of the reproducibility contract
-TABLE_BITS = 12    # pattern keys this narrow are decided by enumerating them all
+TABLE_BITS = 12    # pattern keys and link states this narrow are decided by enumerating them all
 KEY_BITS = 62      # widest pattern key packed into an int64
 RANK_BLOCK = 4096  # matrices per batch_rank call; bounds the decide's memory
 
@@ -304,14 +316,15 @@ def run_trial_cc(scn: Scenario, rho: float, draw: TrialDraw):
 # -- batched engine -------------------------------------------------------------
 
 
-def _beta_arrays(scn: Scenario):
-    n, m = scn.n_sources, scn.n_relays
+def _betas(scn: Scenario):
+    """The rates the sr, sd and rd gains are divided by: per-link arrays, or
+    the scalar beta itself, which divides exactly as its broadcast would."""
     if isinstance(scn.beta, PerLinkBeta):
         return (np.asarray(scn.beta.sr, dtype=float),
                 np.asarray(scn.beta.sd, dtype=float),
                 np.asarray(scn.beta.rd, dtype=float))
     b = float(scn.beta)
-    return (np.full((n, m), b), np.full((n, n), b), np.full((m, n), b))
+    return b, b, b
 
 
 def chunk_rng(seed: int, grid_index: int, chunk_index: int) -> np.random.Generator:
@@ -324,7 +337,7 @@ def draw_chunk(scn: Scenario, rng: np.random.Generator, count: int):
     """Draw all randomness for `count` trials in the fixed order the
     reproducibility contract pins down: gains first, then coefficients."""
     n, m = scn.n_sources, scn.n_relays
-    bsr, bsd, brd = _beta_arrays(scn)
+    bsr, bsd, brd = _betas(scn)
     gsr = rng.standard_exponential((count, n, m)) / bsr
     gsd = rng.standard_exponential((count, n, n)) / bsd
     grd = rng.standard_exponential((count, m, n)) / brd
@@ -438,26 +451,47 @@ def _blockwise(count, fails_of):
                            for lo in range(0, count, RANK_BLOCK)])
 
 
-def _coop_failures(scn, tau, gsr, gsd, grd, coeffs):
-    """(B, N) boolean failure flags for the dncc/rncc/selection family."""
-    n, m = scn.n_sources, scn.n_relays
-    nb = gsr.shape[0]
-    ok_sr = gsr > tau              # (B, N, M)
-    ok_sd = gsd > tau              # (B, N, N)
-    ok_rd = grd > tau              # (B, M, N)
+def _link_states(tau, gsr, gsd, grd):
+    """(ok_sr, ok_sd, ok_rd): which links carry a packet, gain > tau."""
+    return gsr > tau, gsd > tau, grd > tau
 
-    if scn.scheme == "selection":
-        # bottleneck gain over relay i's 2N adjacent links; as for `heard`
-        # below, folding over the short source axis beats a reduction
-        h = np.minimum(gsr[:, 0], grd[:, :, 0])        # (B, M)
-        for k in range(1, n):
-            np.minimum(h, gsr[:, k], out=h)
-            np.minimum(h, grd[:, :, k], out=h)
-        order = np.argsort(-h, axis=1, kind="stable")[:, :scn.k_select]
-        selected = np.zeros((nb, m), dtype=bool)
-        np.put_along_axis(selected, order, True, axis=1)
-    else:
-        selected = np.ones((nb, m), dtype=bool)
+
+def _selected(scn, gsr, grd):
+    """(B, M) mask of the relays a selection scenario lets transmit: the
+    k_select best by bottleneck gain (min over the 2N adjacent links), ties
+    toward the lower index.  None, meaning every relay, for other schemes."""
+    if scn.scheme != "selection":
+        return None
+    # folding over the short source axis beats a reduction along it
+    h = np.minimum(gsr[:, 0], grd[:, :, 0])        # (B, M)
+    for k in range(1, scn.n_sources):
+        np.minimum(h, gsr[:, k], out=h)
+        np.minimum(h, grd[:, :, k], out=h)
+    order = np.argsort(-h, axis=1, kind="stable")[:, :scn.k_select]
+    selected = np.zeros(h.shape, dtype=bool)
+    np.put_along_axis(selected, order, True, axis=1)
+    return selected
+
+
+def _decide(scn, ok_sr, ok_sd, ok_rd, selected, coeffs):
+    """(B, N) boolean failure flags of B trials from their link states.
+
+    `selected` masks the relays allowed to transmit ((B, M), or None for
+    all of them) and `coeffs` are rncc's (B, M, N) coefficients; cc reads
+    neither.  ncc is decided as _ncc_as_selection(scn).
+    """
+    n, m = scn.n_sources, scn.n_relays
+    nb = ok_sr.shape[0]
+    if scn.scheme == "cc":
+        # repetition: j needs its direct link, or a relay that decoded
+        # source j and reaches j; an OR-fold over the relays beats .any()
+        fails = np.empty((nb, n), dtype=bool)
+        for j in range(n):
+            relayed = ok_sr[:, j, 0] & ok_rd[:, 0, j]
+            for i in range(1, m):
+                relayed |= ok_sr[:, j, i] & ok_rd[:, i, j]
+            fails[:, j] = ~(ok_sd[:, j, j] | relayed)
+        return fails
 
     # a relay sends once it decoded all N sources (A) or any (B); looping
     # over the short source axis is faster than a numpy reduction along it
@@ -465,7 +499,7 @@ def _coop_failures(scn, tau, gsr, gsd, grd, coeffs):
     heard = ok_sr[:, 0].copy()                  # (B, M)
     for k in range(1, n):
         merge(heard, ok_sr[:, k], out=heard)
-    transmitting = heard & selected
+    transmitting = heard if selected is None else heard & selected
     if scn.strategy == "A":
         keep = np.broadcast_to(True, (nb, m, n))
     else:
@@ -500,17 +534,67 @@ def _coop_failures(scn, tau, gsr, gsd, grd, coeffs):
     return np.stack([table[:, j][index[:, j]] for j in range(n)], axis=1)
 
 
+def _coop_failures(scn, tau, gsr, gsd, grd, coeffs):
+    """(B, N) boolean failure flags of B drawn trials at threshold tau."""
+    return _decide(scn, *_link_states(tau, gsr, gsd, grd), _selected(scn, gsr, grd), coeffs)
+
+
 def _cc_failures(scn, tau, gsr, gsd, grd):
+    return _coop_failures(scn, tau, gsr, gsd, grd, None)
+
+
+def _failure_table(scn):
+    """The outcome of every link state of a scenario whose L = NM + N^2 + MN
+    links fit TABLE_BITS, as a (2**L, N + 1) bool array: row s holds the
+    failure flags of state s (link l up iff bit l of s is set, links in
+    _state_keys order) with every relay selected, then whether any
+    destination fails.  None for rncc, whose relay rows vary per trial,
+    and for wider networks: those are decided per trial."""
     n, m = scn.n_sources, scn.n_relays
-    ok_sr = gsr > tau
-    ok_sd = gsd > tau
-    ok_rd = grd > tau
-    nb = gsr.shape[0]
-    fails = np.empty((nb, n), dtype=bool)
-    for j in range(n):
-        relayed = (ok_sr[:, j, :] & ok_rd[:, :, j]).any(axis=1)
-        fails[:, j] = ~(ok_sd[:, j, j] | relayed)
-    return fails
+    links = n * m + n * n + m * n
+    if scn.scheme == "rncc" or links > TABLE_BITS:
+        return None
+    up = ((np.arange(1 << links)[:, None] >> np.arange(links)) & 1).astype(bool)
+    ok_sr, ok_sd, ok_rd = np.split(up, [n * m, n * m + n * n], axis=1)
+    fails = _decide(scn, ok_sr.reshape(-1, n, m), ok_sd.reshape(-1, n, n),
+                    ok_rd.reshape(-1, m, n), None, None)
+    return np.column_stack([fails, fails.any(axis=1)])
+
+
+def _state_keys(ok_sr, ok_sd, ok_rd):
+    """Each trial's link states as a uint16 key (TABLE_BITS <= 16): bit l is
+    link l of the flattened ok_sr (k, i), then ok_sd (k, j), then ok_rd (i, j)."""
+    nb = ok_sr.shape[0]
+    keys = np.zeros(nb, dtype=np.uint16)
+    bit = 0
+    for ok in (ok_sr, ok_sd, ok_rd):
+        for col in ok.reshape(nb, -1).T:  # column by column beats packbits
+            keys += col * np.uint16(1 << bit)
+            bit += 1
+    return keys
+
+
+def _drop_unselected(keys, selected, n):
+    """The keys with the source->relay bits of every unselected relay
+    cleared.  A relay that heard no source never transmits, exactly as an
+    unselected one, so the table's every-relay row then gives the outcome."""
+    m = selected.shape[1]
+    out = keys.copy()
+    for i in range(m):
+        bits = np.uint16(sum(1 << (k * m + i) for k in range(n)))
+        out &= ~(~selected[:, i] * bits)
+    return out
+
+
+def _fail_counts(fails):
+    """(per-destination failures, trials where any destination fails) of
+    (B, N) flags; per-column counts and an OR-fold beat sum/any along the
+    short axis."""
+    n = fails.shape[1]
+    any_fail = fails[:, 0].copy()
+    for j in range(1, n):
+        any_fail |= fails[:, j]
+    return [np.count_nonzero(fails[:, j]) for j in range(n)], np.count_nonzero(any_fail)
 
 
 def _ncc_as_selection(scn: Scenario) -> Scenario:
@@ -523,28 +607,39 @@ def _ncc_as_selection(scn: Scenario) -> Scenario:
                    k_select=1, strategy="A")
 
 
-def _chunk_counts(scenarios, grid_index: int, chunk_index: int, count: int):
-    """Per-scenario (dest, system) error counts of one chunk.  The chunk is
-    drawn once for all scenarios; the draw is an rncc scenario's when there
-    is one, so its coefficients continue the stream exactly as a lone rncc
-    sweep's would, and the other schemes never read them."""
-    drawer = next((s for s in scenarios if s.scheme == "rncc"), scenarios[0])
+def _chunk_counts(plans, grid_index: int, chunk_index: int, count: int):
+    """Per-scenario (dest, system) error counts of one chunk; `plans` pairs
+    each scenario with its _failure_table or None.  The chunk is drawn once
+    for all scenarios; the draw is an rncc scenario's when there is one, so
+    its coefficients continue the stream exactly as a lone rncc sweep's
+    would, and the other schemes never read them.  Links are thresholded
+    once per distinct tau.  A scenario with a table counts the chunk's
+    link-state keys and reads its counts off the table; the others decide
+    every trial."""
+    drawer = next((s for s, _ in plans if s.scheme == "rncc"), plans[0][0])
     rng = chunk_rng(drawer.seed, grid_index, chunk_index)
     gsr, gsd, grd, coeffs = draw_chunk(drawer, rng, count)
-    counts = []
-    for scn in scenarios:
+    states, keys, counts = {}, {}, []
+    for scn, table in plans:
         tau = tau_for(scn.snr_grid[grid_index], scn.rate_r0)
-        if scn.scheme in COOP_SCHEMES:
-            fails = _coop_failures(scn, tau, gsr, gsd, grd, coeffs)
-        else:
-            fails = _cc_failures(scn, tau, gsr, gsd, grd)
-        counts.append((fails.sum(axis=0), int(fails.any(axis=1).sum())))
+        if tau not in states:
+            states[tau] = _link_states(tau, gsr, gsd, grd)
+        selected = _selected(scn, gsr, grd)
+        if table is None:
+            counts.append(_fail_counts(_decide(scn, *states[tau], selected, coeffs)))
+            continue
+        if tau not in keys:
+            keys[tau] = _state_keys(*states[tau])
+        key = keys[tau] if selected is None else _drop_unselected(
+            keys[tau], selected, scn.n_sources)
+        dest_sys = np.bincount(key, minlength=len(table)) @ table
+        counts.append((dest_sys[:-1], int(dest_sys[-1])))
     return counts
 
 
 def _sweep_task(args):
-    scenarios, grid_index, chunk_index, count = args
-    return grid_index, _chunk_counts(scenarios, grid_index, chunk_index, count)
+    plans, grid_index, chunk_index, count = args
+    return grid_index, _chunk_counts(plans, grid_index, chunk_index, count)
 
 
 def _check_shared(scenarios) -> None:
@@ -577,9 +672,10 @@ def run_sweep(scn, workers: int = 1):
     _check_shared(scenarios)
     first = scenarios[0]
     grid, trials = first.snr_grid, first.trials
-    work = tuple(_ncc_as_selection(s) if s.scheme == "ncc" else s for s in scenarios)
+    work = (_ncc_as_selection(s) if s.scheme == "ncc" else s for s in scenarios)
+    plans = tuple((s, _failure_table(s)) for s in work)  # travels with each task
     n_chunks = (trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
-    tasks = [(work, g, c, min(CHUNK_TRIALS, trials - c * CHUNK_TRIALS))
+    tasks = [(plans, g, c, min(CHUNK_TRIALS, trials - c * CHUNK_TRIALS))
              for g in range(len(grid)) for c in range(n_chunks)]
     dest_tot = np.zeros((len(scenarios), len(grid), first.n_sources), dtype=np.int64)
     sys_tot = np.zeros((len(scenarios), len(grid)), dtype=np.int64)

@@ -702,3 +702,165 @@ def test_trials_of_one_work():
     pt = run_sweep(_scn(trials=1, snr_grid=(10.0,))).points[0]
     assert pt.trials == 1
     assert set(pt.dest_errors) <= {0, 1}
+
+
+# -- link-state counting ----------------------------------------------------------
+
+F8 = field_new(3)
+# every (N, M) with L = NM + N^2 + MN <= TABLE_BITS links
+TABLE_SHAPES = [(1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 1), (2, 2)]
+
+
+def _random_code_with_zeros(n, m):
+    """The first seeded random GF(4) code with a zero relay entry."""
+    for seed in range(100):
+        code = build_random(n, m, F4, seed)
+        if (code.relay_block.to_array() == 0).any():
+            return code
+    raise AssertionError("no random code with a zero entry")
+
+
+def _skewed_beta(n, m):
+    rng = np.random.default_rng(n * 10 + m)
+    return PerLinkBeta(*(tuple(map(tuple, rng.uniform(0.4, 2.5, shape).tolist()))
+                         for shape in ((n, m), (n, n), (m, n))))
+
+
+def _table_mix(n, m, beta, trials):
+    """One sweep's worth of scenarios on a table shape: dncc over three codes
+    and selection with every k over two of them (both strategies and traffic
+    modes), ncc, cc, and two at another rate, hence another tau."""
+    base = dict(n_sources=n, n_relays=m, snr_grid=(2.0, 40.0), trials=trials, seed=n + m,
+                beta=beta)
+    codes = (build_cauchy(n, m, F8), build_vandermonde(n, m, F8),
+             _random_code_with_zeros(n, m))
+    mix = []
+    for strategy in "AB":
+        for traffic in ("multicast", "unicast"):
+            mix += [Scenario(scheme="dncc", code=code, strategy=strategy, traffic=traffic,
+                             **base) for code in codes]
+            mix += [Scenario(scheme="selection", code=code, k_select=k,
+                             strategy=strategy, traffic=traffic, **base)
+                    for code in codes[1:] for k in range(1, m + 1)]
+    mix += [Scenario(scheme=scheme, traffic="unicast", **base) for scheme in ("ncc", "cc")]
+    mix += [replace(mix[0], rate_r0=2.5), replace(mix[3], rate_r0=2.5)]
+    return mix
+
+
+def _per_trial_counts(scenarios):
+    """[scenario][grid point] -> (dest, system), from the per-trial decide of
+    every chunk run_sweep draws."""
+    first = scenarios[0]
+    trials = first.trials
+    out = [[None] * len(first.snr_grid) for _ in scenarios]
+    for g, rho in enumerate(first.snr_grid):
+        fails = [[] for _ in scenarios]
+        for c in range(0, trials, CHUNK_TRIALS):
+            gsr, gsd, grd, coeffs = draw_chunk(
+                first, chunk_rng(first.seed, g, c // CHUNK_TRIALS), min(CHUNK_TRIALS, trials - c))
+            for s, scn in enumerate(scenarios):
+                work = _ncc_as_selection(scn) if scn.scheme == "ncc" else scn
+                fails[s].append(_coop_failures(work, tau_for(rho, scn.rate_r0),
+                                               gsr, gsd, grd, coeffs))
+        for s in range(len(scenarios)):
+            f = np.concatenate(fails[s])
+            out[s][g] = (tuple(int(v) for v in f.sum(axis=0)), int(f.any(axis=1).sum()))
+    return out
+
+
+def _counts(report):
+    return [(p.dest_errors, p.system_errors) for p in report.points]
+
+
+@pytest.mark.parametrize("beta", ["scalar", "per-link"])
+@pytest.mark.parametrize("n, m", TABLE_SHAPES)
+def test_link_state_counts_equal_the_per_trial_path(n, m, beta):
+    beta = 1.0 if beta == "scalar" else _skewed_beta(n, m)
+    mix = _table_mix(n, m, beta, CHUNK_TRIALS + 100)
+    assert all(simkernel._failure_table(_ncc_as_selection(s) if s.scheme == "ncc" else s)
+               is not None for s in mix)
+    want = _per_trial_counts(mix)
+    for workers in (1, 2):
+        reports = run_sweep(mix, workers=workers)
+        assert [_counts(r) for r in reports] == want
+
+
+@pytest.mark.parametrize("n, m", TABLE_SHAPES)
+def test_link_state_counts_equal_the_scalar_reference(n, m):
+    sample = 64
+    mix = _table_mix(n, m, _skewed_beta(n, m) if m % 2 else 1.0, sample)
+    scalar = {"ncc": run_trial_ncc, "cc": run_trial_cc}
+    for scn, report in zip(mix, run_sweep(mix)):
+        trial = scalar.get(scn.scheme, run_trial)
+        for g, (rho, pt) in enumerate(zip(scn.snr_grid, report.points)):
+            gsr, gsd, grd, _ = draw_chunk(scn, chunk_rng(scn.seed, g, 0), sample)
+            fails = np.array([[not ok for ok in trial(scn, rho, TrialDraw(gsr[t], gsd[t], grd[t]))]
+                              for t in range(sample)])
+            assert pt.dest_errors == tuple(int(v) for v in fails.sum(axis=0))
+            assert pt.system_errors == int(fails.any(axis=1).sum())
+
+
+def _record_decides(monkeypatch):
+    """Patch _decide and _failure_table to log (scheme, batch size) and the
+    scenarios tabled."""
+    decides, tabled = [], []
+    decide, failure_table = simkernel._decide, simkernel._failure_table
+
+    def logged_decide(scn, ok_sr, *rest):
+        decides.append((scn.scheme, ok_sr.shape[0]))
+        return decide(scn, ok_sr, *rest)
+
+    def logged_table(scn):
+        tabled.append(scn.scheme)
+        return failure_table(scn)
+
+    monkeypatch.setattr(simkernel, "_decide", logged_decide)
+    monkeypatch.setattr(simkernel, "_failure_table", logged_table)
+    return decides, tabled
+
+
+def test_failure_table_is_built_once_per_scenario_per_sweep(monkeypatch):
+    decides, tabled = _record_decides(monkeypatch)
+    mix = [_scn(scheme=scheme, traffic="unicast", snr_grid=(1.0, 5.0, 25.0),
+                trials=trials, code=CODE22 if scheme == "dncc" else None)
+           for scheme, trials in (("dncc", 1), ("ncc", 1), ("cc", 1))]
+    run_sweep(mix)  # 3 chunks, one trial each
+    mix = [replace(s, trials=2 * CHUNK_TRIALS + 5) for s in mix]
+    run_sweep(mix)  # 9 chunks
+    assert tabled == ["dncc", "selection", "cc"] * 2
+    assert decides == [("dncc", 4096), ("selection", 4096), ("cc", 4096)] * 2
+
+
+def test_rncc_and_wide_networks_are_decided_per_trial(monkeypatch):
+    wide = [Scenario(scheme="dncc", n_sources=n, n_relays=m, snr_grid=(4.0,), trials=50,
+                     code=build_vandermonde(n, m, F8)) for n, m in ((1, 6), (2, 3), (3, 1))]
+    rncc = [_scn(scheme="rncc", code=None, field=F4, n_sources=n, n_relays=m, trials=50,
+                 snr_grid=(4.0,)) for n, m in ((1, 1), (2, 2))]
+    for scn in wide + rncc:
+        assert simkernel._failure_table(scn) is None
+    for n in (1, 2, 3):
+        for m in range(1, 7):
+            scn = Scenario(scheme="cc", traffic="unicast", n_sources=n, n_relays=m,
+                           snr_grid=(4.0,), trials=1)
+            table = simkernel._failure_table(scn)
+            links = n * (n + 2 * m)
+            tabled = (n, m) in TABLE_SHAPES
+            assert (table is not None) == tabled == (links <= simkernel.TABLE_BITS)
+            if table is not None:
+                assert table.shape == (1 << links, n + 1)
+    decides, _ = _record_decides(monkeypatch)
+    for scn in wide + rncc:
+        run_sweep(scn)
+    assert decides == [(s.scheme, 50) for s in wide + rncc]
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.37, 3.0])
+def test_scalar_beta_draw_equals_broadcast_division(beta):
+    scn = _scn(scheme="rncc", code=None, field=F16, n_sources=2, n_relays=3, beta=beta)
+    got = draw_chunk(scn, chunk_rng(5, 1, 2), 1000)
+    rng = chunk_rng(5, 1, 2)
+    want = [rng.standard_exponential((1000,) + shape) / np.full(shape, beta)
+            for shape in ((2, 3), (2, 2), (3, 2))]
+    want.append(rng.integers(0, 16, size=(1000, 3, 2), dtype=np.int64))
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
