@@ -84,15 +84,20 @@ def _apply_config(parser: "_Parser", argv: list) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
+def _field_ell(q: int) -> int:
+    """log2(q); ValueError unless q is a supported field size."""
+    ell = q.bit_length() - 1
+    if q < 2 or q != 1 << ell or ell > MAX_ELL:
+        raise ValueError(f"q must be a power of two with 2 <= q <= 2**{MAX_ELL}, got {q}")
+    return ell
+
+
 def _field_for(q: int | None, n: int, m: int):
     """GF(q) for the run; defaults to the smallest field that admits every
     construction for (N, M), i.e. 2**ell >= N+M+1."""
     if q is None:
         q = 1 << max(1, math.ceil(math.log2(n + m + 1)))
-    ell = q.bit_length() - 1
-    if q < 2 or q != 1 << ell or ell > MAX_ELL:
-        raise ValueError(f"q must be a power of two with 2 <= q <= 2**{MAX_ELL}, got {q}")
-    return field_new(ell)
+    return field_new(_field_ell(q))
 
 
 def _build_code(kind: str, n: int, m: int, field, seed: int):
@@ -162,9 +167,11 @@ def cmd_analyze(args) -> int:
     grid_db = _snr_grid_db(args)
 
     if args.traffic == "multicast":
-        bound, given = analytic.outage_bounds_multicast, args.gamma
+        bound, given, stray = analytic.outage_bounds_multicast, args.gamma, "lam"
     else:
-        bound, given = analytic.outage_bounds_unicast, args.lam
+        bound, given, stray = analytic.outage_bounds_unicast, args.lam, "gamma"
+    if getattr(args, stray) is not None:
+        raise ValueError(f"--{stray} does not apply to {args.traffic} traffic")
     if given is not None:
         thresholds = [given] * n
     else:
@@ -383,6 +390,8 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     try:
         args = _apply_config(parser, list(argv))
+        if args.q is not None:
+            _field_ell(args.q)  # a bad --q fails even where no field is built
         return args.fn(args)
     except (ValueError, OSError) as exc:
         return _die(str(exc))

@@ -41,16 +41,16 @@ so equivalent patterns share one key.  Keys wider than KEY_BITS are
 decided per (trial, j).
 
 The decide reads only link states: _link_states thresholds the gains,
-_decide maps the states (and the selected relays and rncc coefficients)
-to failure flags.  So when the L = NM + N^2 + MN links fit TABLE_BITS
-(N=1 with M <= 5, N=2 with M <= 2), run_sweep decides every one of the
-2**L states once per scenario, with every relay selected, and ships that
-table with the chunk tasks; a chunk then packs each trial's link states
-into a key, and the counts are its key histogram times the table.
-Selection clears the source->relay bits of its unselected relays first:
-a relay that heard nothing never transmits, just as an unselected one.
-rncc, whose relay rows vary per trial, and wider networks are decided
-per trial.
+and _decide maps the states (and rncc's coefficients) to failure flags.
+Selection is applied as links taken down: _selected_links clears the
+source->relay links of the relays it drops, and a relay that heard
+nothing never transmits, just as an unselected one.  So when the
+L = NM + N^2 + MN links fit TABLE_BITS (N=1 with M <= 5, N=2 with
+M <= 2), run_sweep decides every one of the 2**L states once per
+scenario and ships that table with the chunk tasks; a chunk then packs
+each trial's link states into a key, and the counts are its key
+histogram times the table.  rncc, whose relay rows vary per trial, and
+wider networks are decided per trial.
 """
 
 import math
@@ -456,29 +456,39 @@ def _link_states(tau, gsr, gsd, grd):
     return gsr > tau, gsd > tau, grd > tau
 
 
-def _selected(scn, gsr, grd):
-    """(B, M) mask of the relays a selection scenario lets transmit: the
-    k_select best by bottleneck gain (min over the 2N adjacent links), ties
-    toward the lower index.  None, meaning every relay, for other schemes."""
+def _selected_links(scn, ok_sr, gsr, grd):
+    """ok_sr with the source->relay links of every relay that selection
+    drops taken down.  Selection keeps the k_select best relays by
+    bottleneck gain (min over the 2N adjacent links), ties toward the lower
+    index: a relay is kept iff fewer than k_select relays rank ahead of it.
+    A relay that heard no source never transmits, under strategy A and B
+    alike, so _decide then treats a dropped relay as an unselected one.
+    ok_sr itself for other schemes."""
     if scn.scheme != "selection":
-        return None
+        return ok_sr
     # folding over the short source axis beats a reduction along it
     h = np.minimum(gsr[:, 0], grd[:, :, 0])        # (B, M)
     for k in range(1, scn.n_sources):
         np.minimum(h, gsr[:, k], out=h)
         np.minimum(h, grd[:, :, k], out=h)
-    order = np.argsort(-h, axis=1, kind="stable")[:, :scn.k_select]
-    selected = np.zeros(h.shape, dtype=bool)
-    np.put_along_axis(selected, order, True, axis=1)
-    return selected
+    h = np.ascontiguousarray(h.T)  # one contiguous row per relay beats strided columns
+    keep = np.empty(h.shape, dtype=bool)
+    for i in range(scn.n_relays):
+        ahead = np.zeros(h.shape[1], dtype=np.intp)
+        for t in range(scn.n_relays):  # t ranks ahead on a higher gain, or on a tie at t < i
+            if t != i:
+                ahead += h[t] >= h[i] if t < i else h[t] > h[i]
+        np.less(ahead, scn.k_select, out=keep[i])
+    return ok_sr & keep.T[:, None, :]
 
 
-def _decide(scn, ok_sr, ok_sd, ok_rd, selected, coeffs):
+def _decide(scn, ok_sr, ok_sd, ok_rd, coeffs):
     """(B, N) boolean failure flags of B trials from their link states.
 
-    `selected` masks the relays allowed to transmit ((B, M), or None for
-    all of them) and `coeffs` are rncc's (B, M, N) coefficients; cc reads
-    neither.  ncc is decided as _ncc_as_selection(scn).
+    `coeffs` are rncc's (B, M, N) coefficients; the other schemes ignore
+    them.  Selection reaches the decide as its dropped relays' source->relay
+    links taken down (_selected_links); ncc is decided as
+    _ncc_as_selection(scn).
     """
     n, m = scn.n_sources, scn.n_relays
     nb = ok_sr.shape[0]
@@ -499,12 +509,11 @@ def _decide(scn, ok_sr, ok_sd, ok_rd, selected, coeffs):
     heard = ok_sr[:, 0].copy()                  # (B, M)
     for k in range(1, n):
         merge(heard, ok_sr[:, k], out=heard)
-    transmitting = heard if selected is None else heard & selected
     if scn.strategy == "A":
         keep = np.broadcast_to(True, (nb, m, n))
     else:
         keep = ok_sr.transpose(0, 2, 1)         # keep[b, i, k] = relay i decoded k
-    deliver = transmitting[:, :, None] & ok_rd  # deliver[b, i, j]
+    deliver = heard[:, :, None] & ok_rd  # deliver[b, i, j]
 
     # decide each distinct arrival pattern once: from a table of every
     # possible key when keys are narrow, else from the chunk's distinct
@@ -536,20 +545,18 @@ def _decide(scn, ok_sr, ok_sd, ok_rd, selected, coeffs):
 
 def _coop_failures(scn, tau, gsr, gsd, grd, coeffs):
     """(B, N) boolean failure flags of B drawn trials at threshold tau."""
-    return _decide(scn, *_link_states(tau, gsr, gsd, grd), _selected(scn, gsr, grd), coeffs)
-
-
-def _cc_failures(scn, tau, gsr, gsd, grd):
-    return _coop_failures(scn, tau, gsr, gsd, grd, None)
+    ok_sr, ok_sd, ok_rd = _link_states(tau, gsr, gsd, grd)
+    return _decide(scn, _selected_links(scn, ok_sr, gsr, grd), ok_sd, ok_rd, coeffs)
 
 
 def _failure_table(scn):
     """The outcome of every link state of a scenario whose L = NM + N^2 + MN
     links fit TABLE_BITS, as a (2**L, N + 1) bool array: row s holds the
     failure flags of state s (link l up iff bit l of s is set, links in
-    _state_keys order) with every relay selected, then whether any
-    destination fails.  None for rncc, whose relay rows vary per trial,
-    and for wider networks: those are decided per trial."""
+    _state_keys order), then whether any destination fails.  A selection
+    scenario looks up its states after _selected_links has taken its
+    dropped relays' links down.  None for rncc, whose relay rows vary per
+    trial, and for wider networks: those are decided per trial."""
     n, m = scn.n_sources, scn.n_relays
     links = n * m + n * n + m * n
     if scn.scheme == "rncc" or links > TABLE_BITS:
@@ -557,7 +564,7 @@ def _failure_table(scn):
     up = ((np.arange(1 << links)[:, None] >> np.arange(links)) & 1).astype(bool)
     ok_sr, ok_sd, ok_rd = np.split(up, [n * m, n * m + n * n], axis=1)
     fails = _decide(scn, ok_sr.reshape(-1, n, m), ok_sd.reshape(-1, n, n),
-                    ok_rd.reshape(-1, m, n), None, None)
+                    ok_rd.reshape(-1, m, n), None)
     return np.column_stack([fails, fails.any(axis=1)])
 
 
@@ -572,18 +579,6 @@ def _state_keys(ok_sr, ok_sd, ok_rd):
             keys += col * np.uint16(1 << bit)
             bit += 1
     return keys
-
-
-def _drop_unselected(keys, selected, n):
-    """The keys with the source->relay bits of every unselected relay
-    cleared.  A relay that heard no source never transmits, exactly as an
-    unselected one, so the table's every-relay row then gives the outcome."""
-    m = selected.shape[1]
-    out = keys.copy()
-    for i in range(m):
-        bits = np.uint16(sum(1 << (k * m + i) for k in range(n)))
-        out &= ~(~selected[:, i] * bits)
-    return out
 
 
 def _fail_counts(fails):
@@ -614,8 +609,8 @@ def _chunk_counts(plans, grid_index: int, chunk_index: int, count: int):
     its coefficients continue the stream exactly as a lone rncc sweep's
     would, and the other schemes never read them.  Links are thresholded
     once per distinct tau.  A scenario with a table counts the chunk's
-    link-state keys and reads its counts off the table; the others decide
-    every trial."""
+    link-state keys, packed once per tau unless selection took links down,
+    and reads its counts off the table; the others decide every trial."""
     drawer = next((s for s, _ in plans if s.scheme == "rncc"), plans[0][0])
     rng = chunk_rng(drawer.seed, grid_index, chunk_index)
     gsr, gsd, grd, coeffs = draw_chunk(drawer, rng, count)
@@ -624,14 +619,15 @@ def _chunk_counts(plans, grid_index: int, chunk_index: int, count: int):
         tau = tau_for(scn.snr_grid[grid_index], scn.rate_r0)
         if tau not in states:
             states[tau] = _link_states(tau, gsr, gsd, grd)
-        selected = _selected(scn, gsr, grd)
+        ok_sr, ok_sd, ok_rd = states[tau]
+        sr = _selected_links(scn, ok_sr, gsr, grd)
         if table is None:
-            counts.append(_fail_counts(_decide(scn, *states[tau], selected, coeffs)))
+            counts.append(_fail_counts(_decide(scn, sr, ok_sd, ok_rd, coeffs)))
             continue
-        if tau not in keys:
-            keys[tau] = _state_keys(*states[tau])
-        key = keys[tau] if selected is None else _drop_unselected(
-            keys[tau], selected, scn.n_sources)
+        if sr is ok_sr and tau not in keys:
+            keys[tau] = _state_keys(ok_sr, ok_sd, ok_rd)
+        # selection packs its own states, with its dropped relays' links down
+        key = keys[tau] if sr is ok_sr else _state_keys(sr, ok_sd, ok_rd)
         dest_sys = np.bincount(key, minlength=len(table)) @ table
         counts.append((dest_sys[:-1], int(dest_sys[-1])))
     return counts

@@ -340,3 +340,26 @@ def test_field_size_below_two_is_rejected(capsys, command):
     code, out, err = _run(capsys, command, "--q", "0")
     assert (code, out) == (2, "")
     assert err == "error: q must be a power of two with 2 <= q <= 2**16, got 0\n"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("--traffic", "unicast", "--gamma", "3"), "--gamma"),
+    (("--traffic", "multicast", "--lam", "2"), "--lam"),
+])
+def test_analyze_rejects_the_other_traffic_modes_threshold(capsys, argv, flag):
+    code, out, err = _run(capsys, "analyze", "--n", "2", "--m", "2", "--q", "4", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} does not apply to {argv[1]} traffic\n"
+
+
+@pytest.mark.parametrize("argv, q", [
+    (("analyze", "--gamma", "2", "--q", "3"), 3),
+    (("analyze", "--traffic", "unicast", "--lam", "2", "--q", "6"), 6),
+    (("dmt", "--q", "3"), 3),
+    (("simulate", "--scheme", "ncc", "--traffic", "unicast", "--q", "5"), 5),
+    (("simulate", "--scheme", "cc", "--traffic", "unicast", "--q", str(1 << 17)), 1 << 17),
+])
+def test_a_bad_field_size_fails_where_no_field_is_built(capsys, argv, q):
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: q must be a power of two with 2 <= q <= 2**16, got {q}\n"

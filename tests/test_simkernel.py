@@ -39,7 +39,6 @@ from coopcode.simkernel import (
     tau_for,
 )
 from coopcode.simkernel import (
-    _cc_failures,
     _coop_failures,
     _ncc_as_selection,
     _pattern_key,
@@ -254,7 +253,7 @@ def _assert_scalar_matches_batch(scn, rho, trials=250):
         fails = _coop_failures(_ncc_as_selection(scn), tau, gsr, gsd, grd, coeffs)
         runner = run_trial_ncc
     else:
-        fails = _cc_failures(scn, tau, gsr, gsd, grd)
+        fails = _coop_failures(scn, tau, gsr, gsd, grd, None)
         runner = run_trial_cc
     for t in range(trials):
         draw = TrialDraw(gsr[t], gsd[t], grd[t], None if coeffs is None else coeffs[t])
@@ -864,3 +863,77 @@ def test_scalar_beta_draw_equals_broadcast_division(beta):
     want.append(rng.integers(0, 16, size=(1000, 3, 2), dtype=np.int64))
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+# -- selection as links taken down ------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_batched_selection_equals_select_relays_on_tied_gains(n, m):
+    """Gains on a few levels make exact bottleneck ties common; every kept
+    relay set must equal the scalar rule's, ties toward the lower index."""
+    rng = np.random.default_rng(10 * n + m)
+    levels = np.array([0.0, 0.5, 1.0, 2.0])
+    gsr, grd = levels[rng.integers(0, 4, (400, n, m))], levels[rng.integers(0, 4, (400, m, n))]
+    gsd = np.zeros((400, n, n))
+    every_link = np.ones((400, n, m), dtype=bool)
+    for k in range(1, m + 1):
+        scn = _scn(scheme="selection", n_sources=n, n_relays=m, k_select=k,
+                   code=build_vandermonde(n, m, F8))
+        kept = simkernel._selected_links(scn, every_link, gsr, grd)
+        assert (kept == kept[:, :1, :]).all()  # a relay keeps all its links or none
+        for t in range(400):
+            want = select_relays(scn, TrialDraw(gsr[t], gsd[t], grd[t]), k)
+            assert np.flatnonzero(kept[t, 0]).tolist() == sorted(want), (k, t)
+
+
+def _up_down_gains(n, m, tau, states):
+    """Gains 2*tau (up) or 0 (down) for every link, per bit of each state in
+    _state_keys order: sr (k, i), then sd (k, j), then rd (i, j)."""
+    links = n * m + n * n + m * n
+    up = (states[:, None] >> np.arange(links)) & 1
+    gsr, gsd, grd = np.split(2.0 * tau * up, [n * m, n * m + n * n], axis=1)
+    return gsr.reshape(-1, n, m), gsd.reshape(-1, n, n), grd.reshape(-1, m, n)
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 2)])
+def test_selection_decide_on_up_down_gains_matches_run_trial(n, m):
+    """Link states given as up/down gains tie every relay that has all its
+    links up, and every one that has not; the batched decide must still
+    select and decide as run_trial does.  Small shapes are enumerated, the
+    others sampled."""
+    rho = 4.0
+    tau = tau_for(rho, 1.0)
+    links = n * m + n * n + m * n
+    states = (np.arange(1 << links) if links <= 8
+              else np.random.default_rng(links).integers(0, 1 << links, 300))
+    gsr, gsd, grd = _up_down_gains(n, m, tau, states)
+    code = build_cauchy(n, m, F8)
+    for k in range(1, m + 1):
+        for strategy in "AB":
+            for traffic in ("multicast", "unicast"):
+                scn = _scn(scheme="selection", n_sources=n, n_relays=m, k_select=k, code=code,
+                           strategy=strategy, traffic=traffic, snr_grid=(rho,))
+                fails = _coop_failures(scn, tau, gsr, gsd, grd, None)
+                for t in range(len(states)):
+                    got = run_trial(scn, rho, TrialDraw(gsr[t], gsd[t], grd[t]))
+                    assert got == tuple(not f for f in fails[t]), (k, strategy, traffic, t)
+
+
+def test_state_keys_are_packed_once_per_chunk_for_unmasked_scenarios(monkeypatch):
+    """dncc and cc share one packing of the chunk's link states; ncc, whose
+    selection takes links down, packs its own."""
+    calls = []
+    state_keys = simkernel._state_keys
+
+    def counted(*states):
+        calls.append(states[0].shape[0])
+        return state_keys(*states)
+
+    monkeypatch.setattr(simkernel, "_state_keys", counted)
+    mix = [_scn(scheme=scheme, traffic="unicast", snr_grid=(1.0, 10.0),
+                trials=CHUNK_TRIALS + 7, code=CODE22 if scheme == "dncc" else None)
+           for scheme in ("dncc", "ncc", "cc")]
+    run_sweep(mix)  # 2 grid points x 2 chunks
+    assert calls == [CHUNK_TRIALS, CHUNK_TRIALS, 7, 7] * 2
