@@ -144,6 +144,8 @@ def _schemes(args) -> list:
     for s in names:
         if s not in simkernel.SCHEMES:
             raise ValueError(f"unknown scheme {s!r}; choose from {', '.join(simkernel.SCHEMES)}")
+    if getattr(args, "k_select", None) is not None and "selection" not in names:
+        raise ValueError("--k-select applies only to scheme selection, which is not in --scheme")
     return names
 
 
@@ -216,7 +218,7 @@ def _scenario_for(scheme: str, args, grid_rho, r0: float, code, field):
         trials=args.trials,
         seed=args.seed,
         code=code if scheme in ("dncc", "selection") else None,
-        field=field if scheme in ("dncc", "selection", "rncc") else None,
+        field=field if scheme == "rncc" else None,
         strategy=args.strategy,
         traffic=args.traffic,
         beta=args.beta,
@@ -292,14 +294,16 @@ class _Parser(argparse.ArgumentParser):
         return action
 
 
-def _add_common(p, *, grid=False, sim=False):
+def _add_common(p, *, code=False, grid=False, sim=False):
     p.add_argument("--n", type=int, default=2, help="number of sources/destinations N")
     p.add_argument("--m", type=int, default=2, help="number of relays M")
-    p.add_argument("--q", type=int, default=None,
-                   help="field size (power of two); default: smallest admitting N+M+1 points")
-    p.add_argument("--seed", type=int, default=0, help="seed for anything randomized")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.add_argument("--config", default=None, help="key=value file; flags override it")
+    if code:
+        p.add_argument("--q", type=int, default=None,
+                       help="field size (power of two); default: smallest admitting N+M+1 points")
+        p.add_argument("--seed", type=int, default=0, help="seed for anything randomized")
+        p.add_argument("--kind", choices=KIND_CHOICES, default="vandermonde")
     if grid:
         p.add_argument("--beta", type=float, default=1.0,
                        help="exponential rate of every link gain")
@@ -331,13 +335,11 @@ def build_parser() -> _Parser:
         return ap.commands[name]
 
     p = command("construct", "build and serialize a relay coefficient matrix")
-    _add_common(p)
-    p.add_argument("--kind", choices=KIND_CHOICES, default="vandermonde")
+    _add_common(p, code=True)
     p.set_defaults(fn=cmd_construct)
 
     p = command("analyze", "closed-form outage bounds over an SNR sweep")
-    _add_common(p, grid=True)
-    p.add_argument("--kind", choices=KIND_CHOICES, default="vandermonde")
+    _add_common(p, code=True, grid=True)
     p.add_argument("--scheme", default="dncc", help="comma-separated scheme labels")
     p.add_argument("--traffic", choices=("multicast", "unicast"), default="multicast")
     p.add_argument("--gamma", type=int, default=None,
@@ -347,8 +349,7 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=cmd_analyze)
 
     p = command("simulate", "Monte Carlo outage sweep")
-    _add_common(p, grid=True, sim=True)
-    p.add_argument("--kind", choices=KIND_CHOICES, default="vandermonde")
+    _add_common(p, code=True, grid=True, sim=True)
     p.add_argument("--scheme", default="dncc", help="comma-separated subset of "
                    + ",".join(simkernel.SCHEMES))
     p.add_argument("--traffic", choices=("multicast", "unicast"), default="multicast")
@@ -390,8 +391,10 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     try:
         args = _apply_config(parser, list(argv))
-        if args.q is not None:
+        if getattr(args, "q", None) is not None:
             _field_ell(args.q)  # a bad --q fails even where no field is built
+        if getattr(args, "seed", 0) < 0:  # likewise a bad --seed where nothing is drawn
+            raise ValueError(f"seed must be a non-negative integer, got {args.seed}")
         return args.fn(args)
     except (ValueError, OSError) as exc:
         return _die(str(exc))

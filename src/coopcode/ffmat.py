@@ -322,7 +322,7 @@ class FfMatrix:
         return "\n".join(lines) + "\n"
 
 
-def load_matrix(text: str, field: Field | None = None) -> FfMatrix:
+def load_matrix(text: str) -> FfMatrix:
     """Parse the ``q rows cols`` + entries format produced by dump()."""
     tokens = []
     for line in text.splitlines():
@@ -333,13 +333,10 @@ def load_matrix(text: str, field: Field | None = None) -> FfMatrix:
     if len(tokens) < 3:
         raise ValueError("matrix text needs a 'q rows cols' header")
     q, rows, cols = (int(t) for t in tokens[:3])
-    if field is None:
-        ell = q.bit_length() - 1
-        if q != 1 << ell:
-            raise ValueError(f"q must be a power of two, got {q}")
-        field = field_new(ell)
-    elif field.order != q:
-        raise ValueError(f"header q={q} does not match field order {field.order}")
+    ell = q.bit_length() - 1
+    if q != 1 << ell:
+        raise ValueError(f"q must be a power of two, got {q}")
+    field = field_new(ell)
     body = tokens[3:]
     if len(body) != rows * cols:
         raise ValueError(f"expected {rows * cols} entries, got {len(body)}")

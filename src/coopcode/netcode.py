@@ -18,6 +18,7 @@ from .gf import Field, field_new
 from .ffmat import FfMatrix, load_matrix
 
 MDS_EXHAUSTIVE_CAP = 12  # N+M above this makes subset/codeword checks infeasible
+MAX_CODEWORDS = 1 << 20  # min_distance enumerates at most this many codewords
 
 
 class FieldTooSmallError(ValueError):
@@ -220,7 +221,7 @@ def mds_check(code: NetworkCode) -> bool:
         raise ValueError(f"exhaustive check capped at N+M <= {MDS_EXHAUSTIVE_CAP}")
     return _every_n_subset_full_rank(code.matrix, code.n_sources)
 
-def min_distance(code: NetworkCode, max_codewords: int = 1 << 20) -> int:
+def min_distance(code: NetworkCode) -> int:
     """Minimum weight of the length-(N+M) code with parity rows A^T.
 
     Enumerates all q^M codewords (c = (B y, y) with B the relay block
@@ -232,8 +233,8 @@ def min_distance(code: NetworkCode, max_codewords: int = 1 << 20) -> int:
     m = code.n_relays
     if m < 1:
         raise ValueError("code has no relay rows")
-    if q ** m > max_codewords:
-        raise ValueError(f"q^M = {q ** m} codewords exceeds cap {max_codewords}")
+    if q ** m > MAX_CODEWORDS:
+        raise ValueError(f"q^M = {q ** m} codewords exceeds cap {MAX_CODEWORDS}")
     bt = code.relay_block.to_lists()  # rows: relay i coefficients over sources
     best = None
     msg = [0] * m

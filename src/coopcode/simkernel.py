@@ -17,9 +17,9 @@ Reproducibility: trials are processed in fixed-size chunks and the chunk
 seed with spawn key (g, c).  Counts are integers, so results are
 bit-identical no matter how chunks are ordered or spread over workers.
 The key holds no scheme, so schemes with one seed already see identical
-gains (common random numbers); run_sweep over several scenarios draws
-each chunk once and decides every scenario on that draw, with exactly
-the counts separate sweeps would give.
+gains (common random numbers); run_sweep over several scenarios of one
+rate draws and thresholds each chunk once and decides every scenario on
+it, with exactly the counts separate sweeps would give.
 
 Two implementations coexist on purpose: a scalar per-trial reference
 (run_trial*) used by the tests, and a vectorized engine used by
@@ -67,6 +67,7 @@ CHUNK_TRIALS = 1 << 14  # fixed chunk size; part of the reproducibility contract
 TABLE_BITS = 12    # pattern keys and link states this narrow are decided by enumerating them all
 KEY_BITS = 62      # widest pattern key packed into an int64
 RANK_BLOCK = 4096  # matrices per batch_rank call; bounds the decide's memory
+CDF_CHUNK = 1 << 18  # trials per Philox stream of selected_link_gain_cdf; pins its numbers
 
 SCHEMES = ("dncc", "rncc", "selection", "ncc", "cc")
 COOP_SCHEMES = ("dncc", "rncc", "selection")
@@ -607,27 +608,25 @@ def _chunk_counts(plans, grid_index: int, chunk_index: int, count: int):
     each scenario with its _failure_table or None.  The chunk is drawn once
     for all scenarios; the draw is an rncc scenario's when there is one, so
     its coefficients continue the stream exactly as a lone rncc sweep's
-    would, and the other schemes never read them.  Links are thresholded
-    once per distinct tau.  A scenario with a table counts the chunk's
-    link-state keys, packed once per tau unless selection took links down,
-    and reads its counts off the table; the others decide every trial."""
+    would, and the other schemes never read them.  The scenarios share one
+    rate, so links are thresholded once.  A scenario with a table counts
+    the chunk's link-state keys, packed once unless selection took links
+    down, and reads its counts off the table; the others decide every trial."""
     drawer = next((s for s, _ in plans if s.scheme == "rncc"), plans[0][0])
     rng = chunk_rng(drawer.seed, grid_index, chunk_index)
     gsr, gsd, grd, coeffs = draw_chunk(drawer, rng, count)
-    states, keys, counts = {}, {}, []
+    tau = tau_for(drawer.snr_grid[grid_index], drawer.rate_r0)
+    ok_sr, ok_sd, ok_rd = _link_states(tau, gsr, gsd, grd)
+    keys, counts = None, []
     for scn, table in plans:
-        tau = tau_for(scn.snr_grid[grid_index], scn.rate_r0)
-        if tau not in states:
-            states[tau] = _link_states(tau, gsr, gsd, grd)
-        ok_sr, ok_sd, ok_rd = states[tau]
         sr = _selected_links(scn, ok_sr, gsr, grd)
         if table is None:
             counts.append(_fail_counts(_decide(scn, sr, ok_sd, ok_rd, coeffs)))
             continue
-        if sr is ok_sr and tau not in keys:
-            keys[tau] = _state_keys(ok_sr, ok_sd, ok_rd)
+        if sr is ok_sr and keys is None:
+            keys = _state_keys(ok_sr, ok_sd, ok_rd)
         # selection packs its own states, with its dropped relays' links down
-        key = keys[tau] if sr is ok_sr else _state_keys(sr, ok_sd, ok_rd)
+        key = keys if sr is ok_sr else _state_keys(sr, ok_sd, ok_rd)
         dest_sys = np.bincount(key, minlength=len(table)) @ table
         counts.append((dest_sys[:-1], int(dest_sys[-1])))
     return counts
@@ -639,11 +638,11 @@ def _sweep_task(args):
 
 
 def _check_shared(scenarios) -> None:
-    """Scenarios of one sweep must draw identical chunks."""
+    """Scenarios of one sweep must draw and threshold identical chunks."""
     if not scenarios:
         raise ValueError("run_sweep needs at least one scenario")
     first = scenarios[0]
-    for name in ("seed", "n_sources", "n_relays", "snr_grid", "trials", "beta"):
+    for name in ("seed", "n_sources", "n_relays", "snr_grid", "trials", "beta", "rate_r0"):
         if any(getattr(s, name) != getattr(first, name) for s in scenarios):
             raise ValueError(f"scenarios of one sweep must share {name}")
     if len({s.field.order for s in scenarios if s.scheme == "rncc"}) > 1:
@@ -658,9 +657,9 @@ def run_sweep(scn, workers: int = 1):
     `scn` is one Scenario, which gives one OutageReport, or a sequence of
     them, which gives a tuple of OutageReports in the same order.  The
     scenarios of one call share each chunk's draw (common random numbers,
-    as RNG contract v1 already implies for equal seeds), so they must agree
-    on seed, sizes, grid, trials and beta, and rncc ones on field order;
-    every report equals the one a separate call would give."""
+    as RNG contract v1 already implies for equal seeds) and threshold, so
+    they must agree on seed, sizes, grid, trials, beta and rate, and rncc
+    ones on field order; every report equals the one a separate call gives."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     single = isinstance(scn, Scenario)
@@ -699,7 +698,7 @@ def run_sweep(scn, workers: int = 1):
 
 
 def selected_link_gain_cdf(n: int, m: int, beta: float, taus, trials: int,
-                           seed: int = 0, chunk: int = 1 << 18) -> np.ndarray:
+                           seed: int = 0) -> np.ndarray:
     """Empirical P(g <= tau) where g is one adjacent-link gain of the relay
     with the best bottleneck (min over its 2N adjacent links).
 
@@ -710,7 +709,7 @@ def selected_link_gain_cdf(n: int, m: int, beta: float, taus, trials: int,
     done = 0
     ci = 0
     while done < trials:
-        nb = min(chunk, trials - done)
+        nb = min(CDF_CHUNK, trials - done)
         rng = chunk_rng(seed, 0, ci)
         gains = rng.standard_exponential((nb, m, 2 * n)) / beta
         h = gains.min(axis=2)

@@ -164,18 +164,18 @@ def test_simulate_rejects_a_bad_scheme_mix_before_drawing(monkeypatch, capsys):
 @pytest.mark.parametrize("kind, builder", [("vandermonde", "build_vandermonde"),
                                            ("random", "build_random")])
 def test_simulate_builds_one_code_for_every_scheme(monkeypatch, capsys, kind, builder):
-    argv = ["simulate", "--kind", kind, "--q", "8", "--seed", "5", "--k-select", "1",
+    argv = ["simulate", "--kind", kind, "--q", "8", "--seed", "5",
             "--traffic", "unicast", "--trials", "3000", "--snr-start-db", "5",
             "--snr-stop-db", "15", "--snr-step-db", "10"]
     separate = []
-    for scheme in ("dncc", "selection"):
-        code, out, _ = _run(capsys, *argv, "--scheme", scheme)
+    for scheme in (("dncc",), ("selection", "--k-select", "1")):
+        code, out, _ = _run(capsys, *argv, "--scheme", *scheme)
         assert code == 0
         separate.append(out)
     calls = []
     build = getattr(netcode, builder)
     monkeypatch.setattr(netcode, builder, lambda *a: calls.append(a) or build(*a))
-    code, out, _ = _run(capsys, *argv, "--scheme", "dncc,selection")
+    code, out, _ = _run(capsys, *argv, "--scheme", "dncc,selection", "--k-select", "1")
     assert code == 0 and len(calls) == 1
     header = separate[0].splitlines()[0]
     assert out == header + "\n" + "".join(s.split("\n", 1)[1] for s in separate)
@@ -274,6 +274,42 @@ def test_config_bad_value_names_the_key(tmp_path, capsys, key, value, message):
     assert err == f"error: config key '{key}': {message}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--scheme", "dncc", "--k-select", "99", "--trials", "10"),
+    ("simulate", "--scheme", "ncc,cc", "--traffic", "unicast", "--k-select", "1"),
+    ("dmt", "--scheme", "dncc", "--k-select", "99", "--r-points", "2"),
+])
+def test_k_select_without_a_selection_scheme_is_rejected(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == ("error: --k-select applies only to scheme selection, "
+                   "which is not in --scheme\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--gamma", "2", "--kind", "random", "--seed", "-1"),
+    ("construct", "--kind", "vandermonde", "--seed", "-1"),
+    ("simulate", "--scheme", "cc", "--traffic", "unicast", "--seed", "-1"),
+])
+def test_a_negative_seed_fails_where_nothing_is_drawn(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: seed must be a non-negative integer, got {argv[-1]}\n"
+
+
+@pytest.mark.parametrize("flag", ["--q", "--seed"])
+def test_dmt_takes_no_field_or_seed(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["dmt", flag, "4" if flag == "--q" else "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    cfg = tmp_path / "dmt.cfg"
+    cfg.write_text(f"{flag[2:]} = 4\n")
+    code, out, err = _run(capsys, "dmt", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == f"error: unknown config key '{flag[2:]}'\n"
+
+
 @pytest.mark.parametrize("command", ["construct", "analyze"])
 def test_random_code_rejects_a_negative_seed(capsys, command):
     code, out, err = _run(capsys, command, "--kind", "random", "--seed", "-1")
@@ -355,7 +391,6 @@ def test_analyze_rejects_the_other_traffic_modes_threshold(capsys, argv, flag):
 @pytest.mark.parametrize("argv, q", [
     (("analyze", "--gamma", "2", "--q", "3"), 3),
     (("analyze", "--traffic", "unicast", "--lam", "2", "--q", "6"), 6),
-    (("dmt", "--q", "3"), 3),
     (("simulate", "--scheme", "ncc", "--traffic", "unicast", "--q", "5"), 5),
     (("simulate", "--scheme", "cc", "--traffic", "unicast", "--q", str(1 << 17)), 1 << 17),
 ])

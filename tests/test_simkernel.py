@@ -584,6 +584,7 @@ def test_shared_draw_sweep_equals_separate_sweeps(mix, strategy, beta):
     (dict(snr_grid=(1.0, 3.0)), "snr_grid"),
     (dict(trials=5), "trials"),
     (dict(beta=PerLinkBeta.uniform(2, 2, 1.0)), "beta"),
+    (dict(rate_r0=2.0), "rate_r0"),
 ])
 def test_shared_draw_sweep_rejects_scenarios_that_draw_differently(change, name):
     base = _scn()
@@ -726,9 +727,9 @@ def _skewed_beta(n, m):
 
 
 def _table_mix(n, m, beta, trials):
-    """One sweep's worth of scenarios on a table shape: dncc over three codes
-    and selection with every k over two of them (both strategies and traffic
-    modes), ncc, cc, and two at another rate, hence another tau."""
+    """Scenarios on a table shape: dncc over three codes and selection with
+    every k over two of them (both strategies and traffic modes), ncc, cc,
+    and two at another rate, hence another tau, for a sweep of their own."""
     base = dict(n_sources=n, n_relays=m, snr_grid=(2.0, 40.0), trials=trials, seed=n + m,
                 beta=beta)
     codes = (build_cauchy(n, m, F8), build_vandermonde(n, m, F8),
@@ -744,6 +745,15 @@ def _table_mix(n, m, beta, trials):
     mix += [Scenario(scheme=scheme, traffic="unicast", **base) for scheme in ("ncc", "cc")]
     mix += [replace(mix[0], rate_r0=2.5), replace(mix[3], rate_r0=2.5)]
     return mix
+
+
+def _sweep_per_rate(mix, workers=1):
+    """run_sweep's reports for `mix`, in order, from one sweep per rate."""
+    reports = {}
+    for rate in {s.rate_r0 for s in mix}:
+        group = [i for i, s in enumerate(mix) if s.rate_r0 == rate]
+        reports.update(zip(group, run_sweep([mix[i] for i in group], workers=workers)))
+    return [reports[i] for i in range(len(mix))]
 
 
 def _per_trial_counts(scenarios):
@@ -780,7 +790,7 @@ def test_link_state_counts_equal_the_per_trial_path(n, m, beta):
                is not None for s in mix)
     want = _per_trial_counts(mix)
     for workers in (1, 2):
-        reports = run_sweep(mix, workers=workers)
+        reports = _sweep_per_rate(mix, workers=workers)
         assert [_counts(r) for r in reports] == want
 
 
@@ -789,7 +799,7 @@ def test_link_state_counts_equal_the_scalar_reference(n, m):
     sample = 64
     mix = _table_mix(n, m, _skewed_beta(n, m) if m % 2 else 1.0, sample)
     scalar = {"ncc": run_trial_ncc, "cc": run_trial_cc}
-    for scn, report in zip(mix, run_sweep(mix)):
+    for scn, report in zip(mix, _sweep_per_rate(mix)):
         trial = scalar.get(scn.scheme, run_trial)
         for g, (rho, pt) in enumerate(zip(scn.snr_grid, report.points)):
             gsr, gsd, grd, _ = draw_chunk(scn, chunk_rng(scn.seed, g, 0), sample)
