@@ -21,6 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def tau_for(rho: float, rate_r0: float) -> float:
+    """The gain a link needs at SNR rho to carry the per-packet rate r0."""
+    return (2.0 ** rate_r0 - 1.0) / rho
+
+
 @dataclass(frozen=True)
 class LinkParams:
     """Fading/rate operating point shared by the closed-form expressions."""
@@ -52,7 +57,7 @@ class LinkParams:
 
     @property
     def tau(self) -> float:
-        return (2.0 ** self.rate_r0 - 1.0) / self.rho
+        return tau_for(self.rho, self.rate_r0)
 
 
 def p0(lp: LinkParams) -> float:

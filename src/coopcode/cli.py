@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import analytic, netcode, simkernel
-from .gf import MAX_ELL, field_new
+from .gf import field_ell, field_new
 
 KIND_CHOICES = ("vandermonde", "cauchy", "random")
 FMT = "{:.10g}"
@@ -84,28 +84,30 @@ def _apply_config(parser: "_Parser", argv: list) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def _field_ell(q: int) -> int:
-    """log2(q); ValueError unless q is a supported field size."""
-    ell = q.bit_length() - 1
-    if q < 2 or q != 1 << ell or ell > MAX_ELL:
-        raise ValueError(f"q must be a power of two with 2 <= q <= 2**{MAX_ELL}, got {q}")
-    return ell
-
-
 def _field_for(q: int | None, n: int, m: int):
     """GF(q) for the run; defaults to the smallest field that admits every
     construction for (N, M), i.e. 2**ell >= N+M+1."""
     if q is None:
         q = 1 << max(1, math.ceil(math.log2(n + m + 1)))
-    return field_new(_field_ell(q))
+    return field_new(field_ell(q))
 
 
-def _build_code(kind: str, n: int, m: int, field, seed: int):
+def _build_code(kind: str | None, n: int, m: int, field, seed: int):
+    """The --kind code; vandermonde when --kind is not given (None)."""
     if kind == "cauchy":
         return netcode.build_cauchy(n, m, field)
-    if kind == "vandermonde":
-        return netcode.build_vandermonde(n, m, field)
-    return netcode.build_random(n, m, field, seed)
+    if kind == "random":
+        return netcode.build_random(n, m, field, seed)
+    return netcode.build_vandermonde(n, m, field)
+
+
+def _reject_unread(args, where: str, *flags) -> None:
+    """ValueError naming the first of `flags` that was given (is not None):
+    the command does not read it.  Each command checks this after its other
+    inputs, so an input error it already reported keeps its message."""
+    for flag in flags:
+        if getattr(args, flag) is not None:
+            raise ValueError(f"--{flag} applies only {where}")
 
 
 def _snr_grid_db(args) -> list:
@@ -169,9 +171,10 @@ def cmd_analyze(args) -> int:
     grid_db = _snr_grid_db(args)
 
     if args.traffic == "multicast":
-        bound, given, stray = analytic.outage_bounds_multicast, args.gamma, "lam"
+        bound, flag, stray = analytic.outage_bounds_multicast, "gamma", "lam"
     else:
-        bound, given, stray = analytic.outage_bounds_unicast, args.lam, "gamma"
+        bound, flag, stray = analytic.outage_bounds_unicast, "lam", "gamma"
+    given = getattr(args, flag)
     if getattr(args, stray) is not None:
         raise ValueError(f"--{stray} does not apply to {args.traffic} traffic")
     if given is not None:
@@ -205,6 +208,9 @@ def cmd_analyze(args) -> int:
         for s in schemes:
             row[1] = s
             lines.append(",".join(row))
+    if given is not None:
+        _reject_unread(args, f"where a code is built, and analyze builds none "
+                       f"when --{flag} is given", "q", "kind")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -243,6 +249,12 @@ def cmd_simulate(args) -> int:
     if {"dncc", "selection"} & set(schemes):
         code = _build_code(args.kind, n, m, field, args.seed)
     scenarios = [_scenario_for(s, args, grid_rho, r0, code, field) for s in schemes]
+    if code is None:
+        _reject_unread(args, "to schemes dncc and selection, neither of which is in --scheme",
+                       "kind")
+    if field is None:
+        _reject_unread(args, "to schemes dncc, selection and rncc, none of which is in --scheme",
+                       "q")
     reports = simkernel.run_sweep(scenarios, workers=args.workers)
 
     dest_cols = ",".join(f"dest{j}_rate" for j in range(n))
@@ -272,6 +284,9 @@ def cmd_dmt(args) -> int:
         )
         for r in np.linspace(0.0, curve.r_max, args.r_points):
             lines.append(f"{FMT.format(float(r))},{s},{FMT.format(curve.at(float(r)))}")
+    if not {"dncc", "rncc"} & set(schemes):
+        _reject_unread(args, "to schemes dncc and rncc, neither of which is in --scheme",
+                       "gamma")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -303,7 +318,8 @@ def _add_common(p, *, code=False, grid=False, sim=False):
         p.add_argument("--q", type=int, default=None,
                        help="field size (power of two); default: smallest admitting N+M+1 points")
         p.add_argument("--seed", type=int, default=0, help="seed for anything randomized")
-        p.add_argument("--kind", choices=KIND_CHOICES, default="vandermonde")
+        p.add_argument("--kind", choices=KIND_CHOICES, default=None,
+                       help="code construction (default: vandermonde)")
     if grid:
         p.add_argument("--beta", type=float, default=1.0,
                        help="exponential rate of every link gain")
@@ -392,7 +408,7 @@ def main(argv=None) -> int:
     try:
         args = _apply_config(parser, list(argv))
         if getattr(args, "q", None) is not None:
-            _field_ell(args.q)  # a bad --q fails even where no field is built
+            field_ell(args.q)  # a bad --q fails even where no field is built
         if getattr(args, "seed", 0) < 0:  # likewise a bad --seed where nothing is drawn
             raise ValueError(f"seed must be a non-negative integer, got {args.seed}")
         return args.fn(args)

@@ -23,7 +23,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .gf import Field, field_new
+from .gf import Field, field_ell, field_new
 
 SUBSET_ROW_CAP = 24  # exhaustive subset enumeration beyond this is hopeless
 SUBSET_BLOCK = 1024  # row subsets ranked per batch_rank call, bounding memory
@@ -256,17 +256,15 @@ class FfMatrix:
 
     # -- subset-rank metrics ---------------------------------------------------
 
-    def _check_subset_cap(self):
-        if self.rows > SUBSET_ROW_CAP:
-            raise ValueError(
-                f"subset metrics are exhaustive; capped at {SUBSET_ROW_CAP} rows"
-            )
-
     def _level(self, size):
         """``(least rank, spans)`` over every `size`-row subset: spans[j]
         says whether every such subset spans e_j.  Ranked once per matrix,
         SUBSET_BLOCK subsets per batch_rank call, then read from the record."""
         if size not in self._levels:
+            if self.rows > SUBSET_ROW_CAP:
+                raise ValueError(
+                    f"subset metrics are exhaustive; capped at {SUBSET_ROW_CAP} rows"
+                )
             a = self._a.astype(np.int32)
             subsets = combinations(range(self.rows), size)
             least, spans = size, np.ones(self.cols, dtype=bool)
@@ -279,12 +277,13 @@ class FfMatrix:
 
     def kruskal_rank(self) -> int:
         """Largest r such that every set of r rows is linearly independent."""
-        self._check_subset_cap()
         limit = min(self.rows, self.cols)
-        for r in range(1, limit + 1):
+        if self._level(limit)[0] == limit:  # every smaller row set sits inside one
+            return limit
+        for r in range(1, limit):
             if self._level(r)[0] < r:
                 return r - 1
-        return limit
+        return limit - 1
 
     def gamma_rank(self, i: int) -> int:
         """Smallest g such that every set of g rows has rank at least i.
@@ -292,7 +291,6 @@ class FfMatrix:
         Raises ValueError when no such g exists (the full matrix has rank
         below i) or when i is out of range.
         """
-        self._check_subset_cap()
         if not 1 <= i <= min(self.rows, self.cols):
             raise ValueError(f"i must be in [1, {min(self.rows, self.cols)}]")
         for g in range(i, self.rows + 1):
@@ -305,7 +303,6 @@ class FfMatrix:
 
         Returns None when even the full row set does not span e_i.
         """
-        self._check_subset_cap()
         if not 0 <= i < self.cols:
             raise ValueError(f"column index must be in [0, {self.cols})")
         for lam in range(1, self.rows + 1):
@@ -333,10 +330,7 @@ def load_matrix(text: str) -> FfMatrix:
     if len(tokens) < 3:
         raise ValueError("matrix text needs a 'q rows cols' header")
     q, rows, cols = (int(t) for t in tokens[:3])
-    ell = q.bit_length() - 1
-    if q != 1 << ell:
-        raise ValueError(f"q must be a power of two, got {q}")
-    field = field_new(ell)
+    field = field_new(field_ell(q))
     body = tokens[3:]
     if len(body) != rows * cols:
         raise ValueError(f"expected {rows * cols} entries, got {len(body)}")

@@ -155,6 +155,14 @@ class Field:
         return f"Field(ell={self.ell}, prim_poly=0b{self.prim_poly:b})"
 
 
+def field_ell(q: int) -> int:
+    """log2(q); ValueError unless q is a supported field size."""
+    ell = q.bit_length() - 1
+    if q < 2 or q != 1 << ell or ell > MAX_ELL:
+        raise ValueError(f"q must be a power of two with 2 <= q <= 2**{MAX_ELL}, got {q}")
+    return ell
+
+
 @lru_cache(maxsize=None)
 def _cached_field(ell: int, prim_poly: int | None) -> Field:
     return Field(ell, prim_poly)

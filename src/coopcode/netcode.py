@@ -19,6 +19,7 @@ from .ffmat import FfMatrix, load_matrix
 
 MDS_EXHAUSTIVE_CAP = 12  # N+M above this makes subset/codeword checks infeasible
 MAX_CODEWORDS = 1 << 20  # min_distance enumerates at most this many codewords
+_CODEWORD_BLOCK = 1 << 12  # messages multiplied per FfMatrix product, bounding memory
 
 
 class FieldTooSmallError(ValueError):
@@ -79,19 +80,12 @@ class NetworkCode:
         return self.matrix.row_submatrix(range(n, n + self.n_relays))
 
 
-def _every_n_subset_full_rank(matrix: FfMatrix, n: int) -> bool:
-    """Equivalent to kruskal_rank(matrix) == n for an (N+M) x N matrix:
-    any fewer-than-N rows sit inside some N-row subset, so one level of
-    enumeration settles every smaller level too."""
-    return matrix._level(n)[0] == n
-
-
 def _stack_code(field, n, m, relay_rows, construction):
     a = FfMatrix.identity(field, n).vstack(FfMatrix(field, relay_rows))
     code = NetworkCode(n, m, field, a, construction,
                        certified_kappa=n if construction in ("cauchy", "vandermonde") else None)
     if construction in ("cauchy", "vandermonde") and n + m <= MDS_EXHAUSTIVE_CAP:
-        if not _every_n_subset_full_rank(code.matrix, n):
+        if code.matrix.kruskal_rank() != n:
             raise AssertionError(
                 f"{construction} construction lost full diversity"
             )
@@ -219,46 +213,29 @@ def mds_check(code: NetworkCode) -> bool:
     size = code.n_sources + code.n_relays
     if size > MDS_EXHAUSTIVE_CAP:
         raise ValueError(f"exhaustive check capped at N+M <= {MDS_EXHAUSTIVE_CAP}")
-    return _every_n_subset_full_rank(code.matrix, code.n_sources)
+    return code.matrix.kruskal_rank() == code.n_sources
+
 
 def min_distance(code: NetworkCode) -> int:
     """Minimum weight of the length-(N+M) code with parity rows A^T.
 
     Enumerates all q^M codewords (c = (B y, y) with B the relay block
-    transposed), so it is only usable for small M and q.  Full diversity
-    is equivalent to min_distance == N + 1.
+    transposed), _CODEWORD_BLOCK messages y at a time, so it is only usable
+    for small M and q.  Full diversity is equivalent to min_distance == N + 1.
     """
-    f = code.field
-    q = f.order
+    q = code.field.order
     m = code.n_relays
     if m < 1:
         raise ValueError("code has no relay rows")
     if q ** m > MAX_CODEWORDS:
         raise ValueError(f"q^M = {q ** m} codewords exceeds cap {MAX_CODEWORDS}")
-    bt = code.relay_block.to_lists()  # rows: relay i coefficients over sources
-    best = None
-    msg = [0] * m
-    for idx in range(1, q ** m):
-        # next message vector in base-q odometer order
-        k = 0
-        while True:
-            msg[k] += 1
-            if msg[k] < q:
-                break
-            msg[k] = 0
-            k += 1
-        x = [0] * code.n_sources
-        for i in range(m):
-            yi = msg[i]
-            if yi:
-                for j in range(code.n_sources):
-                    if bt[i][j]:
-                        x[j] ^= f.mul(yi, bt[i][j])
-        w = sum(1 for v in x if v) + sum(1 for v in msg if v)
-        if best is None or w < best:
-            best = w
-            if best == 1:
-                break
+    relay, place = code.relay_block, q ** np.arange(m)
+    best = code.n_sources + m
+    for start in range(1, q ** m, _CODEWORD_BLOCK):
+        # the nonzero messages from `start` on, as rows of base-q digits
+        ys = np.arange(start, min(start + _CODEWORD_BLOCK, q ** m))[:, None] // place % q
+        xs = (FfMatrix(code.field, ys) @ relay).to_array()
+        best = min(best, int(((xs != 0).sum(axis=1) + (ys != 0).sum(axis=1)).min()))
     return best
 
 
@@ -295,7 +272,7 @@ def load_code(text: str) -> NetworkCode:
         # check confirms it, drop it where that check is out of reach
         kappa = meta.get("certified_kappa")
         if not (kappa == n and mat.rows <= MDS_EXHAUSTIVE_CAP
-                and _every_n_subset_full_rank(mat, n)):
+                and mat.kruskal_rank() == n):
             kappa = None
         code = NetworkCode(code.n_sources, code.n_relays, code.field,
                            code.matrix, construction, kappa)

@@ -62,6 +62,7 @@ import numpy as np
 from .gf import Field, field_new
 from .ffmat import FfMatrix, batch_rank, unit_spans
 from .netcode import NetworkCode, build_explicit
+from .analytic import tau_for
 
 CHUNK_TRIALS = 1 << 14  # fixed chunk size; part of the reproducibility contract
 TABLE_BITS = 12    # pattern keys and link states this narrow are decided by enumerating them all
@@ -201,10 +202,6 @@ class OutageReport:
     points: tuple  # of SweepPoint, one per snr_grid entry
 
 
-def tau_for(rho: float, rate_r0: float) -> float:
-    return (2.0 ** rate_r0 - 1.0) / rho
-
-
 # -- scalar reference implementation ------------------------------------------
 
 
@@ -218,6 +215,13 @@ def select_relays(scn: Scenario, draw: TrialDraw, k: int):
          for i in range(m)]
     order = sorted(range(m), key=lambda i: (-h[i], i))
     return order[:k]
+
+
+def _trial_links(scn: Scenario, rho: float, draw: TrialDraw):
+    """(ok_sr, ok_sd, ok_rd) of one trial at SNR rho: gain > tau, computed
+    here rather than by the batched engine, so the oracles stay independent."""
+    tau = tau_for(rho, scn.rate_r0)
+    return tuple(np.asarray(g) > tau for g in (draw.gsr, draw.gsd, draw.grd))
 
 
 def _relay_coeff_rows(scn: Scenario, draw: TrialDraw):
@@ -237,10 +241,7 @@ def run_trial(scn: Scenario, rho: float, draw: TrialDraw):
         raise ValueError("run_trial handles dncc/rncc/selection; "
                          "use run_trial_ncc or run_trial_cc")
     n, m = scn.n_sources, scn.n_relays
-    tau = tau_for(rho, scn.rate_r0)
-    ok_sr = np.asarray(draw.gsr) > tau
-    ok_sd = np.asarray(draw.gsd) > tau
-    ok_rd = np.asarray(draw.grd) > tau
+    ok_sr, ok_sd, ok_rd = _trial_links(scn, rho, draw)
 
     coeff_rows, fld = _relay_coeff_rows(scn, draw)
     active = (set(select_relays(scn, draw, scn.k_select))
@@ -285,10 +286,7 @@ def run_trial_ncc(scn: Scenario, rho: float, draw: TrialDraw):
     link is up, or the selected relay decoded everything, reaches j, and
     j overheard all the other N-1 sources directly."""
     n, m = scn.n_sources, scn.n_relays
-    tau = tau_for(rho, scn.rate_r0)
-    ok_sr = np.asarray(draw.gsr) > tau
-    ok_sd = np.asarray(draw.gsd) > tau
-    ok_rd = np.asarray(draw.grd) > tau
+    ok_sr, ok_sd, ok_rd = _trial_links(scn, rho, draw)
     best = select_relays(scn, draw, 1)[0]
     relay_decoded = all(ok_sr[k, best] for k in range(n))
     flags = []
@@ -303,10 +301,7 @@ def run_trial_cc(scn: Scenario, rho: float, draw: TrialDraw):
     """Repetition relaying: destination j succeeds iff its direct link is
     up or some relay both decoded source j and reaches destination j."""
     n, m = scn.n_sources, scn.n_relays
-    tau = tau_for(rho, scn.rate_r0)
-    ok_sr = np.asarray(draw.gsr) > tau
-    ok_sd = np.asarray(draw.gsd) > tau
-    ok_rd = np.asarray(draw.grd) > tau
+    ok_sr, ok_sd, ok_rd = _trial_links(scn, rho, draw)
     flags = []
     for j in range(n):
         relayed = any(ok_sr[j, i] and ok_rd[i, j] for i in range(m))

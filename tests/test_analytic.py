@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from coopcode import simkernel
 from coopcode.analytic import (
     DmtCurve,
     LinkParams,
@@ -19,6 +20,7 @@ from coopcode.analytic import (
     p_relay_all,
     selection_cdf_approx,
     system_outage,
+    tau_for,
 )
 
 
@@ -35,6 +37,15 @@ def test_link_params_rate_relation():
     same = _lp(10.0)
     assert same.rate_r == pytest.approx(0.5)
     assert same.tau == pytest.approx(lp.tau)
+
+
+def test_link_params_tau_is_tau_for_bit_for_bit():
+    assert simkernel.tau_for is tau_for  # the simulator thresholds with the same tau
+    rng = random.Random(11)
+    for _ in range(200):
+        lp = _lp(10.0 ** rng.uniform(-2, 8), n=rng.randrange(1, 7), m=rng.randrange(0, 7),
+                 beta=rng.uniform(0.1, 4.0), r0=rng.uniform(0.01, 8.0))
+        assert lp.tau == tau_for(lp.rho, lp.rate_r0) == (2.0 ** lp.rate_r0 - 1.0) / lp.rho
 
 
 def test_link_params_validation():

@@ -398,3 +398,80 @@ def test_a_bad_field_size_fails_where_no_field_is_built(capsys, argv, q):
     code, out, err = _run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"error: q must be a power of two with 2 <= q <= 2**16, got {q}\n"
+
+
+def test_dmt_gamma_without_a_coded_scheme_is_rejected(capsys):
+    code, out, err = _run(capsys, "dmt", "--scheme", "ncc,cc", "--gamma", "99", "--r-points", "2")
+    assert (code, out) == (2, "")
+    assert err == ("error: --gamma applies only to schemes dncc and rncc, "
+                   "neither of which is in --scheme\n")
+
+
+def test_dmt_gamma_with_a_coded_scheme_shapes_only_that_curve(capsys):
+    code, out, err = _run(capsys, "dmt", "--scheme", "dncc,ncc", "--gamma", "2", "--r-points", "2")
+    assert (code, err) == (0, "")
+    _, rows = _rows(out)
+    assert rows == [["0", "dncc", "3"], ["0.5", "dncc", "0"],
+                    ["0", "ncc", "2"], ["0.6666666667", "ncc", "0"]]
+
+
+_NO_CODE = "where a code is built, and analyze builds none when"
+_NO_CODE_SCHEME = "to schemes dncc and selection, neither of which is in --scheme"
+_NO_FIELD_SCHEME = "to schemes dncc, selection and rncc, none of which is in --scheme"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("analyze", "--gamma", "2", "--kind", "random", "--q", "8"),
+     f"--q applies only {_NO_CODE} --gamma is given"),
+    (("analyze", "--gamma", "2", "--kind", "random"),
+     f"--kind applies only {_NO_CODE} --gamma is given"),
+    (("analyze", "--gamma", "2", "--kind", "vandermonde"),
+     f"--kind applies only {_NO_CODE} --gamma is given"),
+    (("analyze", "--traffic", "unicast", "--lam", "2", "--q", "4"),
+     f"--q applies only {_NO_CODE} --lam is given"),
+    (("simulate", "--scheme", "cc", "--traffic", "unicast", "--kind", "random"),
+     f"--kind applies only {_NO_CODE_SCHEME}"),
+    (("simulate", "--scheme", "rncc", "--kind", "cauchy"),
+     f"--kind applies only {_NO_CODE_SCHEME}"),
+    (("simulate", "--scheme", "cc", "--traffic", "unicast", "--q", "8"),
+     f"--q applies only {_NO_FIELD_SCHEME}"),
+    (("simulate", "--scheme", "ncc,cc", "--traffic", "unicast", "--q", "4"),
+     f"--q applies only {_NO_FIELD_SCHEME}"),
+])
+def test_kind_and_q_without_a_reader_are_rejected(capsys, argv, message):
+    code, out, err = _run(capsys, *argv, *(("--trials", "10") if argv[0] == "simulate" else ()))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("analyze", ("--gamma", "2")),
+    ("simulate", ("--scheme", "cc", "--traffic", "unicast", "--trials", "10")),
+])
+def test_a_config_file_kind_counts_as_given(tmp_path, capsys, command, argv):
+    cfg = tmp_path / "kind.cfg"
+    cfg.write_text("kind = vandermonde\n")
+    code, out, err = _run(capsys, command, "--config", str(cfg), *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --kind applies only ")
+
+
+def test_rncc_alone_reads_q(capsys):
+    code, out, err = _run(capsys, "simulate", "--scheme", "rncc", "--q", "8", "--trials", "10")
+    assert code == 0 and out and err == ""
+
+
+def test_kind_defaults_to_vandermonde_where_it_is_read(capsys):
+    outs = [_run(capsys, "construct", "--q", "8", *kind)[1] for kind in ((), ("--kind", "vandermonde"))]
+    assert outs[0] == outs[1] and '"construction": "vandermonde"' in outs[0]
+
+
+@pytest.mark.parametrize("argv, message", [
+    # a threshold out of range is reported before the unread --kind
+    (("analyze", "--gamma", "9", "--kind", "random"), "gamma_n must be in [N, N+M] = [2, 4]"),
+    # so is a scheme that the traffic mode does not support
+    (("simulate", "--scheme", "cc", "--traffic", "multicast", "--kind", "random"),
+     "cc supports unicast traffic only"),
+])
+def test_an_earlier_input_error_keeps_its_message(capsys, argv, message):
+    code, out, err = _run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")

@@ -132,6 +132,25 @@ def test_kruskal_rank_examples():
     assert FfMatrix(F4, [[0, 0]]).kruskal_rank() == 0
 
 
+def test_kruskal_rank_matches_the_level_by_level_definition():
+    # the largest r whose every r-row subset is independent, read off the
+    # span oracle; random matrices with rows < cols and duplicated rows too
+    rng = random.Random(41)
+    for field in (F2, F4, F16):
+        for trial in range(40):
+            rows, cols = rng.randrange(1, 7), rng.randrange(1, 5)
+            m = _random_matrix(field, rows, cols, rng)
+            if trial % 4 == 0:
+                m = m.vstack(m.row_submatrix([rng.randrange(rows)]))
+            want = 0
+            for r in range(1, min(m.rows, m.cols) + 1):
+                if any(_rank_oracle(m.row_submatrix(s)) < r
+                       for s in combinations(range(m.rows), r)):
+                    break
+                want = r
+            assert m.kruskal_rank() == want, m.to_lists()
+
+
 def test_gamma_rank_examples():
     assert FfMatrix.identity(F4, 3).gamma_rank(3) == 3  # every row needed
     assert EXAMPLE_A.gamma_rank(2) == 2
@@ -211,10 +230,13 @@ def test_kruskal_gamma_lambda_relations_on_random_matrices():
             assert gamma == max(lams)
 
 
-def test_row_cap_enforced():
+@pytest.mark.parametrize("metric, args", [("kruskal_rank", ()), ("gamma_rank", (1,)),
+                                          ("lambda_rank", (0,))],
+                         ids=["kruskal_rank", "gamma_rank", "lambda_rank"])
+def test_row_cap_enforced(metric, args):
     too_tall = FfMatrix(F2, [[1]] * (SUBSET_ROW_CAP + 1))
-    with pytest.raises(ValueError):
-        too_tall.kruskal_rank()
+    with pytest.raises(ValueError, match=f"capped at {SUBSET_ROW_CAP} rows"):
+        getattr(too_tall, metric)(*args)
 
 
 def test_dump_load_roundtrip():
@@ -227,8 +249,11 @@ def test_dump_load_roundtrip():
 
 
 def test_load_matrix_rejects_bad_field():
-    with pytest.raises(ValueError):
-        load_matrix("3 1 1\n0\n")  # q=3 is not a power of two
+    # q=3 is not a power of two; every bad header q gets the CLI's --q message
+    for q in (0, 1, 3, 6, 1 << 17):
+        with pytest.raises(ValueError) as exc:
+            load_matrix(f"{q} 1 1\n0\n")
+        assert str(exc.value) == f"q must be a power of two with 2 <= q <= 2**16, got {q}"
 
 
 def test_row_submatrix_and_transpose():

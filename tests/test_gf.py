@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from coopcode.gf import DEFAULT_PRIM_POLY, MAX_ELL, Field, field_new
+from coopcode.gf import DEFAULT_PRIM_POLY, MAX_ELL, Field, field_ell, field_new
 
 
 def test_field_new_basics():
@@ -225,3 +225,10 @@ def test_default_poly_table_sane():
     assert set(DEFAULT_PRIM_POLY) == set(range(1, MAX_ELL + 1))
     for ell, poly in DEFAULT_PRIM_POLY.items():
         assert poly >> ell == 1  # degree exactly ell
+
+
+def test_field_ell_accepts_exactly_the_supported_field_sizes():
+    assert [field_ell(1 << ell) for ell in range(1, MAX_ELL + 1)] == list(range(1, MAX_ELL + 1))
+    for q in (-4, 0, 1, 3, 6, 1 << (MAX_ELL + 1)):
+        with pytest.raises(ValueError, match=f"2 <= q <= 2\\*\\*{MAX_ELL}, got {q}$"):
+            field_ell(q)

@@ -203,6 +203,31 @@ def test_mds_check_and_min_distance():
     assert min_distance(dup) == 2
 
 
+def test_min_distance_is_n_plus_1_iff_every_n_rows_are_independent():
+    # the paper's link: A is a full-diversity code iff A^T is the parity
+    # check of an (N+M, M, N+1) MDS code; min_distance enumerates codewords,
+    # mds_check and kruskal_rank rank row subsets
+    rng = random.Random(53)
+    seen, cases = set(), 0
+    while cases < 360:
+        ell, n, m = rng.randrange(1, 5), rng.randrange(1, 5), rng.randrange(1, 5)
+        if (1 << ell) ** m > 4096:
+            continue
+        cases += 1
+        code = build_random(n, m, field_new(ell), seed=cases)
+        mds = mds_check(code)
+        assert (min_distance(code) == n + 1) == mds == (code.matrix.kruskal_rank() == n)
+        seen.add(mds)
+    assert seen == {True, False}
+
+
+def test_min_distance_errors():
+    with pytest.raises(ValueError, match="no relay rows"):
+        min_distance(build_explicit(FfMatrix.identity(F4, 2), 2))
+    with pytest.raises(ValueError, match="exceeds cap"):
+        min_distance(build_random(2, 6, F16, seed=0))  # 16**6 > 2**20 codewords
+
+
 def test_mds_check_cap():
     code = build_random(7, 6, F16, seed=0)
     with pytest.raises(ValueError, match="capped"):
