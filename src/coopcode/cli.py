@@ -28,6 +28,7 @@ from .gf import field_ell, field_new
 
 KIND_CHOICES = ("vandermonde", "cauchy", "random")
 FMT = "{:.10g}"
+MAX_GRID_POINTS = 10 ** 6  # SNR and r grids are refused beyond this many points
 
 
 def _die(msg: str) -> int:
@@ -93,11 +94,12 @@ def _field_for(q: int | None, n: int, m: int):
 
 
 def _build_code(kind: str | None, n: int, m: int, field, seed: int):
-    """The --kind code; vandermonde when --kind is not given (None)."""
+    """The --kind code; vandermonde when --kind is not given (None), and a
+    random code's seed is 0 when --seed is not given (None)."""
     if kind == "cauchy":
         return netcode.build_cauchy(n, m, field)
     if kind == "random":
-        return netcode.build_random(n, m, field, seed)
+        return netcode.build_random(n, m, field, seed or 0)
     return netcode.build_vandermonde(n, m, field)
 
 
@@ -121,6 +123,9 @@ def _snr_grid_db(args) -> list:
         raise ValueError("snr-step-db must be positive")
     if stop < start:
         raise ValueError("snr-stop-db must be >= snr-start-db")
+    if (stop - start + 1e-9) / step >= MAX_GRID_POINTS:
+        raise ValueError(f"--snr-step-db gives more than {MAX_GRID_POINTS} grid points "
+                         f"from {start} to {stop} dB")
     grid = []
     i = 0
     while (db := start + i * step) <= stop + 1e-9:
@@ -157,6 +162,8 @@ def _schemes(args) -> list:
 def cmd_construct(args) -> int:
     field = _field_for(args.q, args.n, args.m)
     code = _build_code(args.kind, args.n, args.m, field, args.seed)
+    if args.kind != "random":
+        _reject_unread(args, "to --kind random", "seed")
     _emit(netcode.dump_code(code), args.out)
     return 0
 
@@ -210,7 +217,9 @@ def cmd_analyze(args) -> int:
             lines.append(",".join(row))
     if given is not None:
         _reject_unread(args, f"where a code is built, and analyze builds none "
-                       f"when --{flag} is given", "q", "kind")
+                       f"when --{flag} is given", "q", "kind", "seed")
+    elif args.kind != "random":
+        _reject_unread(args, "to --kind random", "seed")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -222,7 +231,7 @@ def _scenario_for(scheme: str, args, grid_rho, r0: float, code, field):
         n_relays=args.m,
         snr_grid=tuple(grid_rho),
         trials=args.trials,
-        seed=args.seed,
+        seed=args.seed or 0,
         code=code if scheme in ("dncc", "selection") else None,
         field=field if scheme == "rncc" else None,
         strategy=args.strategy,
@@ -277,6 +286,8 @@ def cmd_dmt(args) -> int:
     schemes = _schemes(args)
     if args.r_points < 2:
         raise ValueError("r-points must be >= 2")
+    if args.r_points > MAX_GRID_POINTS:
+        raise ValueError(f"--r-points must be <= {MAX_GRID_POINTS}, got {args.r_points}")
     lines = ["r,scheme,d"]
     for s in schemes:
         curve = analytic.dmt_curve(
@@ -317,7 +328,8 @@ def _add_common(p, *, code=False, grid=False, sim=False):
     if code:
         p.add_argument("--q", type=int, default=None,
                        help="field size (power of two); default: smallest admitting N+M+1 points")
-        p.add_argument("--seed", type=int, default=0, help="seed for anything randomized")
+        p.add_argument("--seed", type=int, default=None,
+                       help="seed of a --kind random code and of simulate's draws (default 0)")
         p.add_argument("--kind", choices=KIND_CHOICES, default=None,
                        help="code construction (default: vandermonde)")
     if grid:
@@ -409,7 +421,7 @@ def main(argv=None) -> int:
         args = _apply_config(parser, list(argv))
         if getattr(args, "q", None) is not None:
             field_ell(args.q)  # a bad --q fails even where no field is built
-        if getattr(args, "seed", 0) < 0:  # likewise a bad --seed where nothing is drawn
+        if (getattr(args, "seed", None) or 0) < 0:  # likewise a bad --seed where nothing is drawn
             raise ValueError(f"seed must be a non-negative integer, got {args.seed}")
         return args.fn(args)
     except (ValueError, OSError) as exc:

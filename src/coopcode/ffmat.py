@@ -1,10 +1,13 @@
 """Dense matrices over GF(2^l): elimination, solving, and subset-rank metrics.
 
 Everything here is exact arithmetic (Gauss-Jordan elimination with
-deterministic pivoting: first nonzero entry, lowest row index).  Single
-matrices are reduced in pure Python (rank, solve, solve_any).  Stacks of
+deterministic pivoting: first nonzero entry, lowest row index).  Stacks of
 matrices are reduced at once in numpy by batch_rank, which leaves each one
-in reduced row-echelon form; the simulator's decide uses it too.
+in reduced row-echelon form; the simulator's decide uses it too, and so do
+solve, solve_any and invert, as a one-matrix stack.  Products (@) go
+through the field's numpy log/antilog tables.  FfMatrix.rank is the one
+pure-Python elimination: the scalar reference the batched paths are tested
+against.
 
 The subset metrics kruskal_rank / gamma_rank / lambda_rank, and the MDS
 certification in netcode, enumerate row subsets exhaustively, one subset
@@ -155,34 +158,22 @@ class FfMatrix:
             raise ValueError("mixed fields")
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        f = self.field
-        left = self.to_lists()
-        right = other.to_lists()
-        out = [[0] * other.cols for _ in range(self.rows)]
-        for i in range(self.rows):
-            li = left[i]
-            oi = out[i]
-            for k in range(self.cols):
-                v = li[k]
-                if v == 0:
-                    continue
-                rk = right[k]
-                for j in range(other.cols):
-                    if rk[j]:
-                        oi[j] ^= f.mul(v, rk[j])
-        return FfMatrix(f, out)
+        log_t, exp2_t, _ = self.field.np_tables()
+        left, right = log_t[self._a], log_t[other._a]
+        out = np.zeros((self.rows, other.cols), dtype=np.int32)
+        for k in range(self.cols):  # one inner index at a time: memory stays rows x cols
+            out ^= exp2_t[left[:, k, None] + right[k]]
+        return FfMatrix(self.field, out)
 
     # -- elimination ---------------------------------------------------------
 
-    def _eliminate(self, work, ncols):
-        """Gauss-Jordan on the list-of-lists `work` in place, pivoting over
-        its first `ncols` columns only; any further columns are right-hand
-        sides carried along.  Returns the pivot column list."""
+    def rank(self) -> int:
+        """Rank by Gauss-Jordan elimination in pure Python: the scalar
+        reference that batch_rank and the simulator are tested against."""
         f = self.field
         mul, inv = f.mul, f.inv
-        nrows = len(work)
-        width = len(work[0]) if nrows else 0
-        pivots = []
+        work = self.to_lists()
+        nrows, ncols = self.rows, self.cols
         r = 0
         for c in range(ncols):
             pr = None
@@ -196,7 +187,7 @@ class FfMatrix:
             pv = inv(work[r][c])
             if pv != 1:
                 row = work[r]
-                for j in range(c, width):
+                for j in range(c, ncols):
                     if row[j]:
                         row[j] = mul(pv, row[j])
             prow = work[r]
@@ -204,19 +195,13 @@ class FfMatrix:
                 if i != r and work[i][c]:
                     fac = work[i][c]
                     row = work[i]
-                    for j in range(c, width):
+                    for j in range(c, ncols):
                         if prow[j]:
                             row[j] ^= mul(fac, prow[j])
-            pivots.append(c)
             r += 1
             if r == nrows:
                 break
-        return pivots
-
-    def rank(self) -> int:
-        if self.rows == 0 or self.cols == 0:
-            return 0
-        return len(self._eliminate(self.to_lists(), self.cols))
+        return r
 
     def solve(self, b: "FfMatrix") -> "FfMatrix | None":
         """Unique X with self @ X == b, or None (inconsistent/underdetermined)."""
@@ -231,20 +216,16 @@ class FfMatrix:
             raise ValueError("rhs must be an FfMatrix over the same field")
         if b.rows != self.rows:
             raise ValueError("rhs row count mismatch")
-        n, k = self.cols, b.cols
-        work = [list(ra) + list(rb) for ra, rb in zip(self.to_lists(), b.to_lists())]
-        if not work:
-            return FfMatrix.zeros(self.field, n, k)
-        pivots = self._eliminate(work, n)
-        for row in work[len(pivots):]:  # zero coefficient row, nonzero rhs?
-            if any(row[n:]):
-                return None
-        if require_unique and len(pivots) < n:
-            return None
-        out = [[0] * k for _ in range(n)]
-        for ridx, c in enumerate(pivots):
-            out[c] = work[ridx][n:]
-        return FfMatrix(self.field, out)
+        n = self.cols
+        work = np.hstack([self._a, b._a]).astype(np.int32)[None]
+        rank = int(batch_rank(work, self.field)[0])
+        rows = work[0, :rank]  # reduced [A | b]: pivot 1s in increasing columns
+        pivots = [int(np.flatnonzero(row)[0]) for row in rows]
+        if (pivots and pivots[-1] >= n) or (require_unique and rank < n):
+            return None  # a pivot in b's columns: inconsistent; rank < n: not unique
+        x = np.zeros((n, b.cols), dtype=np.int64)
+        x[pivots] = rows[:, n:]
+        return FfMatrix(self.field, x)
 
     def invert(self) -> "FfMatrix":
         if self.rows != self.cols:
@@ -331,9 +312,9 @@ def load_matrix(text: str) -> FfMatrix:
         raise ValueError("matrix text needs a 'q rows cols' header")
     q, rows, cols = (int(t) for t in tokens[:3])
     field = field_new(field_ell(q))
+    if rows < 0 or cols < 0:
+        raise ValueError(f"rows and cols must be non-negative, got {rows} {cols}")
     body = tokens[3:]
     if len(body) != rows * cols:
         raise ValueError(f"expected {rows * cols} entries, got {len(body)}")
-    vals = [int(t) for t in body]
-    entries = [vals[r * cols:(r + 1) * cols] for r in range(rows)]
-    return FfMatrix(field, entries)
+    return FfMatrix(field, np.array([int(t) for t in body], dtype=np.int64).reshape(rows, cols))

@@ -475,3 +475,87 @@ def test_kind_defaults_to_vandermonde_where_it_is_read(capsys):
 def test_an_earlier_input_error_keeps_its_message(capsys, argv, message):
     code, out, err = _run(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+_NO_SEED_KIND = "--seed applies only to --kind random"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("construct", "--kind", "cauchy", "--q", "8", "--seed", "5"), _NO_SEED_KIND),
+    (("construct", "--q", "8", "--seed", "5"), _NO_SEED_KIND),
+    (("analyze", "--q", "8", "--seed", "5"), _NO_SEED_KIND),
+    (("analyze", "--traffic", "unicast", "--kind", "vandermonde", "--seed", "0"), _NO_SEED_KIND),
+    (("analyze", "--gamma", "2", "--seed", "5"), f"--seed applies only {_NO_CODE} --gamma is given"),
+    (("analyze", "--traffic", "unicast", "--lam", "2", "--seed", "5"),
+     f"--seed applies only {_NO_CODE} --lam is given"),
+])
+def test_seed_without_a_random_code_is_rejected(capsys, argv, message):
+    code, out, err = _run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    # the code's own input errors, and the --q / --kind rejections, come first
+    (("construct", "--kind", "cauchy", "--q", "4", "--n", "3", "--m", "2", "--seed", "5"),
+     "q=4 < N+M=5"),
+    (("analyze", "--gamma", "2", "--kind", "random", "--seed", "5"),
+     f"--kind applies only {_NO_CODE} --gamma is given"),
+    (("analyze", "--gamma", "2", "--q", "8", "--seed", "5"),
+     f"--q applies only {_NO_CODE} --gamma is given"),
+    (("analyze", "--gamma", "9", "--seed", "5"), "gamma_n must be in [N, N+M] = [2, 4]"),
+])
+def test_an_earlier_input_error_comes_before_an_unread_seed(capsys, argv, message):
+    code, out, err = _run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_a_config_file_seed_counts_as_given(tmp_path, capsys):
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("seed = 5\n")
+    assert _run(capsys, "construct", "--config", str(cfg)) == (2, "", f"error: {_NO_SEED_KIND}\n")
+    code, out, err = _run(capsys, "construct", "--config", str(cfg), "--kind", "random")
+    assert (code, err) == (0, "") and out == _run(capsys, "construct", "--kind", "random",
+                                                  "--seed", "5")[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ("construct", "--kind", "random"),
+    ("analyze", "--kind", "random"),
+    ("simulate", "--scheme", "dncc,rncc", "--kind", "random", "--trials", "100"),
+    ("simulate", "--scheme", "cc", "--traffic", "unicast", "--trials", "100"),
+])
+def test_seed_defaults_to_zero_where_it_is_read(capsys, argv):
+    default, explicit = _run(capsys, *argv), _run(capsys, *argv, "--seed", "0")
+    assert default == explicit and default[0] == 0 and default[1]
+
+
+# The grid-cap tests patch the cap down to 5 points, or keep numpy from
+# building the r grid, so that a missing check fails them without allocating.
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_an_snr_grid_beyond_the_cap_is_rejected_before_it_is_built(monkeypatch, capsys, command):
+    monkeypatch.setattr(cli, "MAX_GRID_POINTS", 5)
+    code, out, err = _run(capsys, command, "--snr-stop-db", "2.5", "--snr-step-db", "0.5")
+    assert (code, out) == (2, "")
+    assert err == "error: --snr-step-db gives more than 5 grid points from 0.0 to 2.5 dB\n"
+
+
+def test_dmt_r_points_beyond_the_cap_are_rejected_before_any_array(monkeypatch, capsys):
+    def no_linspace(*args, **kwargs):
+        raise AssertionError("grid built")
+
+    monkeypatch.setattr(cli.np, "linspace", no_linspace)
+    code, out, err = _run(capsys, "dmt", "--r-points", "1000000000000")
+    assert (code, out) == (2, "")
+    assert err == f"error: --r-points must be <= {10 ** 6}, got 1000000000000\n"
+
+
+def test_grids_at_the_cap_are_built(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "MAX_GRID_POINTS", 5)
+    code, out, _ = _run(capsys, "analyze", "--snr-stop-db", "2", "--snr-step-db", "0.5")
+    assert code == 0 and len(_rows(out)[1]) == 5
+    code, out, _ = _run(capsys, "dmt", "--r-points", "5")
+    assert code == 0 and len(_rows(out)[1]) == 5
+    code, out, err = _run(capsys, "dmt", "--r-points", "6")
+    assert (code, out, err) == (2, "", "error: --r-points must be <= 5, got 6\n")

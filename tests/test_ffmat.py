@@ -51,6 +51,12 @@ def _random_matrix(field, rows, cols, rng) -> FfMatrix:
     )
 
 
+def _random_block(field, rows, cols, rng) -> FfMatrix:
+    """Like _random_matrix, but any shape, zero rows or columns included."""
+    vals = [rng.randrange(field.order) for _ in range(rows * cols)]
+    return FfMatrix(field, np.array(vals, dtype=np.int64).reshape(rows, cols))
+
+
 def test_constructor_validates_entries():
     with pytest.raises(ValueError):
         FfMatrix(F4, [[0, 4]])
@@ -85,6 +91,67 @@ def test_matmul_against_hand_product():
     # 1*2=2, 2*1=2 -> 2^2=0; 1*1=1, 2*3=1 -> 1^1=0
     # row 1: (3*2, 3*1) = (1, 3)
     assert (a @ b).to_lists() == [[0, 0], [1, 3]]
+
+
+@pytest.mark.parametrize("ell", [1, 2, 4, 8, 16])
+def test_matmul_equals_a_field_mul_sum(ell):
+    field = field_new(ell)
+    rng = random.Random(ell)
+    for _ in range(25):
+        rows, inner, cols = rng.randrange(1, 6), rng.randrange(1, 6), rng.randrange(1, 6)
+        a = _random_matrix(field, rows, inner, rng).to_lists()
+        b = _random_matrix(field, inner, cols, rng).to_lists()
+        want = [[0] * cols for _ in range(rows)]
+        for i in range(rows):
+            for j in range(cols):
+                for k in range(inner):
+                    want[i][j] ^= field.mul(a[i][k], b[k][j])
+        assert (FfMatrix(field, a) @ FfMatrix(field, b)).to_lists() == want
+
+
+@pytest.mark.parametrize("rows, inner, cols", [(0, 3, 2), (2, 0, 3), (0, 0, 0), (3, 2, 0)])
+def test_matmul_keeps_empty_shapes(rows, inner, cols):
+    got = FfMatrix.zeros(F16, rows, inner) @ FfMatrix.zeros(F16, inner, cols)
+    assert got == FfMatrix.zeros(F16, rows, cols)
+
+
+def test_products_solves_and_inverses_make_no_scalar_multiplications(monkeypatch):
+    def scalar_mul(self, a, b):
+        raise AssertionError("Field.mul called")
+
+    v = FfMatrix(F16, [[F16.pow(t, j) for j in range(5)] for t in range(5)])  # invertible
+    b = _random_matrix(F16, 5, 3, random.Random(2))
+    monkeypatch.setattr(type(F16), "mul", scalar_mul)
+    assert v @ v.invert() == FfMatrix.identity(F16, 5)
+    assert v @ v.solve(b) == b and v @ v.solve_any(b) == b
+
+
+def test_solve_agrees_with_the_rank_reference():
+    # solve_any is None iff rank([A | B]) > rank(A); solve also iff rank(A) < cols,
+    # which includes every system with no rows and at least one unknown
+    rng = random.Random(23)
+    outcomes = set()
+    for field in (F2, F4, F16):
+        for _ in range(80):
+            rows, n, k = rng.randrange(0, 5), rng.randrange(0, 5), rng.randrange(0, 3)
+            a = _random_block(field, rows, n, rng)
+            if rng.random() < 0.5:  # consistent by construction
+                b = a @ _random_block(field, n, k, rng)
+            else:
+                b = _random_block(field, rows, k, rng)
+            ab = FfMatrix(field, np.hstack([a.to_array(), b.to_array()]))
+            consistent = ab.rank() == a.rank()
+            unique = consistent and a.rank() == n
+            x_any, x = a.solve_any(b), a.solve(b)
+            assert (x_any is not None) == consistent
+            assert (x is not None) == unique
+            for got in (x_any, x):
+                if got is not None:
+                    assert got.shape == (n, k) and a @ got == b
+            if unique:
+                assert x == x_any
+            outcomes.add((consistent, unique))
+    assert outcomes == {(False, False), (True, False), (True, True)}
 
 
 def test_solve_identity_and_roundtrip():
@@ -248,6 +315,20 @@ def test_dump_load_roundtrip():
     assert load_matrix(commented) == EXAMPLE_A
 
 
+@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 3), (3, 0), (2, 5)])
+def test_dump_load_roundtrip_keeps_every_shape(rows, cols):
+    m = _random_block(F16, rows, cols, random.Random(rows * 7 + cols))
+    assert load_matrix(m.dump()) == m
+
+
+@pytest.mark.parametrize("text", ["4 -1 -2\n1 1\n", "4 -1 3\n", "4 2 -1\n"])
+def test_load_matrix_rejects_negative_dimensions(text):
+    rows, cols = text.split()[1:3]
+    with pytest.raises(ValueError) as exc:
+        load_matrix(text)
+    assert str(exc.value) == f"rows and cols must be non-negative, got {rows} {cols}"
+
+
 def test_load_matrix_rejects_bad_field():
     # q=3 is not a power of two; every bad header q gets the CLI's --q message
     for q in (0, 1, 3, 6, 1 << 17):
@@ -393,14 +474,18 @@ def test_batched_metrics_on_certified_codes():
 
 
 def test_each_subset_level_is_ranked_once(monkeypatch):
-    ranked = []
+    ranked, inverted = [], []
 
     def counting_batch_rank(mats, field):
-        ranked.append(len(mats))
+        if mats.shape == (1, 6, 12):  # build_vandermonde's V_6 inverse, as [V_6 | I]
+            inverted.append(len(mats))
+        else:
+            ranked.append(len(mats))
         return batch_rank(mats, field)
 
     monkeypatch.setattr(ffmat, "batch_rank", counting_batch_rank)
     a = build_vandermonde(6, 6, F16).matrix
+    assert inverted == [1]
     assert sum(ranked) == comb(12, 6)  # certification ranks the 6-row level
     assert a.gamma_rank(6) == 6
     assert sum(ranked) == comb(12, 6)  # ... which gamma_rank(6) reads back

@@ -9,6 +9,7 @@ import pytest
 from coopcode.ffmat import FfMatrix
 from coopcode.gf import field_new
 from coopcode.netcode import (
+    MAX_CODEWORDS,
     FieldTooSmallError,
     bits_to_symbols,
     build_cauchy,
@@ -180,6 +181,13 @@ def test_recover_unicast():
         recover(code, [0], pi.row_submatrix([0]), "unicast", dest=5)
 
 
+def test_recover_from_no_rows_returns_none():
+    code = build_vandermonde(2, 2, F4)
+    empty = FfMatrix.zeros(F4, 0, 3)
+    assert recover(code, [], empty) is None
+    assert recover(code, [], empty, "unicast", dest=1) is None
+
+
 def test_recover_roundtrip_random_subsets():
     rng = random.Random(17)
     code = build_cauchy(3, 3, F16)
@@ -219,6 +227,12 @@ def test_min_distance_is_n_plus_1_iff_every_n_rows_are_independent():
         assert (min_distance(code) == n + 1) == mds == (code.matrix.kruskal_rank() == n)
         seen.add(mds)
     assert seen == {True, False}
+
+
+def test_min_distance_at_the_codeword_cap():
+    code = build_vandermonde(4, 4, field_new(5))
+    assert 32 ** 4 == MAX_CODEWORDS
+    assert min_distance(code) == 4 + 1
 
 
 def test_min_distance_errors():
