@@ -18,6 +18,7 @@ violated bound.
 
 import argparse
 import ctypes
+import functools
 import math
 import sys
 
@@ -27,6 +28,7 @@ from . import analytic, netcode, simkernel
 from .gf import field_ell, field_new
 
 KIND_CHOICES = ("vandermonde", "cauchy", "random")
+STRATEGY_SCHEMES = {"dncc", "rncc", "selection"}  # the schemes --strategy changes
 FMT = "{:.10g}"
 MAX_GRID_POINTS = 10 ** 6  # SNR and r grids are refused beyond this many points
 
@@ -59,17 +61,16 @@ def _read_config(path: str) -> dict:
     return cfg
 
 
-def _apply_config(parser: "_Parser", argv: list) -> argparse.Namespace:
-    """Parse argv with defaults overridden by --config entries (flags win).
-
-    Config values are installed as defaults on the chosen subcommand's
-    parser, so anything given explicitly on the command line still takes
-    precedence.
-    """
-    pre, _ = parser.parse_known_args(argv)
-    if getattr(pre, "config", None):
-        sub = parser.commands[pre.command]
-        for key, val in _read_config(pre.config).items():
+def _parse_args(argv: list) -> argparse.Namespace:
+    """Parse argv.  --config entries go into this call's namespace (never
+    into a parser), where flags override them and defaults fill the rest;
+    unrecognized arguments are reported after the config file is checked."""
+    parser = build_parser()
+    args, extra = parser.parse_known_args(argv)
+    if getattr(args, "config", None):
+        sub = parser.commands[args.command]
+        given = argparse.Namespace(command=args.command)
+        for key, val in _read_config(args.config).items():
             if key not in sub.flags:
                 raise ValueError(f"unknown config key {key!r}")
             act = sub.flags[key]
@@ -81,8 +82,11 @@ def _apply_config(parser: "_Parser", argv: list) -> argparse.Namespace:
                 raise ValueError(
                     f"config key {key!r}: {val!r} not one of {', '.join(map(str, act.choices))}"
                 )
-            sub.set_defaults(**{key: parsed})
-    return parser.parse_args(argv)
+            setattr(given, key, parsed)
+        args, _ = sub.parse_known_args(argv[argv.index(args.command) + 1:], given)
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def _field_for(q: int | None, n: int, m: int):
@@ -132,6 +136,26 @@ def _snr_grid_db(args) -> list:
         grid.append(db)
         i += 1
     return grid
+
+
+def _power(base: float, exponent: float, flag: str) -> float:
+    """base**exponent, or a ValueError naming `flag` where it overflows a
+    float: above about 3082.5 dB for an SNR, from r0 = 1024 on for 2**r0."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        raise ValueError(f"--{flag} is too large: {base:g}**{exponent:g} overflows a float") from None
+
+
+def _snr_linear(args, grid_db: list) -> list:
+    """rho = 10**(dB/10) at every grid point."""
+    flag = "snr-start-db" if args.snr_stop_db is None else "snr-stop-db"
+    return [_power(10.0, db / 10.0, flag) for db in grid_db]
+
+
+def _reject_rate_overflow(args, r0: float) -> None:
+    """Every threshold tau is (2**r0 - 1)/rho, so 2**r0 must be a float."""
+    _power(2.0, r0, "r0" if args.rate is None else "rate")
 
 
 def _rate_r0(args, n: int, m: int) -> float:
@@ -193,9 +217,10 @@ def cmd_analyze(args) -> int:
         else:
             thresholds = [code.matrix.lambda_rank(j) for j in range(n)]
 
+    grid_rho = _snr_linear(args, grid_db)
+    _reject_rate_overflow(args, r0)
     lines = ["snr_db,scheme,traffic,p0,p_low,p_up,p_system_low,p_system_up"]
-    for db in grid_db:
-        rho = 10.0 ** (db / 10.0)
+    for db, rho in zip(grid_db, grid_rho):
         lp = analytic.LinkParams.from_rate_r0(
             beta=args.beta, rho=rho, rate_r0=r0, n_sources=n, n_relays=m
         )
@@ -234,7 +259,7 @@ def _scenario_for(scheme: str, args, grid_rho, r0: float, code, field):
         seed=args.seed or 0,
         code=code if scheme in ("dncc", "selection") else None,
         field=field if scheme == "rncc" else None,
-        strategy=args.strategy,
+        strategy=(args.strategy or "A") if scheme in STRATEGY_SCHEMES else "A",
         traffic=args.traffic,
         beta=args.beta,
         rate_r0=r0,
@@ -249,7 +274,7 @@ def cmd_simulate(args) -> int:
     r0 = _rate_r0(args, n, m)
     schemes = _schemes(args)
     grid_db = _snr_grid_db(args)
-    grid_rho = [10.0 ** (db / 10.0) for db in grid_db]
+    grid_rho = _snr_linear(args, grid_db)
 
     # one field and one code per command, shared by every scheme that uses it
     field = code = None
@@ -264,6 +289,10 @@ def cmd_simulate(args) -> int:
     if field is None:
         _reject_unread(args, "to schemes dncc, selection and rncc, none of which is in --scheme",
                        "q")
+    if not STRATEGY_SCHEMES & set(schemes):
+        _reject_unread(args, "to schemes dncc, rncc and selection, none of which is in --scheme",
+                       "strategy")
+    _reject_rate_overflow(args, r0)
     reports = simkernel.run_sweep(scenarios, workers=args.workers)
 
     dest_cols = ",".join(f"dest{j}_rate" for j in range(n))
@@ -343,7 +372,7 @@ def _add_common(p, *, code=False, grid=False, sim=False):
                        help="default: same as start (single point)")
         p.add_argument("--snr-step-db", type=float, default=1.0)
     if sim:
-        p.add_argument("--strategy", choices=("A", "B"), default="A",
+        p.add_argument("--strategy", choices=("A", "B"), default=None,
                        help="relay forwards only after decoding all N (A) or any subset (B)")
         p.add_argument("--trials", type=int, default=10000, help="Monte Carlo trials per point")
         p.add_argument("--workers", type=int, default=1, help="worker processes")
@@ -351,6 +380,7 @@ def _add_common(p, *, code=False, grid=False, sim=False):
                        help="relays kept by selection (scheme=selection)")
 
 
+@functools.cache  # one parser per process, built on first use
 def build_parser() -> _Parser:
     ap = _Parser(
         prog="coopcode",
@@ -414,11 +444,8 @@ def _pin_malloc_thresholds() -> None:
 
 def main(argv=None) -> int:
     _pin_malloc_thresholds()
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
     try:
-        args = _apply_config(parser, list(argv))
+        args = _parse_args(list(sys.argv[1:] if argv is None else argv))
         if getattr(args, "q", None) is not None:
             field_ell(args.q)  # a bad --q fails even where no field is built
         if (getattr(args, "seed", None) or 0) < 0:  # likewise a bad --seed where nothing is drawn

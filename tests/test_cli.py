@@ -559,3 +559,108 @@ def test_grids_at_the_cap_are_built(monkeypatch, capsys):
     assert code == 0 and len(_rows(out)[1]) == 5
     code, out, err = _run(capsys, "dmt", "--r-points", "6")
     assert (code, out, err) == (2, "", "error: --r-points must be <= 5, got 6\n")
+
+
+# One parser serves every call of a process: a config file's values live in
+# the namespace of the call that read it.
+
+
+def test_the_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_config_values_do_not_outlive_their_call(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# experiment defaults\nn = 2\nm = 2\nq = 4\ntrials = 5000\n"
+                   "snr-start-db = 10\ntraffic = unicast\n")
+    other = tmp_path / "other.cfg"
+    other.write_text("n = 3\nm = 3\nq = 8\ntrials = 300\nscheme = dncc,rncc\n"
+                     "strategy = B\nseed = 4\nsnr-stop-db = 5\nsnr-step-db = 5\n")
+    calls = [("simulate", "--config", str(cfg), "--trials", "7"),
+             ("simulate", "--trials", "7"),
+             ("simulate", "--config", str(other)),
+             ("simulate", "--config", str(cfg), "--trials", "7")]
+    alone = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        alone.append(_run(capsys, *argv))
+    parser = cli.build_parser()
+    assert [_run(capsys, *argv) for argv in calls] == alone
+    assert cli.build_parser() is parser
+    assert [a[0] for a in alone] == [0] * 4 and len({a[1] for a in alone}) == 3
+
+
+def test_a_bad_config_file_is_reported_before_unrecognized_arguments(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("bogus = 1\n")
+    assert _run(capsys, "simulate", "--config", str(bad), "--nope", "3") == (
+        2, "", "error: unknown config key 'bogus'\n")
+    good = tmp_path / "good.cfg"
+    good.write_text("trials = 10\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", str(good), "--nope", "3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: coopcode [-h]")
+    assert err.endswith("coopcode: error: unrecognized arguments: --nope 3\n")
+
+
+_STRATEGY_ARGV = ("simulate", "--traffic", "unicast", "--trials", "2000", "--snr-start-db", "10")
+
+
+def test_ncc_and_cc_rows_are_labelled_with_the_strategy_that_ran(capsys):
+    mixed = _run(capsys, *_STRATEGY_ARGV, "--scheme", "dncc,ncc,cc", "--strategy", "B")
+    under_a = _run(capsys, *_STRATEGY_ARGV, "--scheme", "dncc,ncc,cc", "--strategy", "A")
+    dncc_b = _run(capsys, *_STRATEGY_ARGV, "--scheme", "dncc", "--strategy", "B")
+    assert mixed[0] == under_a[0] == dncc_b[0] == 0
+    rows, rows_a = _rows(mixed[1])[1], _rows(under_a[1])[1]
+    assert [r[1:3] for r in rows] == [["dncc", "B"], ["ncc", "A"], ["cc", "A"]]
+    assert rows[1:] == rows_a[1:]
+    assert rows[0] == _rows(dncc_b[1])[1][0]
+
+
+def test_strategy_defaults_to_a(capsys):
+    default = _run(capsys, *_STRATEGY_ARGV, "--scheme", "dncc,ncc,cc")
+    assert default == _run(capsys, *_STRATEGY_ARGV, "--scheme", "dncc,ncc,cc", "--strategy", "A")
+    assert [r[2] for r in _rows(default[1])[1]] == ["A"] * 3
+
+
+_NO_STRATEGY = ("error: --strategy applies only to schemes dncc, rncc and selection, "
+                "none of which is in --scheme\n")
+
+
+@pytest.mark.parametrize("strategy", ["A", "B"])
+def test_strategy_without_a_scheme_that_reads_it_is_rejected(tmp_path, capsys, strategy):
+    argv = (*_STRATEGY_ARGV, "--scheme", "ncc,cc")
+    assert _run(capsys, *argv, "--strategy", strategy) == (2, "", _NO_STRATEGY)
+    cfg = tmp_path / "strategy.cfg"
+    cfg.write_text(f"strategy = {strategy}\n")
+    assert _run(capsys, *argv, "--config", str(cfg)) == (2, "", _NO_STRATEGY)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--snr-start-db", "4000"), "--snr-start-db is too large: 10**400 overflows a float"),
+    (("--snr-stop-db", "4000", "--snr-step-db", "1000"),
+     "--snr-stop-db is too large: 10**400 overflows a float"),
+    (("--r0", "2000"), "--r0 is too large: 2**2000 overflows a float"),
+    (("--rate", "600"), "--rate is too large: 2**1200 overflows a float"),
+])
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_an_overflowing_snr_or_rate_is_rejected_before_any_work(monkeypatch, capsys, command,
+                                                                argv, message):
+    work = []
+    draw_chunk = simkernel.draw_chunk
+    monkeypatch.setattr(simkernel, "draw_chunk", lambda *a: work.append(1) or draw_chunk(*a))
+    bound = analytic.outage_bounds_multicast
+    monkeypatch.setattr(analytic, "outage_bounds_multicast",
+                        lambda *a: work.append(1) or bound(*a))
+    assert _run(capsys, command, *argv) == (2, "", f"error: {message}\n")
+    assert work == []
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_snr_and_rate_just_below_the_overflow_run(capsys, command):
+    extra = ("--trials", "10") if command == "simulate" else ()
+    for argv in (("--snr-start-db", "3082.5"), ("--r0", "1023.5")):
+        code, out, err = _run(capsys, command, *argv, *extra)
+        assert (code, err) == (0, "") and len(_rows(out)[1]) == 1
