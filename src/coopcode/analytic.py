@@ -60,32 +60,43 @@ class LinkParams:
         return tau_for(self.rho, self.rate_r0)
 
 
+def _up_down(rate: float) -> tuple:
+    """(exp(-rate), 1 - exp(-rate)): P(up) and P(down) of a link whose
+    outage is exponential in `rate`, the second by expm1 so it stays exact
+    as rate -> 0."""
+    return math.exp(-rate), -math.expm1(-rate)
+
+
+def _binomial(k: int, j: int, p: float, not_p: float) -> float:
+    """P(exactly j of k independent events of probability p), given p and
+    1 - p (each computed stably by the caller)."""
+    return math.comb(k, j) * not_p ** (k - j) * p ** j
+
+
 def p0(lp: LinkParams) -> float:
     """Outage probability of a single link: P(gain <= tau)."""
-    return -math.expm1(-lp.beta * lp.tau)
+    return _up_down(lp.beta * lp.tau)[1]
 
 
 def p_relay_all(lp: LinkParams) -> float:
     """Probability one relay hears all N sources: every source link up."""
-    return math.exp(-lp.n_sources * lp.beta * lp.tau)
+    return _up_down(lp.n_sources * lp.beta * lp.tau)[0]
 
 
 def p_fm(lp: LinkParams, m: int) -> float:
     """Probability exactly m of the M relays fail to decode all N packets."""
     if not 0 <= m <= lp.n_relays:
         raise ValueError(f"m must be in [0, {lp.n_relays}]")
-    ps = p_relay_all(lp)
-    fail = -math.expm1(-lp.n_sources * lp.beta * lp.tau)  # 1 - ps, stably
-    return math.comb(lp.n_relays, m) * ps ** (lp.n_relays - m) * fail ** m
+    ps, fail = _up_down(lp.n_sources * lp.beta * lp.tau)
+    return _binomial(lp.n_relays, m, fail, ps)
 
 
 def p_ekl(lp: LinkParams, k: int, l_ok: int) -> float:
     """Probability exactly l_ok of k independent links are operational."""
     if k < 0 or not 0 <= l_ok <= k:
         raise ValueError("need 0 <= l_ok <= k")
-    up = math.exp(-lp.beta * lp.tau)       # 1 - p0
-    down = -math.expm1(-lp.beta * lp.tau)  # p0
-    return math.comb(k, l_ok) * down ** (k - l_ok) * up ** l_ok
+    up, down = _up_down(lp.beta * lp.tau)
+    return _binomial(k, l_ok, up, down)
 
 
 @dataclass(frozen=True)
@@ -110,17 +121,21 @@ def _bracket(lp: LinkParams, t: int, own: int) -> OutageBounds:
     """The one count behind both brackets: decoding never fails once t of
     the N+M-own counted transmissions survive.  ``own=1`` (unicast)
     conditions the destination's own direct row on being down, a factor p0
-    on the upper bound and beta on k_up."""
+    on the upper bound and beta on k_up.
+
+    The link terms (tau, p0 and 1 - p0, a relay's success and failure) are
+    computed once per call; the sum is p_fm times p_ekl, term by term."""
     n, m_relays = lp.n_sources, lp.n_relays
     total = n + m_relays
-    beta = lp.beta
-    down = p0(lp)
+    beta, tau = lp.beta, lp.tau
+    up, down = _up_down(beta * tau)
+    ps, fail = _up_down(n * beta * tau)
     upper = 0.0
     k_up = 0.0
     for m in range(m_relays + 1):
         k = total - own - m
-        fm = p_fm(lp, m)
-        upper += fm * sum(p_ekl(lp, k, l) for l in range(min(t - 1, k) + 1))
+        fm = _binomial(m_relays, m, fail, ps)
+        upper += fm * sum(_binomial(k, l, up, down) for l in range(min(t - 1, k) + 1))
         if t - 1 <= k:
             k_up += (math.comb(m_relays, m) * (n * beta) ** m
                      * math.comb(k, t - 1) * beta ** (k - (t - 1)))
@@ -128,7 +143,7 @@ def _bracket(lp: LinkParams, t: int, own: int) -> OutageBounds:
         upper *= down
         k_up *= beta
     d = total - (t - 1)
-    lower = p_fm(lp, 0) * down ** d * (1.0 - down) ** (t - 1)
+    lower = _binomial(m_relays, 0, fail, ps) * down ** d * (1.0 - down) ** (t - 1)
     return OutageBounds(lower, min(upper, 1.0), beta ** d, k_up)
 
 

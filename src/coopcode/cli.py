@@ -148,9 +148,21 @@ def _power(base: float, exponent: float, flag: str) -> float:
 
 
 def _snr_linear(args, grid_db: list) -> list:
-    """rho = 10**(dB/10) at every grid point."""
+    """rho = 10**(dB/10) at every grid point; a ValueError naming the SNR
+    flags unless every rho is a positive float and the grid strictly
+    increases: below about -3233 dB rho underflows to 0, and in the
+    subnormal range just above, close grid points round to one float."""
     flag = "snr-start-db" if args.snr_stop_db is None else "snr-stop-db"
-    return [_power(10.0, db / 10.0, flag) for db in grid_db]
+    grid_rho = [_power(10.0, db / 10.0, flag) for db in grid_db]
+    if not grid_rho[0] > 0.0:
+        raise ValueError(f"--snr-start-db is too small: 10**{grid_db[0] / 10.0:g} "
+                         f"underflows a float to 0")
+    for i in range(1, len(grid_rho)):
+        if not grid_rho[i] > grid_rho[i - 1]:
+            raise ValueError(f"--snr-start-db and --snr-stop-db give grid points "
+                             f"{grid_db[i - 1]!r} and {grid_db[i]!r} dB whose linear SNRs "
+                             f"are one float, {grid_rho[i]:g}")
+    return grid_rho
 
 
 def _reject_rate_overflow(args, r0: float) -> None:

@@ -17,6 +17,12 @@ each subset spans.  A matrix ranks each level at most once and keeps its
 record (least rank, unit vectors every subset spans), which every metric
 reads.  The enumeration is capped at SUBSET_ROW_CAP = 24 rows.
 
+gamma and lambda start from the Kruskal rank k, so a certified code ranks
+no level beyond the one its certification ranked.  gamma_rank(i) is i for
+i <= k.  lambda_rank(j) is at least k, because for l < k some l rows miss
+e_j: take k independent rows T; the spans of the sets T - {a} meet only
+in {0}, so e_j misses one of them, and every l-subset of that one.
+
 Matrices serialize to a plain text block: a header line ``q rows cols``
 followed by row-major integer entries; blank lines and ``#`` comments are
 ignored on load.
@@ -42,6 +48,11 @@ def batch_rank(mats: np.ndarray, field: Field) -> np.ndarray:
     row-echelon form: the first rank rows carry pivot 1s in increasing
     columns, each pivot column is zero in every other row, and the
     remaining rows are zero.  Returns the (B,) int64 ranks.
+
+    Column c's row operations start at column c: the rows at or below the
+    current rank are zero to its left.  Where only some matrices have a
+    pivot in column c, those are gathered, reduced and scattered back;
+    where all have one, the stack is reduced where it lies.
     """
     log_t, exp2_t, inv_t = field.np_tables()
     nb, nr, nc = mats.shape
@@ -52,22 +63,25 @@ def batch_rank(mats: np.ndarray, field: Field) -> np.ndarray:
         has = cand.any(axis=1)
         if not has.any():
             continue
-        b = np.nonzero(has)[0]
-        src = cand[b].argmax(axis=1)
-        dst = rk[b]
-        # swap the pivot row up
-        tmp = mats[b, src, :].copy()
-        mats[b, src, :] = mats[b, dst, :]
-        mats[b, dst, :] = tmp
-        # normalize pivot row to 1 in column c
-        piv = tmp[:, c]
-        scale = inv_t[piv]
-        prow = exp2_t[log_t[tmp] + log_t[scale][:, None]]
-        mats[b, dst, :] = prow
+        whole = bool(has.all())
+        if whole:
+            b, work = slice(None), mats
+        else:
+            b = np.nonzero(has)[0]
+            work, cand = mats[b], cand[b]
+        k = np.arange(len(work))
+        src, dst = cand.argmax(axis=1), rk[b]
+        # swap the pivot row up, normalised to 1 in column c
+        prow = work[k, src, c:]
+        work[k, src, c:] = work[k, dst, c:]
+        prow = exp2_t[log_t[prow] + log_t[inv_t[prow[:, 0]]][:, None]]
+        work[k, dst, c:] = prow
         # eliminate column c from every other row
-        fac = mats[b, :, c].copy()
-        fac[np.arange(len(b)), dst] = 0
-        mats[b] ^= exp2_t[log_t[fac][:, :, None] + log_t[prow][:, None, :]]
+        fac = work[:, :, c].copy()
+        fac[k, dst] = 0
+        work[:, :, c:] ^= np.take(exp2_t, log_t[fac][:, :, None] + log_t[prow][:, None, :])
+        if not whole:
+            mats[b] = work
         rk[b] += 1
     return rk
 
@@ -269,11 +283,18 @@ class FfMatrix:
     def gamma_rank(self, i: int) -> int:
         """Smallest g such that every set of g rows has rank at least i.
 
+        That is i whenever i <= kruskal_rank(), as every i rows are then
+        independent.  Only kruskal_rank()'s top level, min(rows, cols), is
+        read for it: when that level is not full, the scan from level i
+        needs none of the lower levels kruskal_rank() would go on to rank.
         Raises ValueError when no such g exists (the full matrix has rank
         below i) or when i is out of range.
         """
-        if not 1 <= i <= min(self.rows, self.cols):
-            raise ValueError(f"i must be in [1, {min(self.rows, self.cols)}]")
+        top = min(self.rows, self.cols)
+        if not 1 <= i <= top:
+            raise ValueError(f"i must be in [1, {top}]")
+        if self._level(top)[0] == top:  # kruskal_rank() == top >= i
+            return i
         for g in range(i, self.rows + 1):
             if self._level(g)[0] >= i:
                 return g
@@ -282,11 +303,14 @@ class FfMatrix:
     def lambda_rank(self, i: int) -> int | None:
         """Smallest l such that every set of l rows spans unit vector e_i.
 
-        Returns None when even the full row set does not span e_i.
+        The scan starts at k = kruskal_rank(): the spans of the
+        (k-1)-subsets of k independent rows meet only in {0}, so one of
+        them, and each of its subsets, misses e_i.  Returns None when even
+        the full row set does not span e_i.
         """
         if not 0 <= i < self.cols:
             raise ValueError(f"column index must be in [0, {self.cols})")
-        for lam in range(1, self.rows + 1):
+        for lam in range(max(1, self.kruskal_rank()), self.rows + 1):
             if self._level(lam)[1][i]:
                 return lam
         return None

@@ -638,6 +638,17 @@ def test_strategy_without_a_scheme_that_reads_it_is_rejected(tmp_path, capsys, s
     assert _run(capsys, *argv, "--config", str(cfg)) == (2, "", _NO_STRATEGY)
 
 
+def _assert_rejected_before_any_work(monkeypatch, capsys, argv, message):
+    work = []
+    draw_chunk = simkernel.draw_chunk
+    monkeypatch.setattr(simkernel, "draw_chunk", lambda *a: work.append(1) or draw_chunk(*a))
+    bound = analytic.outage_bounds_multicast
+    monkeypatch.setattr(analytic, "outage_bounds_multicast",
+                        lambda *a: work.append(1) or bound(*a))
+    assert _run(capsys, *argv) == (2, "", f"error: {message}\n")
+    assert work == []
+
+
 @pytest.mark.parametrize("argv, message", [
     (("--snr-start-db", "4000"), "--snr-start-db is too large: 10**400 overflows a float"),
     (("--snr-stop-db", "4000", "--snr-step-db", "1000"),
@@ -648,14 +659,31 @@ def test_strategy_without_a_scheme_that_reads_it_is_rejected(tmp_path, capsys, s
 @pytest.mark.parametrize("command", ["analyze", "simulate"])
 def test_an_overflowing_snr_or_rate_is_rejected_before_any_work(monkeypatch, capsys, command,
                                                                 argv, message):
-    work = []
-    draw_chunk = simkernel.draw_chunk
-    monkeypatch.setattr(simkernel, "draw_chunk", lambda *a: work.append(1) or draw_chunk(*a))
-    bound = analytic.outage_bounds_multicast
-    monkeypatch.setattr(analytic, "outage_bounds_multicast",
-                        lambda *a: work.append(1) or bound(*a))
-    assert _run(capsys, command, *argv) == (2, "", f"error: {message}\n")
-    assert work == []
+    _assert_rejected_before_any_work(monkeypatch, capsys, (command, *argv), message)
+
+
+_UNDERFLOW = "--snr-start-db is too small: 10**-400 underflows a float to 0"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--snr-start-db", "-4000"), _UNDERFLOW),
+    (("--snr-start-db", "-4000", "--snr-stop-db", "-3990"), _UNDERFLOW),
+    (("--snr-start-db", "-3233", "--snr-stop-db", "-3232", "--snr-step-db", "0.5"),
+     "--snr-start-db and --snr-stop-db give grid points -3233.0 and -3232.5 dB "
+     "whose linear SNRs are one float, 4.94066e-324"),
+])
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_an_snr_whose_linear_grid_underflows_is_rejected_before_any_work(
+        monkeypatch, capsys, command, argv, message):
+    _assert_rejected_before_any_work(monkeypatch, capsys, (command, *argv), message)
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_subnormal_snr_points_that_stay_apart_run(capsys, command):
+    extra = ("--trials", "10") if command == "simulate" else ()
+    code, out, err = _run(capsys, command, "--snr-start-db", "-3230", "--snr-stop-db", "-3220",
+                          "--snr-step-db", "5", *extra)
+    assert (code, err) == (0, "") and len(_rows(out)[1]) == 3
 
 
 @pytest.mark.parametrize("command", ["analyze", "simulate"])

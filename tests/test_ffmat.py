@@ -14,7 +14,7 @@ from coopcode import ffmat
 from coopcode.ffmat import SUBSET_ROW_CAP, FfMatrix, batch_rank, load_matrix, unit_spans
 from coopcode.gf import field_new
 from coopcode.netcode import (MDS_EXHAUSTIVE_CAP, build_cauchy, build_explicit,
-                              build_vandermonde, mds_check)
+                              build_random, build_vandermonde, mds_check)
 
 F2 = field_new(1)
 F4 = field_new(2)
@@ -372,6 +372,90 @@ def test_batch_rank_leaves_reduced_row_echelon_form():
                 assert FfMatrix(field, np.vstack([a, red])).rank() == r  # same span
 
 
+def _reference_batch_rank(mats, field):
+    """batch_rank as first written: every matrix with a pivot in column c
+    is gathered, and whole rows are eliminated.  The reference for the
+    kernel's column-c-on row operations and its in-place path."""
+    log_t, exp2_t, inv_t = field.np_tables()
+    nb, nr, nc = mats.shape
+    rk = np.zeros(nb, dtype=np.int64)
+    rowidx = np.arange(nr)[None, :]
+    for c in range(nc):
+        cand = (mats[:, :, c] != 0) & (rowidx >= rk[:, None])
+        has = cand.any(axis=1)
+        if not has.any():
+            continue
+        b = np.nonzero(has)[0]
+        src = cand[b].argmax(axis=1)
+        dst = rk[b]
+        tmp = mats[b, src, :].copy()
+        mats[b, src, :] = mats[b, dst, :]
+        mats[b, dst, :] = tmp
+        prow = exp2_t[log_t[tmp] + log_t[inv_t[tmp[:, c]]][:, None]]
+        mats[b, dst, :] = prow
+        fac = mats[b, :, c].copy()
+        fac[np.arange(len(b)), dst] = 0
+        mats[b] ^= exp2_t[log_t[fac][:, :, None] + log_t[prow][:, None, :]]
+        rk[b] += 1
+    return rk
+
+
+def _mixed_stack(field, nb, rows, cols, rng):
+    """Random matrices where, column by column, some have a pivot candidate
+    and some do not: zeroed columns, zeroed rows, repeated rows, all-zero
+    matrices, and a share of dense ones."""
+    mats = rng.integers(0, field.order, size=(nb, rows, cols))
+    for i, kind in enumerate(rng.integers(0, 5, size=nb)):
+        if kind == 0 and cols:
+            mats[i, :, rng.integers(cols)] = 0
+        elif kind == 1 and rows:
+            mats[i, rng.integers(rows)] = 0
+        elif kind == 2 and rows > 1:
+            mats[i, -1] = mats[i, 0]
+        elif kind == 3:
+            mats[i] = 0
+    return mats.astype(np.int32)
+
+
+@pytest.mark.parametrize("ell", [1, 2, 4, 8, 16])
+@pytest.mark.parametrize("nb, rows, cols", [(40, 3, 6), (40, 7, 4), (40, 5, 5), (1, 4, 4),
+                                            (1, 2, 5), (1, 6, 3)])
+def test_batch_rank_matches_the_reference_kernel_on_mixed_stacks(ell, nb, rows, cols):
+    field = field_new(ell)
+    rng = np.random.default_rng(ell * 1000 + nb * 100 + rows * 10 + cols)
+    for mats in (_mixed_stack(field, nb, rows, cols, rng),
+                 rng.integers(1, field.order, size=(nb, rows, cols)).astype(np.int32)):
+        want = mats.copy()
+        want_ranks = _reference_batch_rank(want, field)
+        orig = mats.copy()
+        ranks = batch_rank(mats, field)
+        assert ranks.dtype == np.int64 and np.array_equal(ranks, want_ranks)
+        assert np.array_equal(mats, want)  # the same reduced row-echelon form
+        assert ranks.tolist() == [FfMatrix(field, a).rank() for a in orig]
+
+
+def test_batch_rank_reduces_in_place_where_every_matrix_pivots():
+    # invertible matrices have a pivot in every column, rank-2 ones in the
+    # first two columns only, so both ways of reducing a column are taken
+    rng = random.Random(3)
+    full = [_random_invertible(F16, 4, rng).to_array() for _ in range(20)]
+    low = [(_random_matrix(F16, 4, 2, rng) @ _random_matrix(F16, 2, 4, rng)).to_array()
+           for _ in range(20)]
+    for stack in (full, full + low, low + full):
+        mats = np.array(stack, dtype=np.int32)
+        want = mats.copy()
+        assert np.array_equal(batch_rank(mats, F16), _reference_batch_rank(want, F16))
+        assert np.array_equal(mats, want)
+
+
+@pytest.mark.parametrize("shape", [(0, 3, 4), (5, 0, 4), (0, 0, 4), (5, 3, 0), (0, 0, 0)])
+def test_batch_rank_of_empty_shapes_is_zero(shape):
+    mats = np.zeros(shape, dtype=np.int32)
+    ranks = batch_rank(mats, F16)
+    assert ranks.shape == shape[:1] and ranks.dtype == np.int64 and not ranks.any()
+    assert unit_spans(mats).shape == (shape[0], shape[2])
+
+
 # -- scalar reference for the batched subset metrics ---------------------------
 # One FfMatrix per row subset, ranked by the scalar elimination; span
 # membership by comparing ranks with and without the unit row appended.
@@ -473,6 +557,63 @@ def test_batched_metrics_on_certified_codes():
                 _check_metrics(code.matrix)
 
 
+def _every_level(m):
+    """size -> (least rank, [every subset spans e_j for each j]) over every
+    row subset of every size, each subset ranked by FfMatrix.rank."""
+    levels = {}
+    for size in range(1, m.rows + 1):
+        subsets = list(combinations(range(m.rows), size))
+        levels[size] = (min(m.row_submatrix(idx).rank() for idx in subsets),
+                        [all(_ref_spans_unit(m, idx, j) for idx in subsets)
+                         for j in range(m.cols)])
+    return levels
+
+
+def _mostly_non_mds_matrices(field, rng):
+    """Matrices with a zero row, a repeated row, rows < cols, a low-rank
+    product, and random codes: most have a Kruskal rank below
+    min(rows, cols), some of them at 2 or more."""
+    for _ in range(3):
+        rows, cols = rng.randrange(2, 7), rng.randrange(1, 5)
+        a = _random_matrix(field, rows, cols, rng).to_lists()
+        a[rng.randrange(rows)] = [0] * cols
+        yield FfMatrix(field, a)
+        a = _random_matrix(field, rows, cols, rng).to_lists()
+        a[0] = list(a[-1])
+        yield FfMatrix(field, a)
+        yield _random_matrix(field, rng.randrange(1, 4), rng.randrange(4, 6), rng)
+        inner = rng.randrange(1, 3)
+        yield _random_matrix(field, 6, inner, rng) @ _random_matrix(field, inner, 4, rng)
+    for seed in range(6):
+        n, m = rng.randrange(2, 5), rng.randrange(1, 4)
+        yield build_random(n, m, field, seed).matrix
+
+
+@pytest.mark.parametrize("field", [F2, F4, F16], ids=["q2", "q4", "q16"])
+def test_gamma_and_lambda_match_a_scan_of_every_level(field):
+    rng = random.Random(field.order)
+    shortcut = scanned = short_of_mds = 0
+    for m in _mostly_non_mds_matrices(field, rng):
+        levels = _every_level(m)
+        kappa = m.kruskal_rank()
+        short_of_mds += 2 <= kappa < min(m.rows, m.cols)
+        for i in range(1, min(m.rows, m.cols) + 1):
+            want = next((g for g in levels if levels[g][0] >= i), None)
+            if want is None:
+                with pytest.raises(ValueError, match="rank below"):
+                    m.gamma_rank(i)
+            else:
+                assert m.gamma_rank(i) == want, (m.to_lists(), i)
+            shortcut += i <= kappa
+            scanned += i > kappa and want is not None
+        for j in range(m.cols):
+            want = next((lam for lam in levels if levels[lam][1][j]), None)
+            assert m.lambda_rank(j) == want, (m.to_lists(), j)
+    # both sides of the kruskal bound are exercised, with lambda's scan
+    # starting past level 1 on matrices that are not MDS
+    assert shortcut and scanned and short_of_mds
+
+
 def test_each_subset_level_is_ranked_once(monkeypatch):
     ranked, inverted = [], []
 
@@ -490,13 +631,27 @@ def test_each_subset_level_is_ranked_once(monkeypatch):
     assert a.gamma_rank(6) == 6
     assert sum(ranked) == comb(12, 6)  # ... which gamma_rank(6) reads back
     assert [a.lambda_rank(j) for j in range(6)] == [6] * 6
-    # all six lambdas share levels 1..5, ranked once each: 1585 subsets
-    assert sum(ranked) == sum(comb(12, s) for s in range(1, 7))
-    before = sum(ranked)
+    # kruskal_rank 6 puts every lambda at level 6 or above: levels 1..5 unranked
+    assert sum(ranked) == comb(12, 6)
     assert a.kruskal_rank() == 6
     assert [a.gamma_rank(i) for i in range(1, 7)] == list(range(1, 7))
     assert [a.lambda_rank(j) for j in range(6)] == [6] * 6
-    assert sum(ranked) == before
+    assert sum(ranked) == comb(12, 6)
+
+
+def test_gamma_ranks_no_level_below_its_own(monkeypatch):
+    # a code short of MDS: gamma_rank(6) scans up from level 6, and the
+    # levels 1..5 that kruskal_rank() would rank are left alone
+    sizes = []
+
+    def recording_batch_rank(mats, field):
+        sizes.append(mats.shape[1])
+        return batch_rank(mats, field)
+
+    monkeypatch.setattr(ffmat, "batch_rank", recording_batch_rank)
+    a = build_random(6, 6, F16, 1).matrix
+    assert a.gamma_rank(6) == 8
+    assert sizes == [6, 7, 8]
 
 
 def test_pickled_matrix_is_equal_read_only_and_gives_the_same_metrics():
