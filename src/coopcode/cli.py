@@ -9,11 +9,12 @@ Four subcommands cover the full experiment surface:
 
 Conventions: SNR is given in dB and converted internally to linear
 rho = 10**(dB/10).  Rates can be given per packet (--r0) or as the
-system rate (--rate); the two are related by r0 = rate*(N+M)/N.  A flat
-``key=value`` config file can seed any flag; explicit flags win.  All
-CSV output is deterministic for a fixed configuration, including across
---workers settings.  Errors exit with status 2 and a message naming the
-violated bound.
+system rate (--rate) of the N+M-slot dncc/rncc schedule; every scheme of
+a command then runs at r0 = rate*(N+M)/N, also those with other
+schedules.  A flat ``key=value`` config file can seed any flag; explicit
+flags win.  All CSV output is deterministic for a fixed configuration,
+including across --workers settings.  Errors exit with status 2 and a
+message naming the violated bound.
 """
 
 import argparse
@@ -378,7 +379,9 @@ def _add_common(p, *, code=False, grid=False, sim=False):
                        help="exponential rate of every link gain")
         p.add_argument("--r0", type=float, default=None, help="per-packet rate (bpcu)")
         p.add_argument("--rate", type=float, default=None,
-                       help="system rate R (bpcu); r0 = R*(N+M)/N")
+                       help="system rate R (bpcu) of the N+M-slot dncc/rncc schedule: every "
+                            "scheme in --scheme runs at r0 = R*(N+M)/N, so selection, ncc "
+                            "and cc run at another system rate")
         p.add_argument("--snr-start-db", type=float, default=0.0)
         p.add_argument("--snr-stop-db", type=float, default=None,
                        help="default: same as start (single point)")

@@ -31,14 +31,17 @@ Whether destination j decodes depends only on which rows reached it, so
 each (trial, j) is packed into an int64 pattern key (the
 direct rows that arrived and the entries of every delivered relay row
 after strategy-B masking: one bit per code entry, or the l-bit rncc
-coefficient).  Each chunk decides its distinct keys, or all keys when
-there are at most 2**TABLE_BITS, once, and each (trial, j) reads its
-outcome off the result: rank N in multicast, e_j in the span in unicast.
-Only the relay rows are eliminated (ffmat.batch_rank, ffmat.unit_spans):
-the held direct rows e_k are accounted for by zeroing their columns k,
-and distinct keys are taken after clearing those columns' relay entries,
-so equivalent patterns share one key.  Keys wider than KEY_BITS are
-decided per (trial, j).
+coefficient).  Each chunk decides its distinct keys once, and each
+(trial, j) reads its outcome off the result: rank N in multicast, e_j in
+the span in unicast.  Only the relay rows are eliminated
+(ffmat.batch_rank, ffmat.unit_spans): the held direct rows e_k are
+accounted for by zeroing their columns k, and distinct keys are taken
+after clearing those columns' relay entries.  A relay row left with one
+nonzero entry, in column k, then covers column k as well, so it is
+peeled into direct bit k until no row peels; equivalent patterns share
+one key.  Keys wider than KEY_BITS are decided per (trial, j).  The key
+layout, its peel tables and, when there are at most 2**TABLE_BITS keys,
+the outcome of every key are built once per sweep by run_sweep.
 
 The decide reads only link states: _link_states thresholds the gains,
 and _decide maps the states (and rncc's coefficients) to failure flags.
@@ -344,6 +347,17 @@ def draw_chunk(scn: Scenario, rng: np.random.Generator, count: int):
     return gsr, gsd, grd, coeffs
 
 
+def _unit_table(cols, width):
+    """unit[r] for every relay row r of len(cols) slots, `width` bits each,
+    slot s in column cols[s]: the direct bit e_k when r has exactly one
+    nonzero slot and it lies in column k, else 0."""
+    syms = (np.arange(1 << width * len(cols))[:, None] >> (width * np.arange(len(cols)))) \
+        & ((1 << width) - 1)
+    nonzero = syms != 0
+    col = np.asarray(cols, dtype=np.int64)[nonzero.argmax(axis=1)]
+    return np.where(nonzero.sum(axis=1) == 1, np.int64(1) << col, 0)
+
+
 class _PatternKey:
     """Bit layout that packs one arrival pattern (the rows one destination
     holds in one trial) into an int64.
@@ -353,19 +367,39 @@ class _PatternKey:
     relay i's row as delivered, zero when the row did not arrive.  An entry
     is symbol * scale[i, k]; entries whose scale is 0 never vary and get
     no slot.  Both traffic modes share the layout.  A held direct row e_k
-    makes the slots of column k irrelevant: drop_covered clears them.
+    makes the slots of column k irrelevant: drop_covered clears them, and
+    canonical also peels relay rows left with one nonzero entry.
+
+    A layout built for chunks of `count` patterns in the "table" regime
+    carries `outcomes`, the fails() flags of every key, decided here once;
+    otherwise `outcomes` is None.
     """
 
-    def __init__(self, field, scale, width, unicast):
+    def __init__(self, field, scale, width, unicast, count=0):
         m, n = scale.shape
         self.n, self.m, self.width, self.unicast = n, m, width, unicast
         self.field, self.scale = field, scale
-        self.slot_i, self.slot_k = np.nonzero(scale)
+        self.slot_i, self.slot_k = np.nonzero(scale)  # row-major: a relay's slots are adjacent
         self.shifts = n + width * np.arange(len(self.slot_i), dtype=np.int64)
         self.bits = n + width * len(self.slot_i)
         self.span = 1 << self.bits  # keys lie in [0, span)
         self.col_bits = [sum(((1 << width) - 1) << int(s) for s in self.shifts[self.slot_k == k])
                          for k in range(n)]  # column k's relay slots, as a mask
+        self.peel = []  # (shift, mask, _unit_table) per relay whose slots fit TABLE_BITS
+        units = {}      # relays with the same slot columns share one table
+        for i in np.unique(self.slot_i):
+            mine = np.flatnonzero(self.slot_i == i)
+            row_bits, cols = width * len(mine), tuple(self.slot_k[mine].tolist())
+            if row_bits > TABLE_BITS:
+                continue
+            if cols not in units:
+                units[cols] = _unit_table(cols, width)
+            self.peel.append((int(self.shifts[mine[0]]), (1 << row_bits) - 1, units[cols]))
+        self.outcomes = None
+        if self.regime(count) == "table":
+            every = np.arange(self.span, dtype=np.int64)
+            self.outcomes = _blockwise(self.span,
+                                       lambda lo, hi: self.fails(*self.unpack(every[lo:hi])))
 
     def regime(self, count):
         """How a chunk of `count` patterns is decided: "table" enumerates
@@ -408,6 +442,24 @@ class _PatternKey:
                 out &= ~(((keys >> k) & 1) * np.int64(bits))
         return out
 
+    def canonical(self, keys):
+        """drop_covered(keys) at its fixpoint under peeling.  Once covered
+        columns are cleared, a relay row with one nonzero entry, in column k,
+        is c*e_k modulo the held rows, so it covers column k as a held e_k
+        would: set direct bit k and clear column k's slots, until no row
+        peels (at most N rounds).  The span is unchanged, so rank and every
+        unit span are too.  Rows wider than TABLE_BITS are left as they
+        are, which keeps the span as well."""
+        keys = self.drop_covered(keys)
+        while self.peel:
+            unit = np.zeros_like(keys)
+            for shift, mask, table in self.peel:
+                unit |= table[(keys >> shift) & mask]
+            if not unit.any():
+                break
+            keys = self.drop_covered(keys | unit)
+        return keys
+
     def fails(self, direct, relay):
         """(P, N) flags: [p, j] says destination j fails when it holds the
         direct rows e_k with direct[p, k] set plus the relay rows relay[p]
@@ -427,17 +479,18 @@ class _PatternKey:
         return np.broadcast_to(short[:, None], held.shape)
 
 
-def _pattern_key(scn: Scenario) -> _PatternKey:
-    """The key layout of a dncc/rncc/selection scenario.  A relay row entry
-    is a per-trial rncc coefficient (an l-bit symbol), or a fixed code
-    entry that is in the row or not (a 1-bit symbol)."""
+def _pattern_key(scn: Scenario, count=0) -> _PatternKey:
+    """The key layout of a dncc/rncc/selection scenario, for decides of up
+    to `count` patterns.  A relay row entry is a per-trial rncc coefficient
+    (an l-bit symbol), or a fixed code entry that is in the row or not (a
+    1-bit symbol)."""
     n, m = scn.n_sources, scn.n_relays
     unicast = scn.traffic == "unicast"
     if scn.scheme == "rncc":
         return _PatternKey(scn.field, np.ones((m, n), dtype=np.int64),
-                           scn.field.ell, unicast)
+                           scn.field.ell, unicast, count)
     return _PatternKey(scn.code.field, scn.code.relay_block.to_array().astype(np.int64),
-                       1, unicast)
+                       1, unicast, count)
 
 
 def _blockwise(count, fails_of):
@@ -478,13 +531,14 @@ def _selected_links(scn, ok_sr, gsr, grd):
     return ok_sr & keep.T[:, None, :]
 
 
-def _decide(scn, ok_sr, ok_sd, ok_rd, coeffs):
+def _decide(scn, ok_sr, ok_sd, ok_rd, coeffs, key=None):
     """(B, N) boolean failure flags of B trials from their link states.
 
     `coeffs` are rncc's (B, M, N) coefficients; the other schemes ignore
-    them.  Selection reaches the decide as its dropped relays' source->relay
-    links taken down (_selected_links); ncc is decided as
-    _ncc_as_selection(scn).
+    them.  `key` is the scenario's _pattern_key, which run_sweep builds once
+    per sweep; None builds one for these B trials.  Selection reaches the
+    decide as its dropped relays' source->relay links taken down
+    (_selected_links); ncc is decided as _ncc_as_selection(scn).
     """
     n, m = scn.n_sources, scn.n_relays
     nb = ok_sr.shape[0]
@@ -511,13 +565,14 @@ def _decide(scn, ok_sr, ok_sd, ok_rd, coeffs):
         keep = ok_sr.transpose(0, 2, 1)         # keep[b, i, k] = relay i decoded k
     deliver = heard[:, :, None] & ok_rd  # deliver[b, i, j]
 
-    # decide each distinct arrival pattern once: from a table of every
-    # possible key when keys are narrow, else from the chunk's distinct
-    # keys; patterns too wide for an int64 are ranked one by one
-    key = _pattern_key(scn)
-    regime = key.regime(nb * n)
+    # decide each distinct arrival pattern once: read narrow keys off the
+    # layout's outcome table ("table"), else rank the chunk's distinct
+    # canonical keys ("unique"); patterns too wide for an int64 are ranked
+    # one by one ("wide")
+    if key is None:
+        key = _pattern_key(scn, nb * n)
     sym = np.where(keep, coeffs, 0) if scn.scheme == "rncc" else keep
-    if regime == "wide":
+    if key.bits > KEY_BITS:
         relay = (sym * key.scale).astype(np.int32)
         flat_b, flat_j = np.divmod(np.arange(nb * n), n)
 
@@ -529,12 +584,15 @@ def _decide(scn, ok_sr, ok_sd, ok_rd, coeffs):
         return _blockwise(nb * n, fails_of).reshape(nb, n)
 
     keys = key.pack(ok_sd, deliver, sym)
-    if regime == "table":
-        distinct, index = np.arange(key.span, dtype=np.int64), keys
+    if key.outcomes is not None:
+        table, index = key.outcomes, keys
     else:
+        # drop_covered is cheap on every key, peeling only on the distinct ones
         distinct, index = np.unique(key.drop_covered(keys).ravel(), return_inverse=True)
-    table = _blockwise(len(distinct),
-                       lambda lo, hi: key.fails(*key.unpack(distinct[lo:hi])))
+        distinct, canon = np.unique(key.canonical(distinct), return_inverse=True)
+        table = _blockwise(len(distinct),
+                           lambda lo, hi: key.fails(*key.unpack(distinct[lo:hi])))
+        index = canon[index]
     index = index.reshape(nb, n)  # one 1-D gather per column beats a 2-D one
     return np.stack([table[:, j][index[:, j]] for j in range(n)], axis=1)
 
@@ -599,24 +657,24 @@ def _ncc_as_selection(scn: Scenario) -> Scenario:
 
 
 def _chunk_counts(plans, grid_index: int, chunk_index: int, count: int):
-    """Per-scenario (dest, system) error counts of one chunk; `plans` pairs
-    each scenario with its _failure_table or None.  The chunk is drawn once
+    """Per-scenario (dest, system) error counts of one chunk; `plans` are
+    the scenarios' _plan triples.  The chunk is drawn once
     for all scenarios; the draw is an rncc scenario's when there is one, so
     its coefficients continue the stream exactly as a lone rncc sweep's
     would, and the other schemes never read them.  The scenarios share one
     rate, so links are thresholded once.  A scenario with a table counts
     the chunk's link-state keys, packed once unless selection took links
     down, and reads its counts off the table; the others decide every trial."""
-    drawer = next((s for s, _ in plans if s.scheme == "rncc"), plans[0][0])
+    drawer = next((s for s, *_ in plans if s.scheme == "rncc"), plans[0][0])
     rng = chunk_rng(drawer.seed, grid_index, chunk_index)
     gsr, gsd, grd, coeffs = draw_chunk(drawer, rng, count)
     tau = tau_for(drawer.snr_grid[grid_index], drawer.rate_r0)
     ok_sr, ok_sd, ok_rd = _link_states(tau, gsr, gsd, grd)
     keys, counts = None, []
-    for scn, table in plans:
+    for scn, table, key in plans:
         sr = _selected_links(scn, ok_sr, gsr, grd)
         if table is None:
-            counts.append(_fail_counts(_decide(scn, sr, ok_sd, ok_rd, coeffs)))
+            counts.append(_fail_counts(_decide(scn, sr, ok_sd, ok_rd, coeffs, key)))
             continue
         if sr is ok_sr and keys is None:
             keys = _state_keys(ok_sr, ok_sd, ok_rd)
@@ -625,6 +683,16 @@ def _chunk_counts(plans, grid_index: int, chunk_index: int, count: int):
         dest_sys = np.bincount(key, minlength=len(table)) @ table
         counts.append((dest_sys[:-1], int(dest_sys[-1])))
     return counts
+
+
+def _plan(scn, count):
+    """(scn, table, key): the scenario's decide state, built once per sweep
+    and shipped with every chunk task.  `table` is its _failure_table, and
+    `key` the _pattern_key of a coded scenario without one, for chunks of
+    `count` trials; either is None where it does not apply."""
+    table = _failure_table(scn)
+    coded = table is None and scn.scheme != "cc"
+    return scn, table, _pattern_key(scn, count * scn.n_sources) if coded else None
 
 
 def _sweep_task(args):
@@ -663,7 +731,7 @@ def run_sweep(scn, workers: int = 1):
     first = scenarios[0]
     grid, trials = first.snr_grid, first.trials
     work = (_ncc_as_selection(s) if s.scheme == "ncc" else s for s in scenarios)
-    plans = tuple((s, _failure_table(s)) for s in work)  # travels with each task
+    plans = tuple(_plan(s, min(trials, CHUNK_TRIALS)) for s in work)  # travels with each task
     n_chunks = (trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
     tasks = [(plans, g, c, min(CHUNK_TRIALS, trials - c * CHUNK_TRIALS))
              for g in range(len(grid)) for c in range(n_chunks)]

@@ -431,6 +431,35 @@ def test_relay_only_decide_matches_stacked_elimination(case):
     assert np.array_equal(key.fails(*key.unpack(canon)), got)
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_key_patterns())
+def test_canonical_keys_keep_every_outcome(case):
+    key, keys, direct, relay = case
+    if keys is None:  # too wide for an int64: never canonicalised
+        return
+    canon = key.canonical(keys)
+    low = (1 << key.n) - 1
+    assert not (keys & ~canon & low).any()   # direct bits are only added
+    assert not (canon & ~keys & ~low).any()  # relay bits are only cleared
+    assert np.array_equal(key.canonical(canon), canon)
+    for unicast in (False, True):
+        mode = _PatternKey(key.field, key.scale, key.width, unicast)
+        assert np.array_equal(mode.fails(*mode.unpack(canon)),
+                              mode.fails(direct, relay.copy()))
+
+
+@pytest.mark.parametrize("unicast", [False, True])
+def test_canonical_peels_a_chain_of_unit_rows(unicast):
+    # held e_0 and relay rows (a, b, 0), (0, c, d): clearing column 0 leaves
+    # b*e_1, which covers column 1 and leaves d*e_2 in the second row
+    key = _PatternKey(F4, np.array([[1, 2, 0], [0, 3, 1]]), 1, unicast)
+    held_e0 = np.array([0b1 | 0b1111 << 3], dtype=np.int64)
+    assert key.drop_covered(held_e0)[0] == 0b1 | 0b1110 << 3
+    assert key.canonical(held_e0)[0] == 0b111
+    assert not key.fails(*key.unpack(held_e0)).any()
+    assert key.canonical(np.array([0b1111 << 3]))[0] == 0b1111 << 3  # no unit row
+
+
 @st.composite
 def _coop_scenarios(draw):
     """dncc (cauchy, vandermonde, random, or explicit with zero entries),
@@ -838,6 +867,42 @@ def test_failure_table_is_built_once_per_scenario_per_sweep(monkeypatch):
     run_sweep(mix)  # 9 chunks
     assert tabled == ["dncc", "selection", "cc"] * 2
     assert decides == [("dncc", 4096), ("selection", 4096), ("cc", 4096)] * 2
+
+
+def test_pattern_key_is_built_once_per_coded_scenario_per_sweep(monkeypatch):
+    """At one worker a sweep over several chunks builds one _PatternKey per
+    coded scenario (ncc as its selection scenario), and a "table"-regime
+    layout decides its 2**bits keys once, not once per chunk."""
+    built, decided = [], []
+    init, fails = _PatternKey.__init__, _PatternKey.fails
+
+    def logged_init(self, *args):
+        init(self, *args)
+        built.append(self.width)
+
+    def logged_fails(self, direct, relay):
+        decided.append((self.width, len(direct)))
+        return fails(self, direct, relay)
+
+    monkeypatch.setattr(_PatternKey, "__init__", logged_init)
+    monkeypatch.setattr(_PatternKey, "fails", logged_fails)
+    sweep = dict(traffic="unicast", snr_grid=(1.0, 5.0, 25.0),
+                 trials=2 * CHUNK_TRIALS + 5)  # 3 chunks per point, the last one short
+    run_sweep([_scn(scheme="dncc", strategy="B", **sweep),
+               _scn(scheme="ncc", code=None, **sweep),
+               _scn(scheme="cc", code=None, **sweep),
+               _scn(scheme="rncc", code=None, field=F4, **sweep)])
+    # dncc and selection in their link-state tables' decide, then rncc's
+    # 2 + 2*2*2 = 10-bit layout, whose table serves all nine chunks
+    assert built == [1, 1, 2]
+    assert decided == [(1, 1 << 6), (1, 1 << 6), (2, 1 << 10)]
+
+    built.clear()  # 16 links and a 14-bit rncc layout: every chunk is decided per trial
+    wide, code = dict(sweep, n_relays=3), build_vandermonde(2, 3, F8)
+    run_sweep([_scn(scheme="dncc", code=code, **wide),
+               _scn(scheme="selection", code=code, k_select=2, **wide),
+               _scn(scheme="rncc", code=None, field=F4, **wide)])
+    assert built == [1, 1, 2]
 
 
 def test_rncc_and_wide_networks_are_decided_per_trial(monkeypatch):
