@@ -10,15 +10,19 @@ pure-Python elimination: the scalar reference the batched paths are tested
 against.
 
 The subset metrics kruskal_rank / gamma_rank / lambda_rank, and the MDS
-certification in netcode, enumerate row subsets exhaustively, one subset
-size (level) at a time: each level is ranked by batch_rank in blocks of
-SUBSET_BLOCK subsets, and unit_spans reads off the reduced rows which e_j
-each subset spans.  A matrix ranks each level at most once and keeps its
-record (least rank, unit vectors every subset spans), which every metric
-reads.  The enumeration is capped at SUBSET_ROW_CAP = 24 rows.
+certification in netcode, read one record per subset size (level): the
+least rank of the level's row subsets and the unit vectors every one of
+them spans.  A level is found by enumerating its row subsets, ranked by
+batch_rank in blocks of SUBSET_BLOCK, with unit_spans reading off the
+reduced rows which e_j each subset spans.  One level needs no subset: on a
+systematic matrix [I_N; R], level N is full exactly when every square
+minor of R is nonzero, and _every_minor_nonzero decides that from the
+minors, built level by level by Laplace expansion.  A matrix finds each
+level at most once and keeps its record.  The metrics are capped at
+SUBSET_ROW_CAP = 24 rows.
 
-gamma and lambda start from the Kruskal rank k, so a certified code ranks
-no level beyond the one its certification ranked.  gamma_rank(i) is i for
+gamma and lambda start from the Kruskal rank k, so a certified code, whose
+level N its certification found, ranks no further level.  gamma_rank(i) is i for
 i <= k.  lambda_rank(j) is at least k, because for l < k some l rows miss
 e_j: take k independent rows T; the spans of the sets T - {a} meet only
 in {0}, so e_j misses one of them, and every l-subset of that one.
@@ -28,6 +32,7 @@ followed by row-major integer entries; blank lines and ``#`` comments are
 ignored on load.
 """
 
+from functools import cache
 from itertools import combinations, islice
 
 import numpy as np
@@ -36,6 +41,7 @@ from .gf import Field, field_ell, field_new
 
 SUBSET_ROW_CAP = 24  # exhaustive subset enumeration beyond this is hopeless
 SUBSET_BLOCK = 1024  # row subsets ranked per batch_rank call, bounding memory
+_MINOR_BLOCK = 1 << 18  # products per block of minors, bounding memory
 
 
 def batch_rank(mats: np.ndarray, field: Field) -> np.ndarray:
@@ -90,6 +96,49 @@ def unit_spans(reduced: np.ndarray) -> np.ndarray:
     """(B, C) flags of a (B, R, C) stack that batch_rank has reduced: [b, j]
     says whether e_j is in matrix b's row span, i.e. one of its rows is e_j."""
     return ((reduced == 1) & ((reduced != 0).sum(axis=2) == 1)[:, :, None]).any(axis=1)
+
+
+@cache
+def _subsets(n, k):
+    """The k-subsets of range(n) in combinations order, as an (S, k) array of
+    members, and drop[s, t]: the index of subset s without its t-th member
+    among the (k-1)-subsets, in the same order."""
+    members = list(combinations(range(n), k))
+    index = {sub: i for i, sub in enumerate(combinations(range(n), k - 1))}
+    drop = [[index[sub[:t] + sub[t + 1:]] for t in range(k)] for sub in members]
+    return np.array(members, dtype=np.intp), np.array(drop, dtype=np.intp)
+
+
+def _every_minor_nonzero(block: np.ndarray, field: Field) -> bool:
+    """Whether every square submatrix of an (M, N) block is nonsingular.
+
+    The minors are built level by level, k = 1..min(M, N), each k x k minor
+    by Laplace expansion along its last row.  In characteristic 2 the signs
+    drop out: det R[I, J] is the XOR over c in J of R[max I, c] times
+    det R[I - {max I}, J - {c}].  A level is kept as the logs of its minors
+    (every one is nonzero once the level has passed), indexed by row subset
+    and column subset.  Its row subsets are expanded in blocks of at most
+    _MINOR_BLOCK products, which bounds memory.  Returns False at the first
+    level with a zero minor.
+    """
+    log_t, exp2_t, _ = field.np_tables()
+    if not block.all():
+        return False
+    prev = log_t[block]  # level 1: row i, column c
+    for k in range(2, min(block.shape) + 1):
+        rows, row_drop = _subsets(block.shape[0], k)
+        cols, col_drop = _subsets(block.shape[1], k)
+        level = np.empty((len(rows), len(cols)), dtype=np.int32)
+        step = max(1, _MINOR_BLOCK // (len(cols) * k))
+        for lo in range(0, len(rows), step):
+            last = log_t[block[rows[lo:lo + step, -1]]]  # each row subset's last row
+            rest = prev[row_drop[lo:lo + step, -1]]      # minors of the rows above it
+            det = np.bitwise_xor.reduce(exp2_t[last[:, cols] + rest[:, col_drop]], axis=2)
+            if not det.all():
+                return False
+            level[lo:lo + step] = log_t[det]
+        prev = level
+    return True
 
 
 class FfMatrix:
@@ -254,12 +303,31 @@ class FfMatrix:
     def _level(self, size):
         """``(least rank, spans)`` over every `size`-row subset: spans[j]
         says whether every such subset spans e_j.  Ranked once per matrix,
-        SUBSET_BLOCK subsets per batch_rank call, then read from the record."""
+        SUBSET_BLOCK subsets per batch_rank call, then read from the record.
+
+        One case ranks no subset: size == cols =: N on a systematic
+        matrix [I_N; R] whose relay block R has every square minor nonzero.
+        The record is then (N, all True), by this lemma: N rows made of the
+        identity rows e_k, k in D, and the relay rows I are independent iff
+        R[I, [N] - D] is nonsingular.  (The rows e_k span exactly the
+        vectors supported on D, so the N rows are independent iff R's rows
+        I, restricted to the |I| = N - |D| columns outside D, are.)  Each
+        square submatrix of R arises so, with D the complement of its
+        columns; hence every N rows are independent iff every square minor
+        of R is nonzero (Roth & Seroussi 1985).  When a minor vanishes, the
+        level is enumerated as for any matrix, so least rank and spans stay
+        exact for codes short of MDS.
+        """
         if size not in self._levels:
             if self.rows > SUBSET_ROW_CAP:
                 raise ValueError(
                     f"subset metrics are exhaustive; capped at {SUBSET_ROW_CAP} rows"
                 )
+            n = self.cols
+            if (size == n and np.array_equal(self._a[:n], np.eye(n))
+                    and _every_minor_nonzero(self._a[n:], self.field)):
+                self._levels[size] = (n, (True,) * n)
+                return self._levels[size]
             a = self._a.astype(np.int32)
             subsets = combinations(range(self.rows), size)
             least, spans = size, np.ones(self.cols, dtype=bool)

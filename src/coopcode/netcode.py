@@ -6,7 +6,10 @@ combination relay i forwards.  Decodability at a receiver that collected
 a subset of rows reduces to rank (all packets) or row-span membership
 (one packet).  Full diversity means every N rows of A are independent,
 i.e. kruskal_rank(A) == N; the Cauchy and Vandermonde builders below
-guarantee that by construction.
+guarantee that by construction.  For A = [I_N; R] that holds exactly when
+every square submatrix of the relay block R is nonsingular (Roth &
+Seroussi 1985), which is how certification checks it: from R's minors,
+ranking no row subset.  A code short of MDS has its N-row subsets ranked.
 """
 
 import json
@@ -17,7 +20,7 @@ import numpy as np
 from .gf import Field, field_new
 from .ffmat import FfMatrix, load_matrix
 
-MDS_EXHAUSTIVE_CAP = 12  # N+M above this makes subset/codeword checks infeasible
+MDS_EXHAUSTIVE_CAP = 12  # certify up to this N+M; a code short of MDS ranks its N-row subsets
 MAX_CODEWORDS = 1 << 20  # min_distance enumerates at most this many codewords
 _CODEWORD_BLOCK = 1 << 12  # messages multiplied per FfMatrix product, bounding memory
 
@@ -209,7 +212,8 @@ def recover(code: NetworkCode, received_rows, observations: FfMatrix,
 
 
 def mds_check(code: NetworkCode) -> bool:
-    """True iff every N rows of A are independent (exhaustive subset check)."""
+    """True iff every N rows of A are independent, i.e. every square minor
+    of the relay block is nonzero.  Capped at N+M <= MDS_EXHAUSTIVE_CAP."""
     size = code.n_sources + code.n_relays
     if size > MDS_EXHAUSTIVE_CAP:
         raise ValueError(f"exhaustive check capped at N+M <= {MDS_EXHAUSTIVE_CAP}")
@@ -268,8 +272,8 @@ def load_code(text: str) -> NetworkCode:
     construction = meta.get("construction", "explicit")
     code = build_explicit(mat, n)
     if construction != "explicit":
-        # the header's kappa is only a claim: keep it if the exhaustive
-        # check confirms it, drop it where that check is out of reach
+        # the header's kappa is only a claim: keep it if the relay block's
+        # minors confirm it, drop it where N+M is above MDS_EXHAUSTIVE_CAP
         kappa = meta.get("certified_kappa")
         if not (kappa == n and mat.rows <= MDS_EXHAUSTIVE_CAP
                 and mat.kruskal_rank() == n):

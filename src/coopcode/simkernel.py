@@ -449,15 +449,18 @@ class _PatternKey:
         would: set direct bit k and clear column k's slots, until no row
         peels (at most N rounds).  The span is unchanged, so rank and every
         unit span are too.  Rows wider than TABLE_BITS are left as they
-        are, which keeps the span as well."""
+        are, which keeps the span as well.  A key that no row peels in one
+        round is at its fixpoint, so each round carries only the keys the
+        last one moved."""
         keys = self.drop_covered(keys)
-        while self.peel:
-            unit = np.zeros_like(keys)
+        live, moving = np.arange(len(keys)), keys
+        while self.peel and len(live):
+            unit = np.zeros_like(moving)
             for shift, mask, table in self.peel:
-                unit |= table[(keys >> shift) & mask]
-            if not unit.any():
-                break
-            keys = self.drop_covered(keys | unit)
+                unit |= table[(moving >> shift) & mask]
+            moved = np.flatnonzero(unit)
+            live, moving = live[moved], self.drop_covered(moving[moved] | unit[moved])
+            keys[live] = moving
         return keys
 
     def fails(self, direct, relay):

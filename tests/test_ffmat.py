@@ -2,8 +2,9 @@
 
 import pickle
 import random
+import time
+import tracemalloc
 from itertools import combinations
-from math import comb
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from coopcode.netcode import (MDS_EXHAUSTIVE_CAP, build_cauchy, build_explicit,
 F2 = field_new(1)
 F4 = field_new(2)
 F16 = field_new(4)
+F32 = field_new(5)
 
 # The 4x2 systematic matrix over GF(4) used throughout: identity on top,
 # relay rows (3,2) and (2,3).  Every pair of rows is independent.
@@ -627,16 +629,16 @@ def test_each_subset_level_is_ranked_once(monkeypatch):
     monkeypatch.setattr(ffmat, "batch_rank", counting_batch_rank)
     a = build_vandermonde(6, 6, F16).matrix
     assert inverted == [1]
-    assert sum(ranked) == comb(12, 6)  # certification ranks the 6-row level
+    assert sum(ranked) == 0  # certification reads the relay block's minors
     assert a.gamma_rank(6) == 6
-    assert sum(ranked) == comb(12, 6)  # ... which gamma_rank(6) reads back
+    assert sum(ranked) == 0  # ... and gamma_rank(6) reads its record back
     assert [a.lambda_rank(j) for j in range(6)] == [6] * 6
     # kruskal_rank 6 puts every lambda at level 6 or above: levels 1..5 unranked
-    assert sum(ranked) == comb(12, 6)
+    assert sum(ranked) == 0
     assert a.kruskal_rank() == 6
     assert [a.gamma_rank(i) for i in range(1, 7)] == list(range(1, 7))
     assert [a.lambda_rank(j) for j in range(6)] == [6] * 6
-    assert sum(ranked) == comb(12, 6)
+    assert sum(ranked) == 0
 
 
 def test_gamma_ranks_no_level_below_its_own(monkeypatch):
@@ -652,6 +654,73 @@ def test_gamma_ranks_no_level_below_its_own(monkeypatch):
     a = build_random(6, 6, F16, 1).matrix
     assert a.gamma_rank(6) == 8
     assert sizes == [6, 7, 8]
+
+
+@pytest.mark.parametrize("field", [F2, F4, F16], ids=["q2", "q4", "q16"])
+def test_every_minor_nonzero_iff_every_n_rows_of_the_code_are_independent(field):
+    # every shape up to 4 x 4, so M != N and M or N = 1 are all covered;
+    # a third of the blocks may hold zero entries
+    rng = random.Random(field.order + 19)
+    verdicts = []
+    for m in range(1, 5):
+        for n in range(1, 5):
+            for trial in range(4):
+                low = 0 if trial % 3 == 0 else 1
+                block = np.array([[rng.randrange(low, field.order) for _ in range(n)]
+                                  for _ in range(m)], dtype=np.int64)
+                code = FfMatrix(field, np.vstack([np.eye(n, dtype=np.int64), block]))
+                want = _ref_every_n_full_rank(code, n)
+                assert ffmat._every_minor_nonzero(block, field) == want, block.tolist()
+                verdicts.append(want)
+    assert True in verdicts and False in verdicts
+
+
+def _one_minor_short(code):
+    """code's matrix with one relay entry changed so that a minor of the
+    relay block vanishes: R[1, 1] = R[0, 1] R[1, 0] / R[0, 0], or R[0, 0] = 0
+    when N or M is 1."""
+    f, n = code.field, code.n_sources
+    a = code.matrix.to_lists()
+    r = code.relay_block.to_lists()
+    if min(code.n_sources, code.n_relays) == 1:
+        a[n][0] = 0
+    else:
+        a[n + 1][1] = f.mul(f.mul(r[0][1], r[1][0]), f.inv(r[0][0]))
+    return FfMatrix(f, a)
+
+
+@pytest.mark.parametrize("build, n, m, field", [
+    (build_vandermonde, 1, 1, F2), (build_cauchy, 1, 2, F4), (build_vandermonde, 2, 1, F4),
+    (build_cauchy, 3, 3, F16), (build_vandermonde, 2, 4, F16), (build_cauchy, 4, 2, F16),
+], ids=["v1x1q2", "c1x2q4", "v2x1q4", "c3x3q16", "v2x4q16", "c4x2q16"])
+def test_metrics_of_mds_and_one_minor_short_codes_match_every_level(build, n, m, field):
+    code = build(n, m, field)
+    mds = FfMatrix(field, code.matrix.to_array())  # a fresh record, not the builder's
+    for a, is_mds in ((mds, True), (_one_minor_short(code), False)):
+        levels = _every_level(a)
+        # gamma and lambda first, so they reach level n before kruskal_rank does
+        for i in range(1, n + 1):
+            assert a.gamma_rank(i) == next(g for g in levels if levels[g][0] >= i)
+        for j in range(n):
+            assert a.lambda_rank(j) == next((lam for lam in levels if levels[lam][1][j]), None)
+        want = next((r - 1 for r in range(1, n + 1) if levels[r][0] < r), n)
+        assert a.kruskal_rank() == want
+        assert (want == n) == is_mds
+
+
+def test_certification_at_the_row_cap_is_fast_and_small():
+    # 24 rows: C(24, 12) = 2,704,156 subsets to rank, or the 2,704,155
+    # minors of the 12 x 12 relay block, built in blocks
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        assert build_cauchy(12, 12, F32).matrix.kruskal_rank() == 12
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 30
+    assert peak < 32 * 2**20
 
 
 def test_pickled_matrix_is_equal_read_only_and_gives_the_same_metrics():

@@ -6,11 +6,13 @@ import random
 import numpy as np
 import pytest
 
-from coopcode.ffmat import FfMatrix
+from coopcode import ffmat
+from coopcode.ffmat import FfMatrix, batch_rank
 from coopcode.gf import field_new
 from coopcode.netcode import (
     MAX_CODEWORDS,
     FieldTooSmallError,
+    NetworkCode,
     bits_to_symbols,
     build_cauchy,
     build_explicit,
@@ -277,6 +279,30 @@ def test_dump_load_roundtrip():
         assert back.construction == code.construction
         assert back.certified_kappa == code.certified_kappa
         assert (back.n_sources, back.n_relays) == (code.n_sources, code.n_relays)
+
+
+def test_load_code_certifies_from_the_relay_minors(monkeypatch):
+    ranked = []
+
+    def counting_batch_rank(mats, field):
+        ranked.append(len(mats))
+        return batch_rank(mats, field)
+
+    code = build_cauchy(6, 6, F16)
+    monkeypatch.setattr(ffmat, "batch_rank", counting_batch_rank)
+    back = load_code(dump_code(code))
+    assert back.certified_kappa == 6 and back.matrix == code.matrix
+    assert ranked == []  # every relay minor is nonzero: no subset is ranked
+    # the same file with R[1, 1] set so that det R[{0, 1}, {0, 1}] = 0
+    a, r = code.matrix.to_lists(), code.relay_block.to_lists()
+    a[7][1] = F16.mul(F16.mul(r[0][1], r[1][0]), F16.inv(r[0][0]))
+    assert a[7][1] != r[1][1]
+    edited = NetworkCode(6, 6, F16, FfMatrix(F16, a), "cauchy", 6)
+    text = dump_code(edited)
+    assert '"certified_kappa": 6' in text
+    back = load_code(text)
+    assert back.certified_kappa is None and back.construction == "cauchy"
+    assert back.matrix.kruskal_rank() < 6
 
 
 def test_bit_helpers():
