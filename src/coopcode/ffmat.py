@@ -338,10 +338,17 @@ class FfMatrix:
             self._levels[size] = (least, tuple(spans.tolist()))
         return self._levels[size]
 
+    def kruskal_full(self) -> bool:
+        """kruskal_rank() == min(rows, cols), read off that one level alone:
+        every smaller row set sits inside a set of that size.  On a code
+        [I_N; R] this is the MDS property."""
+        top = min(self.rows, self.cols)
+        return self._level(top)[0] == top
+
     def kruskal_rank(self) -> int:
         """Largest r such that every set of r rows is linearly independent."""
         limit = min(self.rows, self.cols)
-        if self._level(limit)[0] == limit:  # every smaller row set sits inside one
+        if self.kruskal_full():
             return limit
         for r in range(1, limit):
             if self._level(r)[0] < r:
@@ -361,7 +368,7 @@ class FfMatrix:
         top = min(self.rows, self.cols)
         if not 1 <= i <= top:
             raise ValueError(f"i must be in [1, {top}]")
-        if self._level(top)[0] == top:  # kruskal_rank() == top >= i
+        if self.kruskal_full():  # kruskal_rank() == top >= i
             return i
         for g in range(i, self.rows + 1):
             if self._level(g)[0] >= i:

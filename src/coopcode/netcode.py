@@ -88,7 +88,7 @@ def _stack_code(field, n, m, relay_rows, construction):
     code = NetworkCode(n, m, field, a, construction,
                        certified_kappa=n if construction in ("cauchy", "vandermonde") else None)
     if construction in ("cauchy", "vandermonde") and n + m <= MDS_EXHAUSTIVE_CAP:
-        if code.matrix.kruskal_rank() != n:
+        if not code.matrix.kruskal_full():
             raise AssertionError(
                 f"{construction} construction lost full diversity"
             )
@@ -217,7 +217,7 @@ def mds_check(code: NetworkCode) -> bool:
     size = code.n_sources + code.n_relays
     if size > MDS_EXHAUSTIVE_CAP:
         raise ValueError(f"exhaustive check capped at N+M <= {MDS_EXHAUSTIVE_CAP}")
-    return code.matrix.kruskal_rank() == code.n_sources
+    return code.matrix.kruskal_full()  # rows N+M >= cols N: level N alone decides
 
 
 def min_distance(code: NetworkCode) -> int:
@@ -276,7 +276,7 @@ def load_code(text: str) -> NetworkCode:
         # minors confirm it, drop it where N+M is above MDS_EXHAUSTIVE_CAP
         kappa = meta.get("certified_kappa")
         if not (kappa == n and mat.rows <= MDS_EXHAUSTIVE_CAP
-                and mat.kruskal_rank() == n):
+                and mat.kruskal_full()):
             kappa = None
         code = NetworkCode(code.n_sources, code.n_relays, code.field,
                            code.matrix, construction, kappa)

@@ -28,7 +28,7 @@ any code.  ncc runs on it as selection with k=1 and strategy A over the
 XOR code (all-ones relay rows over GF(2)): e_j is in the span iff the
 direct row arrived, or the XOR row did with every other direct row.
 Whether destination j decodes depends only on which rows reached it, so
-each (trial, j) is packed into an int64 pattern key (the
+each (trial, j) is packed into an integer pattern key (the
 direct rows that arrived and the entries of every delivered relay row
 after strategy-B masking: one bit per code entry, or the l-bit rncc
 coefficient).  Each chunk decides its distinct keys once, and each
@@ -41,7 +41,8 @@ nonzero entry, in column k, then covers column k as well, so it is
 peeled into direct bit k until no row peels; equivalent patterns share
 one key.  Keys wider than KEY_BITS are decided per (trial, j).  The key
 layout, its peel tables and, when there are at most 2**TABLE_BITS keys,
-the outcome of every key are built once per sweep by run_sweep.
+the outcome of every key are built once per sweep by run_sweep; those
+table-regime keys are packed as uint16, the others as int64.
 
 The decide reads only link states: _link_states thresholds the gains,
 and _decide maps the states (and rncc's coefficients) to failure flags.
@@ -51,9 +52,11 @@ nothing never transmits, just as an unselected one.  So when the
 L = NM + N^2 + MN links fit TABLE_BITS (N=1 with M <= 5, N=2 with
 M <= 2), run_sweep decides every one of the 2**L states once per
 scenario and ships that table with the chunk tasks; a chunk then packs
-each trial's link states into a key, and the counts are its key
-histogram times the table.  rncc, whose relay rows vary per trial, and
-wider networks are decided per trial.
+each trial's link states into a uint16 key, once for every tabled
+scenario, and each scenario's counts are its key histogram times its
+table.  Selection (ncc too) clears the source->relay bits of the relays
+it drops from those shared keys, one mask per relay.  rncc, whose relay
+rows vary per trial, and wider networks are decided per trial.
 """
 
 import math
@@ -336,10 +339,13 @@ def draw_chunk(scn: Scenario, rng: np.random.Generator, count: int):
     """Draw all randomness for `count` trials in the fixed order the
     reproducibility contract pins down: gains first, then coefficients."""
     n, m = scn.n_sources, scn.n_relays
-    bsr, bsd, brd = _betas(scn)
-    gsr = rng.standard_exponential((count, n, m)) / bsr
-    gsd = rng.standard_exponential((count, n, n)) / bsd
-    grd = rng.standard_exponential((count, m, n)) / brd
+    gains = []
+    for shape, beta in zip(((count, n, m), (count, n, n), (count, m, n)), _betas(scn)):
+        g = rng.standard_exponential(shape)
+        if np.any(beta != 1.0):  # x / 1.0 == x exactly
+            g /= beta            # in place: no second array per link block
+        gains.append(g)
+    gsr, gsd, grd = gains
     coeffs = None
     if scn.scheme == "rncc":
         coeffs = rng.integers(0, scn.field.order, size=(count, m, n),
@@ -360,7 +366,8 @@ def _unit_table(cols, width):
 
 class _PatternKey:
     """Bit layout that packs one arrival pattern (the rows one destination
-    holds in one trial) into an int64.
+    holds in one trial) into an integer key: uint16 in the "table" regime,
+    else int64.
 
     Bits [0, N) flag the direct rows e_k that arrived.  Then come the relay
     *slots*, `width` bits each: slot (i, k) holds the symbol of entry k of
@@ -408,20 +415,31 @@ class _PatternKey:
             return "wide"
         return "table" if self.bits <= TABLE_BITS and self.span <= count else "unique"
 
-    def pack(self, ok_sd, deliver, sym):
-        """(B, N) keys; ok_sd[b, k, j], deliver[b, i, j] and the (B, M, N)
-        relay row symbols sym[b, i, k]."""
+    def pack(self, ok_sd, heard, ok_rd, sym):
+        """(B, N) keys of the patterns B trials deliver: link states
+        ok_sd[b, k, j] and ok_rd[b, i, j], heard[i, b] when relay i sends,
+        and the (B, M, N) relay row symbols sym[b, i, k].  A layout that
+        carries `outcomes` has at most TABLE_BITS bits and packs uint16
+        keys, as _state_keys does; the others pack int64 keys, which
+        drop_covered and canonical work on.  Keys are built one contiguous
+        row per destination, which beats ops along the short N axis."""
+        dtype = np.int64 if self.outcomes is None else np.uint16
+        if sym.dtype != bool:  # rncc coefficients, below 2**width
+            sym = sym.astype(dtype, copy=False)
         nb, n = ok_sd.shape[0], self.n
-        keys = np.zeros((nb, n), dtype=np.int64)
-        for k in range(n):
-            keys += ok_sd[:, k, :] * np.int64(1 << k)
+        keys = np.zeros((n, nb), dtype=dtype)
+        for j in range(n):
+            for k in range(n):
+                keys[j] += ok_sd[:, k, j] * dtype(1 << k)
         for i in np.unique(self.slot_i):
             mine = self.slot_i == i
-            row = np.zeros(nb, dtype=np.int64)     # relay i's slots, as sent
+            row = np.zeros(nb, dtype=dtype)     # relay i's slots, as sent
             for k, shift in zip(self.slot_k[mine], self.shifts[mine]):
-                row += sym[:, i, k] * (np.int64(1) << shift)
-            keys += deliver[:, i, :] * row[:, None]
-        return keys
+                row += sym[:, i, k] * dtype(1 << int(shift))
+            row *= heard[i]
+            for j in range(n):
+                keys[j] += ok_rd[:, i, j] * row
+        return keys.T
 
     def unpack(self, keys):
         """(direct, relay) arrays of the patterns, as fails() takes them."""
@@ -508,16 +526,11 @@ def _link_states(tau, gsr, gsd, grd):
     return gsr > tau, gsd > tau, grd > tau
 
 
-def _selected_links(scn, ok_sr, gsr, grd):
-    """ok_sr with the source->relay links of every relay that selection
-    drops taken down.  Selection keeps the k_select best relays by
-    bottleneck gain (min over the 2N adjacent links), ties toward the lower
-    index: a relay is kept iff fewer than k_select relays rank ahead of it.
-    A relay that heard no source never transmits, under strategy A and B
-    alike, so _decide then treats a dropped relay as an unselected one.
-    ok_sr itself for other schemes."""
-    if scn.scheme != "selection":
-        return ok_sr
+def _kept_relays(scn, gsr, grd):
+    """(M, B) bool: keep[i, b] says selection keeps relay i in trial b.
+    It keeps the k_select best relays by bottleneck gain (min over the 2N
+    adjacent links), ties toward the lower index: a relay is kept iff fewer
+    than k_select relays rank ahead of it."""
     # folding over the short source axis beats a reduction along it
     h = np.minimum(gsr[:, 0], grd[:, :, 0])        # (B, M)
     for k in range(1, scn.n_sources):
@@ -531,7 +544,17 @@ def _selected_links(scn, ok_sr, gsr, grd):
             if t != i:
                 ahead += h[t] >= h[i] if t < i else h[t] > h[i]
         np.less(ahead, scn.k_select, out=keep[i])
-    return ok_sr & keep.T[:, None, :]
+    return keep
+
+
+def _selected_links(scn, ok_sr, gsr, grd):
+    """ok_sr with the source->relay links of every relay that selection
+    drops (_kept_relays) taken down.  A relay that heard no source never
+    transmits, under strategy A and B alike, so _decide then treats a
+    dropped relay as an unselected one.  ok_sr itself for other schemes."""
+    if scn.scheme != "selection":
+        return ok_sr
+    return ok_sr & _kept_relays(scn, gsr, grd).T[:, None, :]
 
 
 def _decide(scn, ok_sr, ok_sd, ok_rd, coeffs, key=None):
@@ -556,17 +579,19 @@ def _decide(scn, ok_sr, ok_sd, ok_rd, coeffs, key=None):
             fails[:, j] = ~(ok_sd[:, j, j] | relayed)
         return fails
 
-    # a relay sends once it decoded all N sources (A) or any (B); looping
-    # over the short source axis is faster than a numpy reduction along it
+    # a relay sends once it decoded all N sources (A) or any (B); one
+    # contiguous row per relay, folded over the short source axis, beats
+    # ops whose inner axis is that short axis
     merge = np.logical_and if scn.strategy == "A" else np.logical_or
-    heard = ok_sr[:, 0].copy()                  # (B, M)
-    for k in range(1, n):
-        merge(heard, ok_sr[:, k], out=heard)
+    heard = np.empty((m, nb), dtype=bool)       # heard[i, b]
+    for i in range(m):
+        heard[i] = ok_sr[:, 0, i]
+        for k in range(1, n):
+            merge(heard[i], ok_sr[:, k, i], out=heard[i])
     if scn.strategy == "A":
         keep = np.broadcast_to(True, (nb, m, n))
     else:
         keep = ok_sr.transpose(0, 2, 1)         # keep[b, i, k] = relay i decoded k
-    deliver = heard[:, :, None] & ok_rd  # deliver[b, i, j]
 
     # decide each distinct arrival pattern once: read narrow keys off the
     # layout's outcome table ("table"), else rank the chunk's distinct
@@ -574,9 +599,13 @@ def _decide(scn, ok_sr, ok_sd, ok_rd, coeffs, key=None):
     # one by one ("wide")
     if key is None:
         key = _pattern_key(scn, nb * n)
-    sym = np.where(keep, coeffs, 0) if scn.scheme == "rncc" else keep
+    if scn.scheme != "rncc":
+        sym = keep
+    else:  # under A every relay that sends sends its whole row
+        sym = coeffs if scn.strategy == "A" else np.where(keep, coeffs, 0)
     if key.bits > KEY_BITS:
         relay = (sym * key.scale).astype(np.int32)
+        deliver = heard.T[:, :, None] & ok_rd  # deliver[b, i, j]
         flat_b, flat_j = np.divmod(np.arange(nb * n), n)
 
         def fails_of(lo, hi):
@@ -586,7 +615,7 @@ def _decide(scn, ok_sr, ok_sd, ok_rd, coeffs, key=None):
 
         return _blockwise(nb * n, fails_of).reshape(nb, n)
 
-    keys = key.pack(ok_sd, deliver, sym)
+    keys = key.pack(ok_sd, heard, ok_rd, sym)
     if key.outcomes is not None:
         table, index = key.outcomes, keys
     else:
@@ -596,8 +625,13 @@ def _decide(scn, ok_sr, ok_sd, ok_rd, coeffs, key=None):
         table = _blockwise(len(distinct),
                            lambda lo, hi: key.fails(*key.unpack(distinct[lo:hi])))
         index = canon[index]
-    index = index.reshape(nb, n)  # one 1-D gather per column beats a 2-D one
-    return np.stack([table[:, j][index[:, j]] for j in range(n)], axis=1)
+    # one 1-D gather per destination beats a 2-D one, and take reads a
+    # uint16 index faster than [] does
+    index = index.reshape(nb, n)
+    fails = np.empty((n, nb), dtype=bool)
+    for j in range(n):
+        table[:, j].take(index[:, j], out=fails[j])
+    return fails.T
 
 
 def _coop_failures(scn, tau, gsr, gsd, grd, coeffs):
@@ -638,6 +672,18 @@ def _state_keys(ok_sr, ok_sd, ok_rd):
     return keys
 
 
+def _drop_relay_states(keys, keep, n_sources):
+    """_state_keys `keys` with the source->relay bits (k, i), bit k*M + i,
+    of every relay i that keep[i] drops cleared: the keys of the states
+    _selected_links gives, from one mask per relay."""
+    m = keep.shape[0]
+    out = keys.copy()
+    for i in range(m):
+        mask = np.uint16(sum(1 << (k * m + i) for k in range(n_sources)))
+        out &= ~mask | keep[i] * mask
+    return out
+
+
 def _fail_counts(fails):
     """(per-destination failures, trials where any destination fails) of
     (B, N) flags; per-column counts and an OR-fold beat sum/any along the
@@ -666,8 +712,9 @@ def _chunk_counts(plans, grid_index: int, chunk_index: int, count: int):
     its coefficients continue the stream exactly as a lone rncc sweep's
     would, and the other schemes never read them.  The scenarios share one
     rate, so links are thresholded once.  A scenario with a table counts
-    the chunk's link-state keys, packed once unless selection took links
-    down, and reads its counts off the table; the others decide every trial."""
+    the chunk's link-state keys, packed once for all of them (selection
+    clears its dropped relays' bits from them), and reads its counts off
+    the table; the others decide every trial."""
     drawer = next((s for s, *_ in plans if s.scheme == "rncc"), plans[0][0])
     rng = chunk_rng(drawer.seed, grid_index, chunk_index)
     gsr, gsd, grd, coeffs = draw_chunk(drawer, rng, count)
@@ -675,15 +722,16 @@ def _chunk_counts(plans, grid_index: int, chunk_index: int, count: int):
     ok_sr, ok_sd, ok_rd = _link_states(tau, gsr, gsd, grd)
     keys, counts = None, []
     for scn, table, key in plans:
-        sr = _selected_links(scn, ok_sr, gsr, grd)
         if table is None:
+            sr = _selected_links(scn, ok_sr, gsr, grd)
             counts.append(_fail_counts(_decide(scn, sr, ok_sd, ok_rd, coeffs, key)))
             continue
-        if sr is ok_sr and keys is None:
+        if keys is None:
             keys = _state_keys(ok_sr, ok_sd, ok_rd)
-        # selection packs its own states, with its dropped relays' links down
-        key = keys if sr is ok_sr else _state_keys(sr, ok_sd, ok_rd)
-        dest_sys = np.bincount(key, minlength=len(table)) @ table
+        states = keys
+        if scn.scheme == "selection":  # its dropped relays' links taken down
+            states = _drop_relay_states(keys, _kept_relays(scn, gsr, grd), scn.n_sources)
+        dest_sys = np.bincount(states, minlength=len(table)) @ table
         counts.append((dest_sys[:-1], int(dest_sys[-1])))
     return counts
 
@@ -769,7 +817,14 @@ def selected_link_gain_cdf(n: int, m: int, beta: float, taus, trials: int,
     with the best bottleneck (min over its 2N adjacent links).
 
     Vectorized sampling oracle for selection_cdf_approx in analytic.
+    Raises ValueError on the inputs a Scenario rejects.
     """
+    if n < 1 or m < 1:
+        raise ValueError("need n_sources >= 1 and n_relays >= 1")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if not (math.isfinite(beta) and beta > 0):
+        raise ValueError(f"beta must be finite and positive, got {beta}")
     taus = np.asarray(taus, dtype=float)
     counts = np.zeros(taus.shape, dtype=np.int64)
     done = 0

@@ -305,6 +305,36 @@ def test_load_code_certifies_from_the_relay_minors(monkeypatch):
     assert back.matrix.kruskal_rank() < 6
 
 
+def test_certification_checks_rank_level_n_alone():
+    """mds_check and load_code's kappa check read only level N: on a code
+    short of MDS, kruskal_rank() would also rank levels 1 up to the first
+    deficient one (924 + 1585 subsets at N=M=6)."""
+    short = [s for s in range(10) if not mds_check(build_random(6, 6, F16, s))]
+    assert short
+    for s in short[:3]:
+        code = build_random(6, 6, F16, s)  # fresh: no level recorded yet
+        assert not mds_check(code)
+        assert list(code.matrix._levels) == [6]
+        text = dump_code(code).replace('"random"', '"vandermonde"').replace(
+            '"certified_kappa": null', '"certified_kappa": 6')
+        assert '"vandermonde"' in text and '"certified_kappa": 6' in text
+        back = load_code(text)
+        assert back.certified_kappa is None and back.construction == "vandermonde"
+        assert list(back.matrix._levels) == [6]
+
+
+def test_kruskal_full_is_kruskal_rank_at_the_top():
+    rng, seen = random.Random(7), set()
+    for _ in range(60):
+        ell, rows, cols = rng.randrange(1, 4), rng.randrange(1, 6), rng.randrange(1, 5)
+        field = field_new(ell)
+        entries = [[rng.randrange(field.order) for _ in range(cols)] for _ in range(rows)]
+        full = FfMatrix(field, entries).kruskal_full()
+        assert full == (FfMatrix(field, entries).kruskal_rank() == min(rows, cols))
+        seen.add(full)
+    assert seen == {True, False}
+
+
 def test_bit_helpers():
     bits = [1, 0, 1, 1, 0, 0, 1, 0]
     assert symbols_to_bits(bits_to_symbols(bits, 4), 4) == bits

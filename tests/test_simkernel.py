@@ -928,13 +928,21 @@ def test_rncc_and_wide_networks_are_decided_per_trial(monkeypatch):
     assert decides == [(s.scheme, 50) for s in wide + rncc]
 
 
-@pytest.mark.parametrize("beta", [1.0, 0.37, 3.0])
+@pytest.mark.parametrize("beta", [1.0, 0.37, 3.0, "per-link"])
 def test_scalar_beta_draw_equals_broadcast_division(beta):
+    """draw_chunk scales its gains in place, and skips beta = 1.0; the bytes
+    must equal a division by the broadcast scalar or the per-link table."""
+    shapes = ((2, 3), (2, 2), (3, 2))
+    if beta == "per-link":
+        beta = _skewed_beta(2, 3)
+        tables = [np.asarray(t) for t in (beta.sr, beta.sd, beta.rd)]
+    else:
+        tables = [np.full(shape, beta) for shape in shapes]
     scn = _scn(scheme="rncc", code=None, field=F16, n_sources=2, n_relays=3, beta=beta)
     got = draw_chunk(scn, chunk_rng(5, 1, 2), 1000)
     rng = chunk_rng(5, 1, 2)
-    want = [rng.standard_exponential((1000,) + shape) / np.full(shape, beta)
-            for shape in ((2, 3), (2, 2), (3, 2))]
+    want = [rng.standard_exponential((1000,) + shape) / table
+            for shape, table in zip(shapes, tables)]
     want.append(rng.integers(0, 16, size=(1000, 3, 2), dtype=np.int64))
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
@@ -943,13 +951,16 @@ def test_scalar_beta_draw_equals_broadcast_division(beta):
 # -- selection as links taken down ------------------------------------------------
 
 
+TIE_LEVELS = np.array([0.0, 0.5, 1.0, 2.0])  # few gain levels: bottleneck ties are common
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_batched_selection_equals_select_relays_on_tied_gains(n, m):
     """Gains on a few levels make exact bottleneck ties common; every kept
     relay set must equal the scalar rule's, ties toward the lower index."""
     rng = np.random.default_rng(10 * n + m)
-    levels = np.array([0.0, 0.5, 1.0, 2.0])
+    levels = TIE_LEVELS
     gsr, grd = levels[rng.integers(0, 4, (400, n, m))], levels[rng.integers(0, 4, (400, m, n))]
     gsd = np.zeros((400, n, n))
     every_link = np.ones((400, n, m), dtype=bool)
@@ -997,8 +1008,8 @@ def test_selection_decide_on_up_down_gains_matches_run_trial(n, m):
 
 
 def test_state_keys_are_packed_once_per_chunk_for_unmasked_scenarios(monkeypatch):
-    """dncc and cc share one packing of the chunk's link states; ncc, whose
-    selection takes links down, packs its own."""
+    """dncc, ncc and cc share one packing of each chunk's link states; ncc's
+    selection clears its dropped relays' bits from the shared keys."""
     calls = []
     state_keys = simkernel._state_keys
 
@@ -1011,4 +1022,114 @@ def test_state_keys_are_packed_once_per_chunk_for_unmasked_scenarios(monkeypatch
                 trials=CHUNK_TRIALS + 7, code=CODE22 if scheme == "dncc" else None)
            for scheme in ("dncc", "ncc", "cc")]
     run_sweep(mix)  # 2 grid points x 2 chunks
-    assert calls == [CHUNK_TRIALS, CHUNK_TRIALS, 7, 7] * 2
+    assert calls == [CHUNK_TRIALS, 7] * 2
+
+
+@pytest.mark.parametrize("n, m", TABLE_SHAPES)
+def test_shared_state_keys_with_dropped_relays_cleared_equal_selected_states(n, m):
+    """Selection clears its dropped relays' source->relay bits from the
+    chunk's one packing of link states; that must equal packing the states
+    _selected_links gives, for every k, on random and on tied gains."""
+    rng = np.random.default_rng(20 * n + m)
+    shapes = ((400, n, m), (400, n, n), (400, m, n))
+    random_gains = [rng.standard_exponential(shape) for shape in shapes]
+    tied_gains = [TIE_LEVELS[rng.integers(0, 4, shape)] for shape in shapes]
+    code = build_vandermonde(n, m, F8)
+    for gsr, gsd, grd in (random_gains, tied_gains):
+        for tau in (0.3, 1.0):
+            ok_sr, ok_sd, ok_rd = simkernel._link_states(tau, gsr, gsd, grd)
+            shared = simkernel._state_keys(ok_sr, ok_sd, ok_rd)
+            before = shared.copy()
+            for k in range(1, m + 1):
+                scn = _scn(scheme="selection", n_sources=n, n_relays=m, k_select=k, code=code)
+                want = simkernel._state_keys(simkernel._selected_links(scn, ok_sr, gsr, grd),
+                                             ok_sd, ok_rd)
+                got = simkernel._drop_relay_states(
+                    shared, simkernel._kept_relays(scn, gsr, grd), n)
+                assert got.dtype == want.dtype == np.uint16
+                assert np.array_equal(got, want), (k, tau)
+            assert np.array_equal(shared, before)  # the shared keys stay as packed
+
+
+def _table_layouts():
+    """The KEY_LAYOUTS entries whose layout, with every code entry present,
+    is decided in the "table" regime, as (N, M, field, scale, width)."""
+    out = []
+    for scheme, n, m, field in KEY_LAYOUTS:
+        width = field.ell if scheme == "rncc" else 1
+        scale = np.ones((m, n), dtype=np.int64)
+        if _PatternKey(field, scale, width, False).regime(KEY_REGIME_COUNT) == "table":
+            out.append((n, m, field, scale, width))
+    return out
+
+
+TABLE_LAYOUTS = _table_layouts()
+
+
+def test_table_layouts_include_rncc_and_dncc():
+    assert {(n, m, f.order, w) for n, m, f, _, w in TABLE_LAYOUTS} == {
+        (1, 1, 4, 1), (2, 2, 4, 1), (3, 2, 16, 1), (2, 4, 2, 1), (1, 1, 4, 2), (2, 2, 4, 2)}
+
+
+@pytest.mark.parametrize("sym_kind", ["bool", "coefficients"])
+@pytest.mark.parametrize("n, m, field, scale, width", TABLE_LAYOUTS,
+                         ids=[f"{n}x{m}-q{f.order}-w{w}" for n, m, f, _, w in TABLE_LAYOUTS])
+def test_table_regime_keys_are_uint16_and_equal_the_int64_packing(n, m, field, scale, width,
+                                                                  sym_kind):
+    rng = np.random.default_rng(n * 100 + m * 10 + width)
+    nb = 500
+    ok_sd, ok_rd = rng.random((nb, n, n)) < 0.5, rng.random((nb, m, n)) < 0.6
+    heard = rng.random((m, nb)) < 0.7
+    if sym_kind == "bool":
+        sym = rng.random((nb, m, n)) < 0.7
+    else:
+        sym = rng.integers(0, 1 << width, (nb, m, n), dtype=np.int64)
+    for unicast in (False, True):
+        narrow = _PatternKey(field, scale, width, unicast, count=KEY_REGIME_COUNT)
+        wide = _PatternKey(field, scale, width, unicast)
+        assert narrow.outcomes is not None and wide.outcomes is None
+        got, want = narrow.pack(ok_sd, heard, ok_rd, sym), wide.pack(ok_sd, heard, ok_rd, sym)
+        assert got.dtype == np.uint16 and want.dtype == np.int64
+        assert np.array_equal(got.astype(np.int64), want)
+        # the layout's bits, summed directly: direct bit k, then every slot
+        # of a relay row that was sent and reached j
+        deliver = heard.T[:, :, None] & ok_rd
+        direct = (ok_sd.astype(np.int64) << np.arange(n)[:, None]).sum(axis=1)
+        slots = sym[:, wide.slot_i, wide.slot_k].astype(np.int64) << wide.shifts
+        assert np.array_equal(want, direct + (deliver[:, wide.slot_i, :] * slots[:, :, None]).sum(axis=1))
+        assert want.max() < narrow.span
+
+
+@pytest.mark.parametrize("strategy", ["A", "B"])
+@pytest.mark.parametrize("n, m, field", [(1, 1, F4), (1, 3, F4), (2, 1, F16), (2, 2, F4)])
+def test_rncc_table_regime_counts_equal_the_scalar_reference(n, m, field, strategy):
+    """rncc layouts of at most TABLE_BITS bits read their counts off the
+    outcome table through uint16 keys; the counts must equal run_trial's."""
+    trials = 520
+    for traffic in ("multicast", "unicast"):
+        scn = Scenario(scheme="rncc", n_sources=n, n_relays=m, field=field, strategy=strategy,
+                       traffic=traffic, snr_grid=(3.0, 30.0), trials=trials, seed=n + m)
+        assert _pattern_key(scn, trials * n).regime(trials * n) == "table"
+        report = run_sweep(scn)
+        for g, (rho, pt) in enumerate(zip(scn.snr_grid, report.points)):
+            gsr, gsd, grd, coeffs = draw_chunk(scn, chunk_rng(scn.seed, g, 0), trials)
+            fails = np.array([[not ok for ok in run_trial(
+                scn, rho, TrialDraw(gsr[t], gsd[t], grd[t], coeffs[t]))] for t in range(trials)])
+            assert pt.dest_errors == tuple(int(v) for v in fails.sum(axis=0))
+            assert pt.system_errors == int(fails.any(axis=1).sum())
+
+
+@pytest.mark.parametrize("bad, message", [
+    (dict(n=0), "need n_sources >= 1 and n_relays >= 1"),
+    (dict(m=0), "need n_sources >= 1 and n_relays >= 1"),
+    (dict(trials=0), "trials must be >= 1"),
+    (dict(trials=-5), "trials must be >= 1"),
+    (dict(beta=-1.0), "beta must be finite and positive, got -1.0"),
+    (dict(beta=0.0), "beta must be finite and positive, got 0.0"),
+    (dict(beta=math.nan), "beta must be finite and positive, got nan"),
+    (dict(beta=math.inf), "beta must be finite and positive, got inf"),
+])
+def test_selected_link_gain_cdf_rejects_bad_inputs(bad, message):
+    args = dict(n=2, m=2, beta=1.0, taus=[0.1], trials=100) | bad
+    with pytest.raises(ValueError, match=message):
+        selected_link_gain_cdf(**args)
