@@ -13,6 +13,11 @@ down: a factor p0, and the count runs over the other N-1+M rows.
 
 All formulas are evaluated with expm1/exp so they stay accurate for
 tau -> 0 (rho up to 1e8 and beyond).
+
+The link terms have one home, _up_down and _binomial, which _bracket reads
+once per call.  p_fm, p_ekl and p_relay_all are the same terms one at a
+time: no bracket calls them, and they stay as the term-by-term reference
+the tests check _bracket against.
 """
 
 import math

@@ -9,20 +9,19 @@ through the field's numpy log/antilog tables.  FfMatrix.rank is the one
 pure-Python elimination: the scalar reference the batched paths are tested
 against.
 
-The subset metrics kruskal_rank / gamma_rank / lambda_rank, and the MDS
-certification in netcode, read one record per subset size (level): the
-least rank of the level's row subsets and the unit vectors every one of
-them spans.  A level is found by enumerating its row subsets, ranked by
-batch_rank in blocks of SUBSET_BLOCK, with unit_spans reading off the
-reduced rows which e_j each subset spans.  One level needs no subset: on a
-systematic matrix [I_N; R], level N is full exactly when every square
-minor of R is nonzero, and _every_minor_nonzero decides that from the
-minors, built level by level by Laplace expansion.  A matrix finds each
-level at most once and keeps its record.  The metrics are capped at
-SUBSET_ROW_CAP = 24 rows.
+The subset metrics kruskal_rank / gamma_rank / lambda_rank read one
+record per subset size (level): the least rank of the level's row subsets
+and the unit vectors every one of them spans.  A level is found by
+enumerating its row subsets, ranked by batch_rank in blocks of
+SUBSET_BLOCK, with unit_spans reading off the reduced rows which e_j each
+subset spans.  kruskal_full, netcode's one MDS decision, ranks no subset
+on a systematic [I_N; R]: _every_minor_nonzero decides it both ways from
+the minors of R, built level by level by Laplace expansion.  A matrix
+finds each level at most once and keeps its record.  Certification and
+the metrics share one cap, SUBSET_ROW_CAP = 24 rows.
 
 gamma and lambda start from the Kruskal rank k, so a certified code, whose
-level N its certification found, ranks no further level.  gamma_rank(i) is i for
+level N its certification recorded, ranks no further level.  gamma_rank(i) is i for
 i <= k.  lambda_rank(j) is at least k, because for l < k some l rows miss
 e_j: take k independent rows T; the spans of the sets T - {a} meet only
 in {0}, so e_j misses one of them, and every l-subset of that one.
@@ -39,7 +38,7 @@ import numpy as np
 
 from .gf import Field, field_ell, field_new
 
-SUBSET_ROW_CAP = 24  # exhaustive subset enumeration beyond this is hopeless
+SUBSET_ROW_CAP = 24  # rows at most, for certification and the subset metrics
 SUBSET_BLOCK = 1024  # row subsets ranked per batch_rank call, bounding memory
 _MINOR_BLOCK = 1 << 18  # products per block of minors, bounding memory
 
@@ -147,7 +146,10 @@ class FfMatrix:
     __slots__ = ("field", "_a", "_levels")
 
     def __init__(self, field: Field, entries):
-        a = np.array(entries, dtype=np.int64)
+        a = np.asarray(entries)
+        if a.size and a.dtype.kind not in "iu":  # a float, string or object would be cast
+            raise ValueError(f"entries must be integers, got dtype {a.dtype}")
+        a = a.astype(np.int64)
         if a.ndim != 2:
             raise ValueError("entries must be two-dimensional")
         if a.size and (a.min() < 0 or a.max() >= field.order):
@@ -304,30 +306,8 @@ class FfMatrix:
         """``(least rank, spans)`` over every `size`-row subset: spans[j]
         says whether every such subset spans e_j.  Ranked once per matrix,
         SUBSET_BLOCK subsets per batch_rank call, then read from the record.
-
-        One case ranks no subset: size == cols =: N on a systematic
-        matrix [I_N; R] whose relay block R has every square minor nonzero.
-        The record is then (N, all True), by this lemma: N rows made of the
-        identity rows e_k, k in D, and the relay rows I are independent iff
-        R[I, [N] - D] is nonsingular.  (The rows e_k span exactly the
-        vectors supported on D, so the N rows are independent iff R's rows
-        I, restricted to the |I| = N - |D| columns outside D, are.)  Each
-        square submatrix of R arises so, with D the complement of its
-        columns; hence every N rows are independent iff every square minor
-        of R is nonzero (Roth & Seroussi 1985).  When a minor vanishes, the
-        level is enumerated as for any matrix, so least rank and spans stay
-        exact for codes short of MDS.
-        """
+        Only reached through kruskal_full, which enforces SUBSET_ROW_CAP."""
         if size not in self._levels:
-            if self.rows > SUBSET_ROW_CAP:
-                raise ValueError(
-                    f"subset metrics are exhaustive; capped at {SUBSET_ROW_CAP} rows"
-                )
-            n = self.cols
-            if (size == n and np.array_equal(self._a[:n], np.eye(n))
-                    and _every_minor_nonzero(self._a[n:], self.field)):
-                self._levels[size] = (n, (True,) * n)
-                return self._levels[size]
             a = self._a.astype(np.int32)
             subsets = combinations(range(self.rows), size)
             least, spans = size, np.ones(self.cols, dtype=bool)
@@ -341,8 +321,27 @@ class FfMatrix:
     def kruskal_full(self) -> bool:
         """kruskal_rank() == min(rows, cols), read off that one level alone:
         every smaller row set sits inside a set of that size.  On a code
-        [I_N; R] this is the MDS property."""
-        top = min(self.rows, self.cols)
+        [I_N; R] this is the MDS property.  Raises ValueError above
+        SUBSET_ROW_CAP rows.
+
+        A systematic matrix [I_N; R] ranks no subset; the minors of R
+        decide, by this lemma: N rows made of the identity rows e_k, k in
+        D, and the relay rows I are independent iff R[I, [N] - D] is
+        nonsingular.  (The rows e_k span exactly the vectors supported on
+        D, so the N rows are independent iff R's rows I, restricted to the
+        |I| = N - |D| columns outside D, are.)  Each square submatrix of R
+        arises so, with D the complement of its columns; hence every N rows
+        are independent iff every square minor of R is nonzero (Roth &
+        Seroussi 1985).  A pass is recorded as level N = (N, all True); a
+        vanishing minor answers False and records nothing.
+        """
+        if self.rows > SUBSET_ROW_CAP:
+            raise ValueError(f"MDS checks and subset metrics are capped at {SUBSET_ROW_CAP} rows")
+        top, n = min(self.rows, self.cols), self.cols
+        if top not in self._levels and np.array_equal(self._a[:n], np.eye(n)):
+            if not _every_minor_nonzero(self._a[n:], self.field):
+                return False
+            self._levels[n] = (n, (True,) * n)
         return self._level(top)[0] == top
 
     def kruskal_rank(self) -> int:

@@ -8,19 +8,19 @@ a subset of rows reduces to rank (all packets) or row-span membership
 i.e. kruskal_rank(A) == N; the Cauchy and Vandermonde builders below
 guarantee that by construction.  For A = [I_N; R] that holds exactly when
 every square submatrix of the relay block R is nonsingular (Roth &
-Seroussi 1985), which is how certification checks it: from R's minors,
-ranking no row subset.  A code short of MDS has its N-row subsets ranked.
+Seroussi 1985), which is how kruskal_full decides it, both ways, ranking no
+row subset.  certified_kappa is set only where that check ran and passed,
+up to SUBSET_ROW_CAP = 24 rows.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .gf import Field, field_new
-from .ffmat import FfMatrix, load_matrix
+from .ffmat import SUBSET_ROW_CAP, FfMatrix, load_matrix
 
-MDS_EXHAUSTIVE_CAP = 12  # certify up to this N+M; a code short of MDS ranks its N-row subsets
 MAX_CODEWORDS = 1 << 20  # min_distance enumerates at most this many codewords
 _CODEWORD_BLOCK = 1 << 12  # messages multiplied per FfMatrix product, bounding memory
 
@@ -60,12 +60,14 @@ class NetworkCode:
     field: Field
     matrix: FfMatrix           # (N+M) x N, top block I_N
     construction: str          # cauchy | vandermonde | random | explicit
-    certified_kappa: int | None  # N for the certified MDS constructions
+    certified_kappa: int | None  # N where kruskal_full proved it, else None
 
     def __post_init__(self):
         n, m = self.n_sources, self.n_relays
         if n < 1 or m < 0:
             raise ValueError("need n_sources >= 1 and n_relays >= 0")
+        if self.construction not in ("cauchy", "vandermonde", "random", "explicit"):
+            raise ValueError(f"unknown construction {self.construction!r}")
         if self.matrix.shape != (n + m, n):
             raise ValueError(
                 f"matrix must be {(n + m, n)}, got {self.matrix.shape}"
@@ -83,16 +85,19 @@ class NetworkCode:
         return self.matrix.row_submatrix(range(n, n + self.n_relays))
 
 
+def _proven_kappa(matrix: FfMatrix) -> int | None:
+    """N for an (N+M) x N code matrix that kruskal_full proves MDS; None
+    where it is not MDS or has more than SUBSET_ROW_CAP rows."""
+    return matrix.cols if matrix.rows <= SUBSET_ROW_CAP and matrix.kruskal_full() else None
+
+
 def _stack_code(field, n, m, relay_rows, construction):
     a = FfMatrix.identity(field, n).vstack(FfMatrix(field, relay_rows))
-    code = NetworkCode(n, m, field, a, construction,
-                       certified_kappa=n if construction in ("cauchy", "vandermonde") else None)
-    if construction in ("cauchy", "vandermonde") and n + m <= MDS_EXHAUSTIVE_CAP:
-        if not code.matrix.kruskal_full():
-            raise AssertionError(
-                f"{construction} construction lost full diversity"
-            )
-    return code
+    certify = construction in ("cauchy", "vandermonde")
+    kappa = _proven_kappa(a) if certify else None
+    if certify and kappa is None and a.rows <= SUBSET_ROW_CAP:
+        raise AssertionError(f"{construction} construction lost full diversity")
+    return NetworkCode(n, m, field, a, construction, kappa)
 
 
 def build_cauchy(n: int, m: int, field: Field) -> NetworkCode:
@@ -213,11 +218,9 @@ def recover(code: NetworkCode, received_rows, observations: FfMatrix,
 
 def mds_check(code: NetworkCode) -> bool:
     """True iff every N rows of A are independent, i.e. every square minor
-    of the relay block is nonzero.  Capped at N+M <= MDS_EXHAUSTIVE_CAP."""
-    size = code.n_sources + code.n_relays
-    if size > MDS_EXHAUSTIVE_CAP:
-        raise ValueError(f"exhaustive check capped at N+M <= {MDS_EXHAUSTIVE_CAP}")
-    return code.matrix.kruskal_full()  # rows N+M >= cols N: level N alone decides
+    of the relay block is nonzero.  Raises ValueError above SUBSET_ROW_CAP
+    rows."""
+    return code.matrix.kruskal_full()
 
 
 def min_distance(code: NetworkCode) -> int:
@@ -258,6 +261,12 @@ def dump_code(code: NetworkCode) -> str:
 
 
 def load_code(text: str) -> NetworkCode:
+    """Parse dump_code's format.  The first ``#`` line that is JSON is the
+    header; other ``#`` lines are comments.  Raises ValueError where the
+    header is not an object, where its n, m or q are not ints matching the
+    matrix, or its construction or certified_kappa is not one a code can
+    carry.  The header's kappa is only a claim: it is kept where
+    _proven_kappa confirms it, so never for an explicit code."""
     meta = {}
     for line in text.splitlines():
         line = line.strip()
@@ -267,17 +276,19 @@ def load_code(text: str) -> NetworkCode:
             except json.JSONDecodeError:
                 continue
             break
+    if not isinstance(meta, dict):
+        raise ValueError(f"code header must be a JSON object, got {meta!r}")
     mat = load_matrix(text)
-    n = meta.get("n", mat.cols)
+    n, m, q = (meta.get(key, default) for key, default in
+               (("n", mat.cols), ("m", mat.rows - mat.cols), ("q", mat.field.order)))
+    kappa = meta.get("certified_kappa")
+    if not all(type(v) is int for v in (n, m, q)) or not (kappa is None or type(kappa) is int):
+        raise ValueError(f"header n, m, q must be ints and certified_kappa an int or null: {meta}")
+    if n + m != mat.rows or q != mat.field.order:
+        raise ValueError(f"header n={n}, m={m}, q={q} contradicts a {mat.rows}-row "
+                         f"matrix over GF({mat.field.order})")
     construction = meta.get("construction", "explicit")
-    code = build_explicit(mat, n)
-    if construction != "explicit":
-        # the header's kappa is only a claim: keep it if the relay block's
-        # minors confirm it, drop it where N+M is above MDS_EXHAUSTIVE_CAP
-        kappa = meta.get("certified_kappa")
-        if not (kappa == n and mat.rows <= MDS_EXHAUSTIVE_CAP
-                and mat.kruskal_full()):
-            kappa = None
-        code = NetworkCode(code.n_sources, code.n_relays, code.field,
-                           code.matrix, construction, kappa)
+    code = NetworkCode(n, m, mat.field, mat, construction, None)  # checked before any proof
+    if construction != "explicit" and kappa == n:
+        code = replace(code, certified_kappa=_proven_kappa(mat))
     return code

@@ -811,6 +811,23 @@ def run_sweep(scn, workers: int = 1):
 # -- selection-rule sampling ---------------------------------------------------
 
 
+def _best_relay_first_gain(gains: np.ndarray) -> np.ndarray:
+    """gains[t, r, 0] of the relay r whose min over gains[t, r, :] is
+    largest, the first such r on a tie: argmax's rule, bit for bit.  Folds
+    one strided column per (relay, link), with no (trials, relays) temporary
+    and no gather."""
+    nb, m, links = gains.shape
+    best, g = np.full(nb, -np.inf), np.empty(nb)
+    for r in range(m):
+        h = gains[:, r, 0].copy()
+        for link in range(1, links):
+            np.minimum(h, gains[:, r, link], out=h)
+        better = h > best  # strictly: an equal later relay loses, as in argmax
+        np.copyto(g, gains[:, r, 0], where=better)
+        np.copyto(best, h, where=better)
+    return g
+
+
 def selected_link_gain_cdf(n: int, m: int, beta: float, taus, trials: int,
                            seed: int = 0) -> np.ndarray:
     """Empirical P(g <= tau) where g is one adjacent-link gain of the relay
@@ -832,10 +849,10 @@ def selected_link_gain_cdf(n: int, m: int, beta: float, taus, trials: int,
     while done < trials:
         nb = min(CDF_CHUNK, trials - done)
         rng = chunk_rng(seed, 0, ci)
-        gains = rng.standard_exponential((nb, m, 2 * n)) / beta
-        h = gains.min(axis=2)
-        best = np.argmax(h, axis=1)
-        g = gains[np.arange(nb), best, 0]
+        gains = rng.standard_exponential((nb, m, 2 * n))
+        if beta != 1.0:
+            gains /= beta
+        g = _best_relay_first_gain(gains)
         counts += (g[None, :] <= taus[..., None]).sum(axis=-1)
         done += nb
         ci += 1

@@ -2,7 +2,7 @@
 
 import pytest
 
-from coopcode import analytic, cli, netcode, simkernel
+from coopcode import analytic, cli, ffmat, netcode, simkernel
 from coopcode.cli import main
 from coopcode.gf import field_new
 from coopcode.netcode import build_random, load_code
@@ -26,6 +26,19 @@ def test_construct_worked_example(capsys):
     loaded = load_code(out)
     assert loaded.matrix.to_lists() == [[1, 0], [0, 1], [3, 2], [2, 3]]
     assert loaded.certified_kappa == 2
+
+
+def test_construct_at_thirteen_rows_is_certified_by_a_proof_that_ran(capsys, monkeypatch):
+    blocks, every_minor_nonzero = [], ffmat._every_minor_nonzero
+
+    def counting(block, field):
+        blocks.append(block.shape)
+        return every_minor_nonzero(block, field)
+
+    monkeypatch.setattr(ffmat, "_every_minor_nonzero", counting)
+    code, out, _ = _run(capsys, "construct", "--n", "7", "--m", "6", "--kind", "cauchy")
+    assert code == 0 and '"certified_kappa": 7' in out
+    assert blocks == [(6, 7)]  # the relay block's minors, checked once
 
 
 def test_construct_field_too_small(capsys):

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from coopcode import ffmat
 from coopcode.ffmat import SUBSET_ROW_CAP, FfMatrix, batch_rank, load_matrix, unit_spans
 from coopcode.gf import field_new
-from coopcode.netcode import (MDS_EXHAUSTIVE_CAP, build_cauchy, build_explicit,
-                              build_random, build_vandermonde, mds_check)
+from coopcode.netcode import (build_cauchy, build_explicit, build_random, build_vandermonde,
+                              mds_check)
 
 F2 = field_new(1)
 F4 = field_new(2)
@@ -66,6 +66,12 @@ def test_constructor_validates_entries():
         FfMatrix(F4, [[-1]])
     with pytest.raises(ValueError):
         FfMatrix(F4, [[1, 2], [3]])
+    # floats, strings and objects are refused, not cast to int64
+    for bad in ([[1.5]], [[1.0]], [["3"]], np.array([[1]], dtype=object)):
+        with pytest.raises(ValueError, match="entries must be integers"):
+            FfMatrix(F4, bad)
+    for ints in ([[3]], [[np.int8(3)]], np.array([[3]], dtype=np.uint8)):
+        assert FfMatrix(F4, ints).to_lists() == [[3]]
 
 
 def test_rank_basics():
@@ -541,11 +547,7 @@ def test_batched_subset_metrics_match_scalar_reference(m):
     _check_metrics(m)
     n = m.cols
     code = build_explicit(FfMatrix.identity(m.field, n).vstack(m), n)
-    if code.matrix.rows <= MDS_EXHAUSTIVE_CAP:
-        assert mds_check(code) == _ref_every_n_full_rank(code.matrix, n)
-    else:
-        with pytest.raises(ValueError, match="capped"):
-            mds_check(code)
+    assert mds_check(code) == _ref_every_n_full_rank(code.matrix, n)
 
 
 def test_batched_metrics_on_certified_codes():
@@ -706,6 +708,24 @@ def test_metrics_of_mds_and_one_minor_short_codes_match_every_level(build, n, m,
         want = next((r - 1 for r in range(1, n + 1) if levels[r][0] < r), n)
         assert a.kruskal_rank() == want
         assert (want == n) == is_mds
+
+
+@pytest.mark.parametrize("build, n, m, field", [
+    (build_cauchy, 1, 2, F4), (build_vandermonde, 6, 6, F16), (build_cauchy, 7, 6, F16),
+    (build_vandermonde, 12, 12, F32),
+], ids=["c1x2q4", "v6x6q16", "c7x6q16", "v12x12q32"])
+def test_mds_check_refuses_a_code_one_minor_short_ranking_nothing(build, n, m, field,
+                                                                  monkeypatch):
+    calls = []
+
+    def counting_batch_rank(mats, fld):
+        calls.append(len(mats))
+        return batch_rank(mats, fld)
+
+    short = build_explicit(_one_minor_short(build(n, m, field)), n)
+    monkeypatch.setattr(ffmat, "batch_rank", counting_batch_rank)
+    assert not mds_check(short)
+    assert calls == [] and short.matrix._levels == {}
 
 
 def test_certification_at_the_row_cap_is_fast_and_small():

@@ -1,7 +1,9 @@
 """Code constructions, packet encode/recover, and MDS certification."""
 
 import itertools
+import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ F2 = field_new(1)
 F4 = field_new(2)
 F8 = field_new(3)
 F16 = field_new(4)
+F32 = field_new(5)
 
 # Stacking V(2x2)^-1 behind V(2x2) with points 0,1,2,3 over GF(4) gives
 # these relay rows; frozen from a hand evaluation of the two products.
@@ -245,9 +248,17 @@ def test_min_distance_errors():
 
 
 def test_mds_check_cap():
+    # 13 rows are decided like 4; 25 rows are above SUBSET_ROW_CAP, where
+    # nothing is proven: no kappa, and mds_check refuses
     code = build_random(7, 6, F16, seed=0)
-    with pytest.raises(ValueError, match="capped"):
+    assert mds_check(code) == (code.matrix.kruskal_rank() == 7)
+    code = build_cauchy(13, 12, F32)
+    assert code.certified_kappa is None
+    with pytest.raises(ValueError, match="capped at 24 rows"):
         mds_check(code)
+    text = dump_code(code).replace('"certified_kappa": null', '"certified_kappa": 13')
+    assert '"certified_kappa": 13' in text
+    assert load_code(text).certified_kappa is None
 
 
 def test_strategy_b_zeroing_never_helps_multicast_on_certified_codes():
@@ -281,6 +292,23 @@ def test_dump_load_roundtrip():
         assert (back.n_sources, back.n_relays) == (code.n_sources, code.n_relays)
 
 
+@pytest.mark.parametrize("build", [build_cauchy, build_vandermonde])
+def test_round_trip_keeps_kappa_at_the_row_cap(build, monkeypatch):
+    # N = M = 12: 24 rows, kappa proven again from the loaded matrix
+    code = build(12, 12, F32)
+    assert code.certified_kappa == 12
+    proofs, every_minor_nonzero = [], ffmat._every_minor_nonzero
+
+    def counting(block, field):
+        proofs.append(block.shape)
+        return every_minor_nonzero(block, field)
+
+    monkeypatch.setattr(ffmat, "_every_minor_nonzero", counting)
+    back = load_code(dump_code(code))
+    assert back.certified_kappa == 12 and back.matrix == code.matrix
+    assert proofs == [(12, 12)]
+
+
 def test_load_code_certifies_from_the_relay_minors(monkeypatch):
     ranked = []
 
@@ -302,25 +330,65 @@ def test_load_code_certifies_from_the_relay_minors(monkeypatch):
     assert '"certified_kappa": 6' in text
     back = load_code(text)
     assert back.certified_kappa is None and back.construction == "cauchy"
+    assert not mds_check(edited) and ranked == []  # a vanishing minor decides too
     assert back.matrix.kruskal_rank() < 6
 
 
 def test_certification_checks_rank_level_n_alone():
-    """mds_check and load_code's kappa check read only level N: on a code
-    short of MDS, kruskal_rank() would also rank levels 1 up to the first
-    deficient one (924 + 1585 subsets at N=M=6)."""
+    """mds_check and load_code's kappa check rank no level: on a code short
+    of MDS a vanishing relay minor decides, where kruskal_rank() would rank
+    levels 1 up to the first deficient one (924 + 1585 subsets at N=M=6)."""
     short = [s for s in range(10) if not mds_check(build_random(6, 6, F16, s))]
     assert short
     for s in short[:3]:
         code = build_random(6, 6, F16, s)  # fresh: no level recorded yet
         assert not mds_check(code)
-        assert list(code.matrix._levels) == [6]
+        assert list(code.matrix._levels) == []
         text = dump_code(code).replace('"random"', '"vandermonde"').replace(
             '"certified_kappa": null', '"certified_kappa": 6')
         assert '"vandermonde"' in text and '"certified_kappa": 6' in text
         back = load_code(text)
         assert back.certified_kappa is None and back.construction == "vandermonde"
-        assert list(back.matrix._levels) == [6]
+        assert list(back.matrix._levels) == []
+
+
+_HEADER = {"construction": "vandermonde", "n": 2, "m": 2, "q": 4, "certified_kappa": 2}
+
+
+@pytest.mark.parametrize("header, message", [
+    ("[1, 2]", "must be a JSON object"),
+    ('"vandermonde"', "must be a JSON object"),
+    ({"m": 5}, "contradicts"),
+    ({"m": 1}, "contradicts"),
+    ({"n": 3}, "contradicts"),
+    ({"q": 8}, "contradicts"),
+    ({"n": "x"}, "must be ints"),
+    ({"m": 2.0}, "must be ints"),
+    ({"q": None}, "must be ints"),
+    ({"n": True}, "must be ints"),
+    ({"certified_kappa": "2"}, "certified_kappa an int or null"),
+    ({"certified_kappa": 2.5}, "certified_kappa an int or null"),
+    ({"construction": "bogus"}, "unknown construction 'bogus'"),
+    ({"construction": None}, "unknown construction None"),
+], ids=["list", "string", "m5", "m1", "n3", "q8", "n-str", "m-float", "q-null", "n-bool",
+        "kappa-str", "kappa-float", "bogus", "construction-null"])
+def test_load_code_refuses_a_header_that_contradicts_its_matrix(header, message):
+    body = dump_code(build_vandermonde(2, 2, F4)).split("\n", 1)[1]
+    if isinstance(header, dict):
+        header = json.dumps({**_HEADER, **header})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_code(f"# {header}\n" + body)
+    # the header it was edited from loads, and a # line that is not JSON
+    # is a comment, before the header or in place of it
+    assert load_code(f"# {json.dumps(_HEADER)}\n" + body).certified_kappa == 2
+    assert load_code(f"# note\n# {json.dumps(_HEADER)}\n" + body).certified_kappa == 2
+    assert load_code("# note\n" + body).construction == "explicit"
+
+
+def test_network_code_refuses_an_unknown_construction():
+    a = build_vandermonde(2, 2, F4).matrix
+    with pytest.raises(ValueError, match="unknown construction 'mds'"):
+        NetworkCode(2, 2, F4, a, "mds", None)
 
 
 def test_kruskal_full_is_kruskal_rank_at_the_top():

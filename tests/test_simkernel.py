@@ -727,6 +727,25 @@ def test_selected_link_gain_cdf_matches_exact_small_system():
     assert abs(est - exact) < 4 * sigma
 
 
+def test_selected_gain_folds_equal_the_argmax_gather_bit_for_bit():
+    # the former expression, on random gains and on small-integer gains
+    # that tie within and across relays
+    rng = np.random.default_rng(11)
+    for n, m in ((1, 1), (2, 3), (3, 5)):
+        for gains in (rng.standard_exponential((4000, m, 2 * n)) / 0.7,
+                      rng.integers(0, 3, (4000, m, 2 * n)).astype(float)):
+            want = gains[np.arange(len(gains)), np.argmax(gains.min(axis=2), axis=1), 0]
+            got = simkernel._best_relay_first_gain(gains)
+            assert got.tobytes() == want.tobytes()
+    # and the whole estimate, with and without the division by beta
+    taus = np.array([0.05, 0.3, 1.0])
+    for beta in (1.0, 2.5):
+        gains = chunk_rng(4, 0, 0).standard_exponential((3000, 3, 4)) / beta
+        g = gains[np.arange(3000), np.argmax(gains.min(axis=2), axis=1), 0]
+        want = (g[None, :] <= taus[:, None]).sum(axis=1) / 3000
+        assert np.array_equal(selected_link_gain_cdf(2, 3, beta, taus, 3000, seed=4), want)
+
+
 def test_trials_of_one_work():
     pt = run_sweep(_scn(trials=1, snr_grid=(10.0,))).points[0]
     assert pt.trials == 1
