@@ -172,13 +172,23 @@ def _reject_rate_overflow(args, r0: float) -> None:
 
 
 def _rate_r0(args, n: int, m: int) -> float:
+    """The per-packet rate r0 of --r0, or of --rate as rate*(N+M)/N; a
+    ValueError naming the flag and its value unless the flag and r0 are
+    finite and positive."""
     if n < 1:
         raise ValueError(f"--n must be >= 1, got {n}")
     if args.r0 is not None and args.rate is not None:
         raise ValueError("give either --r0 or --rate, not both")
-    if args.rate is not None:
-        return args.rate * (n + m) / n
-    return args.r0 if args.r0 is not None else 1.0
+    flag, value = ("rate", args.rate) if args.rate is not None else ("r0", args.r0)
+    if value is None:
+        return 1.0
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"--{flag} must be finite and positive, got {value:g}")
+    r0 = value * (n + m) / n if flag == "rate" else value
+    if not math.isfinite(r0):
+        raise ValueError(f"--rate {value:g} gives a per-packet rate r0 = rate*(N+M)/N "
+                         f"that overflows a float")
+    return r0
 
 
 def _schemes(args) -> list:

@@ -39,7 +39,12 @@ accounted for by zeroing their columns k, and distinct keys are taken
 after clearing those columns' relay entries.  A relay row left with one
 nonzero entry, in column k, then covers column k as well, so it is
 peeled into direct bit k until no row peels; equivalent patterns share
-one key.  Keys wider than KEY_BITS are decided per (trial, j).  The key
+one key.  Keys wider than KEY_BITS are decided per (trial, j).  A
+(trial, j) pair *settled* by its direct rows (e_j in unicast, all N in
+multicast) decodes whatever relay rows reach it.  Outside the outcome
+tables below, such a pair reads success and is neither deduplicated nor
+ranked: its packed key is dropped before the dedupe, and a pattern too
+wide to pack never has its rows gathered.  The key
 layout, its peel tables and, when there are at most 2**TABLE_BITS keys,
 the outcome of every key are built once per sweep by run_sweep; those
 table-regime keys are packed as uint16, the others as int64.
@@ -596,7 +601,9 @@ def _decide(scn, ok_sr, ok_sd, ok_rd, coeffs, key=None):
     # decide each distinct arrival pattern once: read narrow keys off the
     # layout's outcome table ("table"), else rank the chunk's distinct
     # canonical keys ("unique"); patterns too wide for an int64 are ranked
-    # one by one ("wide")
+    # one by one ("wide").  Outside the table, a (trial, j) pair settled by
+    # its direct rows (e_j in unicast, all N in multicast) reads success, so
+    # only the open pairs are deduped and ranked, or gathered and ranked.
     if key is None:
         key = _pattern_key(scn, nb * n)
     if scn.scheme != "rncc":
@@ -604,33 +611,48 @@ def _decide(scn, ok_sr, ok_sd, ok_rd, coeffs, key=None):
     else:  # under A every relay that sends sends its whole row
         sym = coeffs if scn.strategy == "A" else np.where(keep, coeffs, 0)
     if key.bits > KEY_BITS:
-        relay = (sym * key.scale).astype(np.int32)
-        deliver = heard.T[:, :, None] & ok_rd  # deliver[b, i, j]
-        flat_b, flat_j = np.divmod(np.arange(nb * n), n)
+        if key.unicast:
+            settled = np.diagonal(ok_sd, axis1=1, axis2=2)  # ok_sd[b, j, j]
+        else:
+            settled = ok_sd.all(axis=1)
+        flat_b, flat_j = np.nonzero(~settled)
+        fails = np.zeros((nb, n), dtype=bool)
+        if len(flat_b):
+            relay = (sym * key.scale).astype(np.int32)
+            deliver = heard.T[:, :, None] & ok_rd  # deliver[b, i, j]
 
-        def fails_of(lo, hi):
-            b, j = flat_b[lo:hi], flat_j[lo:hi]
-            rows = np.where(deliver[b, :, j][:, :, None], relay[b], 0)
-            return key.fails(ok_sd[b, :, j], rows)[np.arange(hi - lo), j]
+            def fails_of(lo, hi):
+                b, j = flat_b[lo:hi], flat_j[lo:hi]
+                rows = np.where(deliver[b, :, j][:, :, None], relay[b], 0)
+                return key.fails(ok_sd[b, :, j], rows)[np.arange(hi - lo), j]
 
-        return _blockwise(nb * n, fails_of).reshape(nb, n)
+            fails[flat_b, flat_j] = _blockwise(len(flat_b), fails_of)
+        return fails
 
-    keys = key.pack(ok_sd, heard, ok_rd, sym)
+    keys = key.pack(ok_sd, heard, ok_rd, sym).T  # (N, B): one contiguous row per j
+    fails = np.zeros((n, nb), dtype=bool)
     if key.outcomes is not None:
-        table, index = key.outcomes, keys
-    else:
-        # drop_covered is cheap on every key, peeling only on the distinct ones
-        distinct, index = np.unique(key.drop_covered(keys).ravel(), return_inverse=True)
-        distinct, canon = np.unique(key.canonical(distinct), return_inverse=True)
-        table = _blockwise(len(distinct),
-                           lambda lo, hi: key.fails(*key.unpack(distinct[lo:hi])))
-        index = canon[index]
-    # one 1-D gather per destination beats a 2-D one, and take reads a
-    # uint16 index faster than [] does
-    index = index.reshape(nb, n)
-    fails = np.empty((n, nb), dtype=bool)
+        # one 1-D gather per destination beats a 2-D one, and take reads a
+        # uint16 index faster than [] does
+        for j in range(n):
+            key.outcomes[:, j].take(keys[j], out=fails[j])
+        return fails.T
+    # the direct bits that settle (trial, j), read off the keys
+    need = (1 << np.arange(n) if key.unicast else np.full(n, (1 << n) - 1))[:, None]
+    at = np.flatnonzero((keys & need) != need)  # open pairs' flat (j, b) positions, j-major
+    if not len(at):
+        return fails.T
+    # drop_covered is cheap on every open key, peeling only on the distinct ones
+    distinct, index = np.unique(key.drop_covered(keys.ravel()[at]), return_inverse=True)
+    distinct, canon = np.unique(key.canonical(distinct), return_inverse=True)
+    table = _blockwise(len(distinct),
+                       lambda lo, hi: key.fails(*key.unpack(distinct[lo:hi])))
+    index = canon[index]
+    bounds = np.searchsorted(at, np.arange(n + 1) * nb)
+    flat = fails.ravel()  # a view of the (N, B) flags
     for j in range(n):
-        table[:, j].take(index[:, j], out=fails[j])
+        lo, hi = bounds[j], bounds[j + 1]
+        flat[at[lo:hi]] = table[:, j].take(index[lo:hi])
     return fails.T
 
 

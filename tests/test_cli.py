@@ -348,15 +348,29 @@ def test_non_finite_snr_grid_is_rejected(capsys, command, flag, value):
 @pytest.mark.parametrize("argv, name", [
     (("simulate", "--beta", "nan"), "beta"),
     (("simulate", "--beta", "inf"), "beta"),
-    (("simulate", "--r0", "nan"), "rate_r0"),
-    (("simulate", "--rate", "inf"), "rate_r0"),
+    (("simulate", "--r0", "nan"), "--r0"),
+    (("simulate", "--rate", "inf"), "--rate"),
     (("analyze", "--beta", "nan"), "beta"),
-    (("analyze", "--r0", "inf"), "rate_r"),
+    (("analyze", "--r0", "inf"), "--r0"),
 ])
 def test_non_finite_beta_and_rate_are_rejected(capsys, argv, name):
     code, out, err = _run(capsys, *argv)
     assert (code, out) == (2, "")
     assert f"{name} must be finite and positive" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+@pytest.mark.parametrize("argv, message", [
+    (("--r0", "-2"), "--r0 must be finite and positive, got -2"),
+    (("--r0", "0"), "--r0 must be finite and positive, got 0"),
+    (("--rate", "0"), "--rate must be finite and positive, got 0"),
+    (("--rate", "-0.5"), "--rate must be finite and positive, got -0.5"),
+    (("--rate", "1e308", "--n", "1", "--m", "5"),
+     "--rate 1e+308 gives a per-packet rate r0 = rate*(N+M)/N that overflows a float"),
+])
+def test_rate_range_errors_name_the_flag_and_the_value_given(capsys, command, argv, message):
+    code, out, err = _run(capsys, command, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])

@@ -1152,3 +1152,48 @@ def test_selected_link_gain_cdf_rejects_bad_inputs(bad, message):
     args = dict(n=2, m=2, beta=1.0, taus=[0.1], trials=100) | bad
     with pytest.raises(ValueError, match=message):
         selected_link_gain_cdf(**args)
+
+
+SETTLE_CASES = {  # one layout per open-pair regime; at SETTLE_TRIALS neither is tabled
+    "dncc-3x3-cauchy-B": (dict(scheme="dncc", n_sources=3, n_relays=3,
+                               code=build_cauchy(3, 3, F8), strategy="B"), "unique"),
+    "rncc-4x4-wide": (DECIDE_CASES["rncc-4x4-wide"], "wide"),
+}
+SETTLE_TRIALS = 300
+
+
+@pytest.mark.parametrize("traffic", ["multicast", "unicast"])
+@pytest.mark.parametrize("case", sorted(SETTLE_CASES))
+def test_settled_pairs_are_never_ranked(monkeypatch, case, traffic):
+    """A (trial, j) pair that holds e_j (unicast) or all N direct rows
+    (multicast) decodes whatever relay rows reach it, so outside the table
+    regime _decide ranks only the other pairs: none with every link up, at
+    most the open ones at a middle SNR, and the flags equal run_trial's."""
+    layout, regime = SETTLE_CASES[case]
+    scn = Scenario(snr_grid=(4.0,), trials=SETTLE_TRIALS, seed=11, traffic=traffic, **layout)
+    n, nb = scn.n_sources, SETTLE_TRIALS
+    assert _pattern_key(scn, nb * n).regime(nb * n) == regime
+    ranked, fails = [], _PatternKey.fails
+
+    def counted(self, direct, relay):
+        ranked.append(len(direct))
+        return fails(self, direct, relay)
+
+    monkeypatch.setattr(_PatternKey, "fails", counted)
+    gsr, gsd, grd, coeffs = draw_chunk(scn, chunk_rng(scn.seed, 0, 0), nb)
+    every_up = [np.ones(g.shape, dtype=bool) for g in (gsr, gsd, grd)]
+    assert not simkernel._decide(scn, *every_up, coeffs).any()
+    assert ranked == []
+
+    rho = scn.snr_grid[0]
+    tau = tau_for(rho, scn.rate_r0)
+    ok_sd = gsd > tau
+    if traffic == "unicast":
+        open_pairs = sum(np.count_nonzero(~ok_sd[:, j, j]) for j in range(n))
+    else:
+        open_pairs = sum(np.count_nonzero(~ok_sd[:, :, j].all(axis=1)) for j in range(n))
+    got = _coop_failures(scn, tau, gsr, gsd, grd, coeffs)
+    assert 0 < sum(ranked) <= open_pairs < nb * n
+    for t in range(nb):
+        draw = TrialDraw(gsr[t], gsd[t], grd[t], None if coeffs is None else coeffs[t])
+        assert run_trial(scn, rho, draw) == tuple(not f for f in got[t]), t
