@@ -15,11 +15,17 @@ All formulas are evaluated with expm1/exp so they stay accurate for
 tau -> 0 (rho up to 1e8 and beyond).
 
 The link terms have one home, _up_down and _binomial, which _bracket reads
-once per call.  p_fm, p_ekl and p_relay_all are the same terms one at a
-time: no bracket calls them, and they stay as the term-by-term reference
-the tests check _bracket against.
+once per call; it also builds the powers of a link's up and down
+probabilities once per call, and takes the constants that hold no SNR
+(k_low, k_up and the binomial coefficients) from a memo, computed once per
+(N, M, beta, t, own).  Each term keeps its operands and the order of its
+sum, so every float is the one the term-by-term formulas give.  p_fm,
+p_ekl and p_relay_all are the same terms one at a time: no bracket calls
+them, and they stay as the term-by-term reference the tests check _bracket
+against.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -122,34 +128,54 @@ class OutageBounds:
             raise ValueError(f"invalid bracket [{self.lower}, {self.upper}]")
 
 
+@functools.lru_cache(maxsize=256, typed=True)
+def _snr_free_terms(n: int, m_relays: int, beta: float, t: int, own: int) -> tuple:
+    """What _bracket needs that holds no SNR, so that an SNR sweep computes
+    it once per (N, M, beta, t, own): k_low, k_up, and for each count m of
+    failed relays the binomials C(k, l), l < t, of the k = N+M-own-m
+    transmissions counted."""
+    total = n + m_relays
+    k_up = 0.0
+    combs = []
+    for m in range(m_relays + 1):
+        k = total - own - m
+        combs.append(tuple(math.comb(k, l) for l in range(min(t - 1, k) + 1)))
+        if t - 1 <= k:
+            k_up += (math.comb(m_relays, m) * (n * beta) ** m
+                     * math.comb(k, t - 1) * beta ** (k - (t - 1)))
+    if own:
+        k_up *= beta
+    return beta ** (total - (t - 1)), k_up, tuple(combs)
+
+
 def _bracket(lp: LinkParams, t: int, own: int) -> OutageBounds:
     """The one count behind both brackets: decoding never fails once t of
     the N+M-own counted transmissions survive.  ``own=1`` (unicast)
     conditions the destination's own direct row on being down, a factor p0
     on the upper bound and beta on k_up.
 
-    The link terms (tau, p0 and 1 - p0, a relay's success and failure) are
-    computed once per call; the sum is p_fm times p_ekl, term by term."""
+    The link terms (tau, p0 and 1 - p0, a relay's success and failure) and
+    the powers up**l (l < t) and down**e (e <= N+M-own) are computed once
+    per call; the sum is p_fm times p_ekl, term by term, each term from the
+    same operands in the same order as _binomial's."""
     n, m_relays = lp.n_sources, lp.n_relays
     total = n + m_relays
     beta, tau = lp.beta, lp.tau
     up, down = _up_down(beta * tau)
     ps, fail = _up_down(n * beta * tau)
+    up_pow = [up ** l for l in range(t)]
+    down_pow = [down ** e for e in range(total - own + 1)]
+    k_low, k_up, combs = _snr_free_terms(n, m_relays, beta, t, own)
     upper = 0.0
-    k_up = 0.0
-    for m in range(m_relays + 1):
+    for m, comb_k in enumerate(combs):
         k = total - own - m
         fm = _binomial(m_relays, m, fail, ps)
-        upper += fm * sum(_binomial(k, l, up, down) for l in range(min(t - 1, k) + 1))
-        if t - 1 <= k:
-            k_up += (math.comb(m_relays, m) * (n * beta) ** m
-                     * math.comb(k, t - 1) * beta ** (k - (t - 1)))
+        upper += fm * sum([c * down_pow[k - l] * up_pow[l] for l, c in enumerate(comb_k)])
     if own:
         upper *= down
-        k_up *= beta
     d = total - (t - 1)
     lower = _binomial(m_relays, 0, fail, ps) * down ** d * (1.0 - down) ** (t - 1)
-    return OutageBounds(lower, min(upper, 1.0), beta ** d, k_up)
+    return OutageBounds(lower, min(upper, 1.0), k_low, k_up)
 
 
 def outage_bounds_multicast(lp: LinkParams, gamma_n: int) -> OutageBounds:

@@ -117,6 +117,20 @@ def _reject_unread(args, where: str, *flags) -> None:
             raise ValueError(f"--{flag} applies only {where}")
 
 
+def _at_least_one(args, *flags) -> None:
+    """ValueError naming the first of `flags` below 1, and its value."""
+    for flag in flags:
+        value = getattr(args, flag)
+        if value < 1:
+            raise ValueError(f"--{flag} must be >= 1, got {value}")
+
+
+def _check_beta(args) -> None:
+    """ValueError naming --beta and its value unless it is finite and positive."""
+    if not (math.isfinite(args.beta) and args.beta > 0):
+        raise ValueError(f"--beta must be finite and positive, got {args.beta:g}")
+
+
 def _snr_grid_db(args) -> list:
     start, stop, step = args.snr_start_db, args.snr_stop_db, args.snr_step_db
     if stop is None:
@@ -207,6 +221,7 @@ def _schemes(args) -> list:
 
 
 def cmd_construct(args) -> int:
+    _at_least_one(args, "n", "m")
     field = _field_for(args.q, args.n, args.m)
     code = _build_code(args.kind, args.n, args.m, field, args.seed)
     if args.kind != "random":
@@ -218,6 +233,7 @@ def cmd_construct(args) -> int:
 def cmd_analyze(args) -> int:
     n, m = args.n, args.m
     r0 = _rate_r0(args, n, m)
+    _check_beta(args)
     schemes = _schemes(args)
     for s in schemes:
         if s not in ("dncc", "rncc"):
@@ -234,6 +250,7 @@ def cmd_analyze(args) -> int:
     if given is not None:
         thresholds = [given] * n
     else:
+        _at_least_one(args, "m")
         code = _build_code(args.kind, n, m, _field_for(args.q, n, m), args.seed)
         if args.traffic == "multicast":
             thresholds = [code.matrix.gamma_rank(n)] * n
@@ -291,10 +308,11 @@ def _scenario_for(scheme: str, args, grid_rho, r0: float, code, field):
 
 
 def cmd_simulate(args) -> int:
-    if args.workers < 1:
-        raise ValueError(f"--workers must be >= 1, got {args.workers}")
+    _at_least_one(args, "workers")
     n, m = args.n, args.m
     r0 = _rate_r0(args, n, m)
+    _at_least_one(args, "m", "trials")
+    _check_beta(args)
     schemes = _schemes(args)
     grid_db = _snr_grid_db(args)
     grid_rho = _snr_linear(args, grid_db)
@@ -335,6 +353,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_dmt(args) -> int:
+    _at_least_one(args, "n", "m")
     schemes = _schemes(args)
     if args.r_points < 2:
         raise ValueError("r-points must be >= 2")
@@ -452,12 +471,13 @@ def build_parser() -> _Parser:
     return ap
 
 
+@functools.cache  # once per process: the settings outlive the call
 def _pin_malloc_thresholds() -> None:
     """Fix glibc's mmap threshold at 64 MiB and its trim threshold at 256
-    MiB.  The simulator's per-chunk arrays (hundreds of KiB each) then
-    always come from the heap; left to glibc's sliding threshold they are
-    mapped afresh, and page-faulted, or not, depending on earlier frees.
-    A no-op where the C library has no mallopt."""
+    MiB, once per process.  The simulator's per-chunk arrays (hundreds of
+    KiB each) then always come from the heap; left to glibc's sliding
+    threshold they are mapped afresh, and page-faulted, or not, depending
+    on earlier frees.  A no-op where the C library has no mallopt."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):

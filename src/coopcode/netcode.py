@@ -147,22 +147,35 @@ def build_vandermonde(n: int, m: int, field: Field) -> NetworkCode:
 
     The generating points are the first n+m field elements in integer
     order 0, 1, 2, ..., with the convention 0**0 == 1, so the same (n, m, q)
-    always yields the same code.
+    always yields the same code.  V_n's rows sit on the points 0..n-1, so
+    row i of V_m V_n^-1 holds the Lagrange basis on those points evaluated
+    at t = n+i, and it is built in that closed form, with no inverse:
+    alpha[i][j] = prod_{l != j} (t + l) / (j + l), + being XOR.
     """
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
     q = field.order
     if q < n + m:
         raise FieldTooSmallError(f"q={q} < N+M={n + m}")
-    pts = list(range(n + m))
-
-    def vrow(t):
-        return [field.pow(t, j) for j in range(n)]
-
-    vn = FfMatrix(field, [vrow(t) for t in pts[:n]])
-    vm = FfMatrix(field, [vrow(t) for t in pts[n:]])
-    alpha = vm @ vn.invert()
-    return _stack_code(field, n, m, alpha.to_lists(), "vandermonde")
+    mul = field.mul
+    inv_den = []  # 1 / prod_{l != j} (j + l), shared by every row
+    for j in range(n):
+        den = 1
+        for l in range(n):
+            if l != j:
+                den = mul(den, j ^ l)
+        inv_den.append(field.inv(den))
+    rows = []
+    for t in range(n, n + m):
+        row = []
+        for j in range(n):
+            num = 1
+            for l in range(n):
+                if l != j:
+                    num = mul(num, t ^ l)
+            row.append(mul(num, inv_den[j]))
+        rows.append(row)
+    return _stack_code(field, n, m, rows, "vandermonde")
 
 
 def build_random(n: int, m: int, field: Field, seed: int) -> NetworkCode:

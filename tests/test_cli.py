@@ -1,5 +1,7 @@
 """Command-line driver: flags, config files, CSV shapes, and determinism."""
 
+import types
+
 import pytest
 
 from coopcode import analytic, cli, ffmat, netcode, simkernel
@@ -373,6 +375,33 @@ def test_rate_range_errors_name_the_flag_and_the_value_given(capsys, command, ar
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("analyze", "--beta", "0"), "--beta must be finite and positive, got 0"),
+    (("simulate", "--beta", "0"), "--beta must be finite and positive, got 0"),
+    (("analyze", "--beta", "-2.5"), "--beta must be finite and positive, got -2.5"),
+    (("simulate", "--beta", "-2.5"), "--beta must be finite and positive, got -2.5"),
+    (("simulate", "--trials", "0"), "--trials must be >= 1, got 0"),
+    (("simulate", "--trials", "-3"), "--trials must be >= 1, got -3"),
+    (("construct", "--m", "0"), "--m must be >= 1, got 0"),
+    (("construct", "--n", "1", "--m", "-5"), "--m must be >= 1, got -5"),
+    (("analyze", "--m", "0"), "--m must be >= 1, got 0"),
+    (("simulate", "--m", "0"), "--m must be >= 1, got 0"),
+    (("simulate", "--m", "0", "--scheme", "cc", "--traffic", "unicast"),
+     "--m must be >= 1, got 0"),
+    (("dmt", "--m", "0"), "--m must be >= 1, got 0"),
+])
+def test_beta_trials_and_m_range_errors_name_the_flag_and_the_value_given(capsys, argv,
+                                                                          message):
+    code, out, err = _run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_analyze_without_relays_runs_where_no_code_is_built(capsys):
+    code, out, err = _run(capsys, "analyze", "--m", "0", "--gamma", "2")
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 2
+
+
 @pytest.mark.parametrize("workers", ["0", "-1"])
 def test_simulate_rejects_workers_below_one(capsys, workers):
     code, out, err = _run(capsys, "simulate", "--workers", workers)
@@ -380,8 +409,17 @@ def test_simulate_rejects_workers_below_one(capsys, workers):
     assert f"--workers must be >= 1, got {workers}" in err
 
 
+@pytest.fixture
+def fresh_malloc_pin():
+    """Forget that this process pinned the malloc thresholds, before the test
+    and after it, so the next main call pins them again."""
+    cli._pin_malloc_thresholds.cache_clear()
+    yield
+    cli._pin_malloc_thresholds.cache_clear()
+
+
 @pytest.mark.parametrize("libc", [object(), OSError("no C library")])
-def test_malloc_pinning_is_a_no_op_without_mallopt(monkeypatch, capsys, libc):
+def test_malloc_pinning_is_a_no_op_without_mallopt(monkeypatch, capsys, fresh_malloc_pin, libc):
     def cdll(name):
         if isinstance(libc, Exception):
             raise libc
@@ -390,6 +428,24 @@ def test_malloc_pinning_is_a_no_op_without_mallopt(monkeypatch, capsys, libc):
     monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
     code, out, _ = _run(capsys, "construct")
     assert code == 0 and out
+
+
+def test_the_c_library_is_loaded_once_per_process(monkeypatch, capsys, fresh_malloc_pin):
+    loads, settings = [], []
+
+    def mallopt(param, value):
+        settings.append((param, value))
+        return 1
+
+    def cdll(name):
+        loads.append(name)
+        return types.SimpleNamespace(mallopt=mallopt)
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    for _ in range(3):
+        assert _run(capsys, "construct")[0] == 0
+    assert loads == [None]
+    assert settings == [(-3, 64 << 20), (-1, 256 << 20)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
 
 
 @pytest.mark.parametrize("command", ["analyze", "simulate"])

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from coopcode import ffmat
+from coopcode import ffmat, netcode
 from coopcode.ffmat import FfMatrix, batch_rank
 from coopcode.gf import field_new
 from coopcode.netcode import (
@@ -66,6 +66,41 @@ def test_vandermonde_minimal_cases():
     assert build_vandermonde(1, 1, F2).matrix.to_lists() == [[1], [1]]
     with pytest.raises(FieldTooSmallError):
         build_vandermonde(3, 2, F4)  # q=4 < N+M=5
+
+
+def _vandermonde_by_inverse(n, m, field):
+    """The relay rows as V_m @ inverse(V_n) on the points 0..n+m-1, the
+    expression build_vandermonde evaluated before its Lagrange form."""
+    def vrow(t):
+        return [field.pow(t, j) for j in range(n)]
+
+    vn = FfMatrix(field, [vrow(t) for t in range(n)])
+    vm = FfMatrix(field, [vrow(t) for t in range(n, n + m)])
+    return (vm @ vn.invert()).to_lists()
+
+
+@pytest.mark.parametrize("ell", [2, 3, 4, 5, 6], ids=lambda ell: f"q{1 << ell}")
+def test_vandermonde_lagrange_form_is_v_m_times_v_n_inverse(monkeypatch, ell):
+    field = field_new(ell)
+    q = field.order
+    for n, m in ((1, 1), (2, 2), (3, 4), (4, 4)):
+        if n + m <= q:  # the certified build, identity block and all
+            code = build_vandermonde(n, m, field)
+            assert code.relay_block.to_lists() == _vandermonde_by_inverse(n, m, field)
+            assert code.certified_kappa == n
+    # every (n, m) with n + m <= q; relay row i depends on t = n+i alone, so
+    # one reference at m = q-n holds the rows of every smaller m
+    monkeypatch.setattr(netcode, "_stack_code", lambda field, n, m, rows, kind: rows)
+    for n in range(1, q):
+        reference = _vandermonde_by_inverse(n, q - n, field)
+        for m in range(1, q - n + 1):
+            assert build_vandermonde(n, m, field) == reference[:m], (n, m)
+    for n, m in ((q, 1), (1, q), (q // 2, q // 2 + 1), (q + 1, q + 1)):
+        with pytest.raises(FieldTooSmallError, match=re.escape(f"q={q} < N+M={n + m}")):
+            build_vandermonde(n, m, field)
+    for n, m in ((0, 1), (1, 0), (-1, 2)):
+        with pytest.raises(ValueError, match="need n >= 1 and m >= 1"):
+            build_vandermonde(n, m, field)
 
 
 def test_cauchy_constructions():
