@@ -212,9 +212,21 @@ def _schemes(args) -> list:
     for s in names:
         if s not in simkernel.SCHEMES:
             raise ValueError(f"unknown scheme {s!r}; choose from {', '.join(simkernel.SCHEMES)}")
-    if getattr(args, "k_select", None) is not None and "selection" not in names:
-        raise ValueError("--k-select applies only to scheme selection, which is not in --scheme")
     return names
+
+
+def _check_k_select(args, schemes) -> None:
+    """ValueError naming --k-select unless it is given exactly where scheme
+    selection reads it, and then in [1, M]."""
+    k = args.k_select
+    if "selection" not in schemes:
+        if k is not None:
+            raise ValueError("--k-select applies only to scheme selection, "
+                             "which is not in --scheme")
+    elif k is None:
+        raise ValueError("--k-select must be given for scheme selection")
+    elif not 1 <= k <= args.m:
+        raise ValueError(f"--k-select must be in [1, M] = [1, {args.m}], got {k}")
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -248,6 +260,8 @@ def cmd_analyze(args) -> int:
     if getattr(args, stray) is not None:
         raise ValueError(f"--{stray} does not apply to {args.traffic} traffic")
     if given is not None:
+        if m < 0:
+            raise ValueError(f"--m must be >= 0, got {m}")
         thresholds = [given] * n
     else:
         _at_least_one(args, "m")
@@ -314,6 +328,7 @@ def cmd_simulate(args) -> int:
     _at_least_one(args, "m", "trials")
     _check_beta(args)
     schemes = _schemes(args)
+    _check_k_select(args, schemes)
     grid_db = _snr_grid_db(args)
     grid_rho = _snr_linear(args, grid_db)
 
@@ -355,8 +370,9 @@ def cmd_simulate(args) -> int:
 def cmd_dmt(args) -> int:
     _at_least_one(args, "n", "m")
     schemes = _schemes(args)
+    _check_k_select(args, schemes)
     if args.r_points < 2:
-        raise ValueError("r-points must be >= 2")
+        raise ValueError(f"--r-points must be >= 2, got {args.r_points}")
     if args.r_points > MAX_GRID_POINTS:
         raise ValueError(f"--r-points must be <= {MAX_GRID_POINTS}, got {args.r_points}")
     lines = ["r,scheme,d"]

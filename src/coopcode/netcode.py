@@ -5,12 +5,15 @@ identity: row k < N is source k's own packet, row N+i is the linear
 combination relay i forwards.  Decodability at a receiver that collected
 a subset of rows reduces to rank (all packets) or row-span membership
 (one packet).  Full diversity means every N rows of A are independent,
-i.e. kruskal_rank(A) == N; the Cauchy and Vandermonde builders below
-guarantee that by construction.  For A = [I_N; R] that holds exactly when
+i.e. kruskal_rank(A) == N.  For A = [I_N; R] that holds exactly when
 every square submatrix of the relay block R is nonsingular (Roth &
 Seroussi 1985), which is how kruskal_full decides it, both ways, ranking no
-row subset.  certified_kappa is set only where that check ran and passed,
-up to SUBSET_ROW_CAP = 24 rows.
+row subset.  The Cauchy and Vandermonde builders below guarantee it by
+construction: each relay block is the Lagrange basis on one point set
+evaluated at the other (_lagrange; Cauchy's on the relay points, at the
+source points, transposed, and Vandermonde's the other way round), which
+makes it a generalized Cauchy matrix.  certified_kappa is set only where
+that check ran and passed, up to SUBSET_ROW_CAP = 24 rows.
 """
 
 import json
@@ -18,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gf import Field, field_new
+from .gf import Field
 from .ffmat import SUBSET_ROW_CAP, FfMatrix, load_matrix
 
 MAX_CODEWORDS = 1 << 20  # min_distance enumerates at most this many codewords
@@ -100,46 +103,51 @@ def _stack_code(field, n, m, relay_rows, construction):
     return NetworkCode(n, m, field, a, construction, kappa)
 
 
+def _check_shape(n: int, m: int, field: Field) -> None:
+    """The shape both MDS builders need: n, m >= 1 and q >= n+m points."""
+    if n < 1 or m < 1:
+        raise ValueError("need n >= 1 and m >= 1")
+    if field.order < n + m:
+        raise FieldTooSmallError(f"q={field.order} < N+M={n + m}")
+
+
+def _lagrange(field: Field, nodes, points) -> np.ndarray:
+    """The Lagrange basis on `nodes` evaluated at `points`, as the
+    (len(points), len(nodes)) array L[a, k] = prod_{l != k}
+    (points[a] + nodes[l]) / (nodes[k] + nodes[l]), + being XOR.
+
+    The nodes must be distinct and no point may be a node; then every
+    factor is nonzero and each entry is a sum of logs mod q-1.  Such an L
+    is a generalized Cauchy matrix, so every square submatrix of it is
+    nonsingular (Roth & Seroussi 1985)."""
+    log_t, exp2_t, _ = field.np_tables()
+    nodes, points = np.asarray(nodes), np.asarray(points)
+    num = log_t[points[:, None] ^ nodes]  # num[a, l] = log(points[a] + nodes[l])
+    den = log_t[nodes[:, None] ^ nodes]
+    np.fill_diagonal(den, 0)  # the l = k factor, left out of both products
+    logs = num.sum(axis=1, keepdims=True) - num - den.sum(axis=1)
+    return exp2_t[logs % (field.order - 1)]
+
+
 def build_cauchy(n: int, m: int, field: Field) -> NetworkCode:
     """Relay coefficients from a generalized Cauchy matrix.
 
-    Row i of the relay block is u_i * v_j / (x_i + y_j) with
-    x_i = g^(n+m-1-i) and y_j = g^(n-1-j) for the field generator g.
-    All n+m powers must be distinct, which needs q >= n+m+1; smaller
-    fields produce a zero denominator and are rejected.
+    The points are x_i = g^(n+m-1-i) for relay i and y_j = g^(n-1-j) for
+    source j, g the field generator.  Entry (i, j) of the relay block is
+    u_i v_j / (x_i + y_j) with u_i = 1 / prod_{l != i} (x_i + x_l) and
+    v_j = prod_l (y_j + x_l), which is the Lagrange basis on the relay
+    points evaluated at the source points: l_i(y_j).  All n+m powers must
+    be distinct, which needs q >= n+m+1; smaller fields produce a zero
+    denominator and are rejected.
     """
-    if n < 1 or m < 1:
-        raise ValueError("need n >= 1 and m >= 1")
-    q = field.order
-    if q < n + m:
-        raise FieldTooSmallError(f"q={q} < N+M={n + m}")
-    g = field.generator
-    total = n + m
+    _check_shape(n, m, field)
+    g, total = field.generator, n + m
     xs = [field.pow(g, total - 1 - i) for i in range(m)]
-    ys = [field.pow(g, total - 1 - m - j) for j in range(n)]
+    ys = [field.pow(g, n - 1 - j) for j in range(n)]
     if len(set(xs) | set(ys)) != total:
-        raise FieldTooSmallError(
-            f"q={q} gives repeated points and zero denominators; need q >= {total + 1}"
-        )
-    us = []
-    for i in range(m):
-        prod = 1
-        for l in range(m):
-            if l != i:
-                prod = field.mul(prod, xs[i] ^ xs[l])
-        us.append(field.inv(prod))
-    vs = []
-    for j in range(n):
-        prod = 1
-        for l in range(m):
-            prod = field.mul(prod, ys[j] ^ xs[l])
-        vs.append(prod)
-    rows = [
-        [field.mul(field.mul(us[i], vs[j]), field.inv(xs[i] ^ ys[j]))
-         for j in range(n)]
-        for i in range(m)
-    ]
-    return _stack_code(field, n, m, rows, "cauchy")
+        raise FieldTooSmallError(f"q={field.order} gives repeated points and zero "
+                                 f"denominators; need q >= {total + 1}")
+    return _stack_code(field, n, m, _lagrange(field, xs, ys).T.tolist(), "cauchy")
 
 
 def build_vandermonde(n: int, m: int, field: Field) -> NetworkCode:
@@ -147,35 +155,15 @@ def build_vandermonde(n: int, m: int, field: Field) -> NetworkCode:
 
     The generating points are the first n+m field elements in integer
     order 0, 1, 2, ..., with the convention 0**0 == 1, so the same (n, m, q)
-    always yields the same code.  V_n's rows sit on the points 0..n-1, so
-    row i of V_m V_n^-1 holds the Lagrange basis on those points evaluated
-    at t = n+i, and it is built in that closed form, with no inverse:
-    alpha[i][j] = prod_{l != j} (t + l) / (j + l), + being XOR.
+    always yields the same code.  V_n's rows sit on the source points
+    0..n-1, so row i of V_m V_n^-1 is the Lagrange basis on them evaluated
+    at the relay point n+i, and it is built in that closed form, with no
+    inverse: the Cauchy construction with the two point sets' roles
+    swapped, and a generalized Cauchy matrix too.
     """
-    if n < 1 or m < 1:
-        raise ValueError("need n >= 1 and m >= 1")
-    q = field.order
-    if q < n + m:
-        raise FieldTooSmallError(f"q={q} < N+M={n + m}")
-    mul = field.mul
-    inv_den = []  # 1 / prod_{l != j} (j + l), shared by every row
-    for j in range(n):
-        den = 1
-        for l in range(n):
-            if l != j:
-                den = mul(den, j ^ l)
-        inv_den.append(field.inv(den))
-    rows = []
-    for t in range(n, n + m):
-        row = []
-        for j in range(n):
-            num = 1
-            for l in range(n):
-                if l != j:
-                    num = mul(num, t ^ l)
-            row.append(mul(num, inv_den[j]))
-        rows.append(row)
-    return _stack_code(field, n, m, rows, "vandermonde")
+    _check_shape(n, m, field)
+    return _stack_code(field, n, m, _lagrange(field, range(n), range(n, n + m)).tolist(),
+                       "vandermonde")
 
 
 def build_random(n: int, m: int, field: Field, seed: int) -> NetworkCode:

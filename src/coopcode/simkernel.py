@@ -382,12 +382,13 @@ class _PatternKey:
     makes the slots of column k irrelevant: drop_covered clears them, and
     canonical also peels relay rows left with one nonzero entry.
 
-    A layout built for chunks of `count` patterns in the "table" regime
-    carries `outcomes`, the fails() flags of every key, decided here once;
+    A layout of at most TABLE_BITS bits is in the "table" regime, whatever
+    the chunk size: it carries `outcomes`, the fails() flags of all its
+    2**bits keys, decided here once (at most 2**TABLE_BITS = 4096);
     otherwise `outcomes` is None.
     """
 
-    def __init__(self, field, scale, width, unicast, count=0):
+    def __init__(self, field, scale, width, unicast):
         m, n = scale.shape
         self.n, self.m, self.width, self.unicast = n, m, width, unicast
         self.field, self.scale = field, scale
@@ -408,24 +409,26 @@ class _PatternKey:
                 units[cols] = _unit_table(cols, width)
             self.peel.append((int(self.shifts[mine[0]]), (1 << row_bits) - 1, units[cols]))
         self.outcomes = None
-        if self.regime(count) == "table":
+        if self.regime == "table":
             every = np.arange(self.span, dtype=np.int64)
             self.outcomes = _blockwise(self.span,
                                        lambda lo, hi: self.fails(*self.unpack(every[lo:hi])))
 
-    def regime(self, count):
-        """How a chunk of `count` patterns is decided: "table" enumerates
-        every key, "unique" ranks the distinct ones, "wide" ranks each."""
+    @property
+    def regime(self):
+        """How a chunk's patterns are decided, by the layout's width alone:
+        "table" enumerates every key, "unique" ranks the distinct ones,
+        "wide" ranks each."""
         if self.bits > KEY_BITS:
             return "wide"
-        return "table" if self.bits <= TABLE_BITS and self.span <= count else "unique"
+        return "table" if self.bits <= TABLE_BITS else "unique"
 
     def pack(self, ok_sd, heard, ok_rd, sym):
         """(B, N) keys of the patterns B trials deliver: link states
         ok_sd[b, k, j] and ok_rd[b, i, j], heard[i, b] when relay i sends,
-        and the (B, M, N) relay row symbols sym[b, i, k].  A layout that
-        carries `outcomes` has at most TABLE_BITS bits and packs uint16
-        keys, as _state_keys does; the others pack int64 keys, which
+        and the (B, M, N) relay row symbols sym[b, i, k].  A layout
+        of at most TABLE_BITS bits (the "table" regime) packs uint16 keys,
+        as _state_keys does; the wider ones pack int64 keys, which
         drop_covered and canonical work on.  Keys are built one contiguous
         row per destination, which beats ops along the short N axis."""
         dtype = np.int64 if self.outcomes is None else np.uint16
@@ -505,18 +508,17 @@ class _PatternKey:
         return np.broadcast_to(short[:, None], held.shape)
 
 
-def _pattern_key(scn: Scenario, count=0) -> _PatternKey:
-    """The key layout of a dncc/rncc/selection scenario, for decides of up
-    to `count` patterns.  A relay row entry is a per-trial rncc coefficient
-    (an l-bit symbol), or a fixed code entry that is in the row or not (a
-    1-bit symbol)."""
+def _pattern_key(scn: Scenario) -> _PatternKey:
+    """The key layout of a dncc/rncc/selection scenario.  A relay row entry
+    is a per-trial rncc coefficient (an l-bit symbol), or a fixed code entry
+    that is in the row or not (a 1-bit symbol)."""
     n, m = scn.n_sources, scn.n_relays
     unicast = scn.traffic == "unicast"
     if scn.scheme == "rncc":
         return _PatternKey(scn.field, np.ones((m, n), dtype=np.int64),
-                           scn.field.ell, unicast, count)
+                           scn.field.ell, unicast)
     return _PatternKey(scn.code.field, scn.code.relay_block.to_array().astype(np.int64),
-                       1, unicast, count)
+                       1, unicast)
 
 
 def _blockwise(count, fails_of):
@@ -605,7 +607,7 @@ def _decide(scn, ok_sr, ok_sd, ok_rd, coeffs, key=None):
     # its direct rows (e_j in unicast, all N in multicast) reads success, so
     # only the open pairs are deduped and ranked, or gathered and ranked.
     if key is None:
-        key = _pattern_key(scn, nb * n)
+        key = _pattern_key(scn)
     if scn.scheme != "rncc":
         sym = keep
     else:  # under A every relay that sends sends its whole row
@@ -758,14 +760,15 @@ def _chunk_counts(plans, grid_index: int, chunk_index: int, count: int):
     return counts
 
 
-def _plan(scn, count):
+def _plan(scn):
     """(scn, table, key): the scenario's decide state, built once per sweep
     and shipped with every chunk task.  `table` is its _failure_table, and
-    `key` the _pattern_key of a coded scenario without one, for chunks of
-    `count` trials; either is None where it does not apply."""
+    `key` the _pattern_key of a coded scenario without one, whose outcome
+    table, if its layout has one, serves every chunk; either is None where
+    it does not apply."""
     table = _failure_table(scn)
     coded = table is None and scn.scheme != "cc"
-    return scn, table, _pattern_key(scn, count * scn.n_sources) if coded else None
+    return scn, table, _pattern_key(scn) if coded else None
 
 
 def _sweep_task(args):
@@ -804,7 +807,7 @@ def run_sweep(scn, workers: int = 1):
     first = scenarios[0]
     grid, trials = first.snr_grid, first.trials
     work = (_ncc_as_selection(s) if s.scheme == "ncc" else s for s in scenarios)
-    plans = tuple(_plan(s, min(trials, CHUNK_TRIALS)) for s in work)  # travels with each task
+    plans = tuple(_plan(s) for s in work)  # travels with each task
     n_chunks = (trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
     tasks = [(plans, g, c, min(CHUNK_TRIALS, trials - c * CHUNK_TRIALS))
              for g in range(len(grid)) for c in range(n_chunks)]

@@ -389,6 +389,21 @@ def test_rate_range_errors_name_the_flag_and_the_value_given(capsys, command, ar
     (("simulate", "--m", "0", "--scheme", "cc", "--traffic", "unicast"),
      "--m must be >= 1, got 0"),
     (("dmt", "--m", "0"), "--m must be >= 1, got 0"),
+    (("analyze", "--m", "-1", "--gamma", "2"), "--m must be >= 0, got -1"),
+    (("analyze", "--n", "1", "--m", "-1", "--gamma", "2"), "--m must be >= 0, got -1"),
+    (("analyze", "--m", "-3", "--lam", "1", "--traffic", "unicast"), "--m must be >= 0, got -3"),
+    (("simulate", "--scheme", "selection", "--k-select", "0"),
+     "--k-select must be in [1, M] = [1, 2], got 0"),
+    (("simulate", "--scheme", "dncc,selection", "--m", "3", "--k-select", "4"),
+     "--k-select must be in [1, M] = [1, 3], got 4"),
+    (("simulate", "--scheme", "selection"), "--k-select must be given for scheme selection"),
+    (("dmt", "--scheme", "selection", "--k-select", "0"),
+     "--k-select must be in [1, M] = [1, 2], got 0"),
+    (("dmt", "--scheme", "selection", "--k-select", "3"),
+     "--k-select must be in [1, M] = [1, 2], got 3"),
+    (("dmt", "--scheme", "selection"), "--k-select must be given for scheme selection"),
+    (("dmt", "--r-points", "1"), "--r-points must be >= 2, got 1"),
+    (("dmt", "--r-points", "-4"), "--r-points must be >= 2, got -4"),
 ])
 def test_beta_trials_and_m_range_errors_name_the_flag_and_the_value_given(capsys, argv,
                                                                           message):

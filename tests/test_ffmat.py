@@ -124,14 +124,23 @@ def test_matmul_keeps_empty_shapes(rows, inner, cols):
 
 
 def test_products_solves_and_inverses_make_no_scalar_multiplications(monkeypatch):
-    def scalar_mul(self, a, b):
-        raise AssertionError("Field.mul called")
+    """Neither these nor building and certifying a Cauchy or Vandermonde
+    code, from GF(2) up to GF(2^16), runs a scalar Field.mul or Field.inv."""
+    def scalar(self, *args):
+        raise AssertionError("scalar field op called")
 
     v = FfMatrix(F16, [[F16.pow(t, j) for j in range(5)] for t in range(5)])  # invertible
     b = _random_matrix(F16, 5, 3, random.Random(2))
-    monkeypatch.setattr(type(F16), "mul", scalar_mul)
+    fields = [field_new(ell) for ell in (1, 2, 4, 8, 16)]
+    monkeypatch.setattr(type(F16), "mul", scalar)
+    monkeypatch.setattr(type(F16), "inv", scalar)
     assert v @ v.invert() == FfMatrix.identity(F16, 5)
     assert v @ v.solve(b) == b and v @ v.solve_any(b) == b
+    for field in fields:
+        for n, m in ((1, 1), (2, 3), (4, 4), (6, 5)):
+            if n + m < field.order:
+                for build in (build_cauchy, build_vandermonde):
+                    assert build(n, m, field).certified_kappa == n
 
 
 def test_solve_agrees_with_the_rank_reference():

@@ -79,28 +79,74 @@ def _vandermonde_by_inverse(n, m, field):
     return (vm @ vn.invert()).to_lists()
 
 
-@pytest.mark.parametrize("ell", [2, 3, 4, 5, 6], ids=lambda ell: f"q{1 << ell}")
-def test_vandermonde_lagrange_form_is_v_m_times_v_n_inverse(monkeypatch, ell):
+def _cauchy_by_formula(n, m, field):
+    """The relay rows as u_i v_j / (x_i + y_j) on x_i = g^(n+m-1-i) and
+    y_j = g^(n-1-j), with u_i = 1 / prod_{l != i} (x_i + x_l) and
+    v_j = prod_l (y_j + x_l): the expression build_cauchy evaluated before
+    its Lagrange form."""
+    g, total = field.generator, n + m
+    xs = [field.pow(g, total - 1 - i) for i in range(m)]
+    ys = [field.pow(g, total - 1 - m - j) for j in range(n)]
+    us = []
+    for i in range(m):
+        prod = 1
+        for l in range(m):
+            if l != i:
+                prod = field.mul(prod, xs[i] ^ xs[l])
+        us.append(field.inv(prod))
+    vs = []
+    for j in range(n):
+        prod = 1
+        for l in range(m):
+            prod = field.mul(prod, ys[j] ^ xs[l])
+        vs.append(prod)
+    return [[field.mul(field.mul(us[i], vs[j]), field.inv(xs[i] ^ ys[j])) for j in range(n)]
+            for i in range(m)]
+
+
+def _assert_builder_equals_its_reference(monkeypatch, kind, ell):
+    """build_<kind> over GF(2^ell) against its kept reference formula, on
+    every (n, m) the field takes, and its shape errors."""
+    build = {"cauchy": build_cauchy, "vandermonde": build_vandermonde}[kind]
     field = field_new(ell)
     q = field.order
+    top = q - 1 if kind == "cauchy" else q  # the most distinct points build takes
+    reference = _cauchy_by_formula if kind == "cauchy" else _vandermonde_by_inverse
     for n, m in ((1, 1), (2, 2), (3, 4), (4, 4)):
-        if n + m <= q:  # the certified build, identity block and all
-            code = build_vandermonde(n, m, field)
-            assert code.relay_block.to_lists() == _vandermonde_by_inverse(n, m, field)
-            assert code.certified_kappa == n
-    # every (n, m) with n + m <= q; relay row i depends on t = n+i alone, so
-    # one reference at m = q-n holds the rows of every smaller m
+        if n + m <= top:  # the certified build, identity block and all
+            code = build(n, m, field)
+            assert code.relay_block.to_lists() == reference(n, m, field)
+            assert code.certified_kappa == n and code.construction == kind
+    # every (n, m) with n + m <= top; a Vandermonde relay row i depends on
+    # t = n+i alone, so one reference at m = q-n holds the rows of every
+    # smaller m
     monkeypatch.setattr(netcode, "_stack_code", lambda field, n, m, rows, kind: rows)
-    for n in range(1, q):
-        reference = _vandermonde_by_inverse(n, q - n, field)
-        for m in range(1, q - n + 1):
-            assert build_vandermonde(n, m, field) == reference[:m], (n, m)
+    for n in range(1, top):
+        whole = _vandermonde_by_inverse(n, q - n, field) if kind == "vandermonde" else None
+        for m in range(1, top - n + 1):
+            want = whole[:m] if whole else reference(n, m, field)
+            assert build(n, m, field) == want, (n, m)
     for n, m in ((q, 1), (1, q), (q // 2, q // 2 + 1), (q + 1, q + 1)):
         with pytest.raises(FieldTooSmallError, match=re.escape(f"q={q} < N+M={n + m}")):
-            build_vandermonde(n, m, field)
+            build(n, m, field)
+    if kind == "cauchy":  # q = N+M passes the size check but repeats a point
+        for n in range(1, q):
+            with pytest.raises(FieldTooSmallError, match=re.escape(
+                    f"q={q} gives repeated points and zero denominators; need q >= {q + 1}")):
+                build(n, q - n, field)
     for n, m in ((0, 1), (1, 0), (-1, 2)):
         with pytest.raises(ValueError, match="need n >= 1 and m >= 1"):
-            build_vandermonde(n, m, field)
+            build(n, m, field)
+
+
+@pytest.mark.parametrize("ell", [2, 3, 4, 5, 6], ids=lambda ell: f"q{1 << ell}")
+def test_vandermonde_lagrange_form_is_v_m_times_v_n_inverse(monkeypatch, ell):
+    _assert_builder_equals_its_reference(monkeypatch, "vandermonde", ell)
+
+
+@pytest.mark.parametrize("ell", [2, 3, 4, 5, 6], ids=lambda ell: f"q{1 << ell}")
+def test_cauchy_lagrange_form_is_u_i_v_j_over_x_i_plus_y_j(monkeypatch, ell):
+    _assert_builder_equals_its_reference(monkeypatch, "cauchy", ell)
 
 
 def test_cauchy_constructions():

@@ -306,6 +306,8 @@ DECIDE_CASES = {
                           k_select=1),
     "selection-3x4-random-perlink": dict(scheme="selection", n_sources=3, n_relays=4,
                                          code=RANDOM34, k_select=2, beta=SKEWED34),
+    "selection-4x4-cauchy": dict(scheme="selection", n_sources=4, n_relays=4,
+                                 code=build_cauchy(4, 4, F16), k_select=2),
     "rncc-1x1": dict(scheme="rncc", n_sources=1, n_relays=1, field=F4),
     "rncc-2x3": dict(scheme="rncc", n_sources=2, n_relays=3, field=F16),
     "rncc-4x4-wide": dict(scheme="rncc", n_sources=4, n_relays=4, field=F256),
@@ -333,7 +335,7 @@ def test_pattern_decide_cases_cover_every_key_regime():
         for strategy in "AB":
             for traffic in ("multicast", "unicast"):
                 scn = _decide_scn(case, strategy, traffic)
-                regime = _pattern_key(scn).regime(DECIDE_TRIALS * scn.n_sources)
+                regime = _pattern_key(scn).regime
                 seen.setdefault(regime, set()).add(scn.scheme)
     assert seen["table"] == seen["unique"] == {"dncc", "rncc", "selection"}
     assert seen["wide"] == {"rncc"}
@@ -351,7 +353,7 @@ def test_pattern_key_widths():
         assert _pattern_key(rncc).bits == 2 + 4 * 4
     wide = Scenario(**DECIDE_CASES["rncc-4x4-wide"], snr_grid=(1.0,), trials=1)
     assert _pattern_key(wide).bits == 4 + 16 * 8
-    assert _pattern_key(wide).regime(1 << 20) == "wide"
+    assert _pattern_key(wide).regime == "wide"
 
 
 def _stacked_fails(key, direct, relay):
@@ -375,7 +377,6 @@ KEY_LAYOUTS = [
     ("dncc", 4, 4, F16), ("dncc", 6, 6, F16), ("dncc", 7, 8, F256),
     ("rncc", 1, 1, F4), ("rncc", 2, 2, F4), ("rncc", 3, 3, F16), ("rncc", 4, 4, F256),
 ]
-KEY_REGIME_COUNT = CHUNK_TRIALS * 2  # patterns in a full N=2 chunk
 
 
 @st.composite
@@ -399,7 +400,7 @@ def _key_patterns(draw):
     syms = rng.integers(0, 1 << width, size=(count, slots))
     syms *= (rng.random((count, slots)) < p_entry) & (rng.random((count, m)) < p_deliver)[
         :, key.slot_i]
-    if key.regime(KEY_REGIME_COUNT) == "wide":
+    if key.regime == "wide":
         relay = np.zeros((count, m, n), dtype=np.int32)
         relay[:, key.slot_i, key.slot_k] = syms * scale[key.slot_i, key.slot_k]
         return key, None, direct, relay
@@ -408,8 +409,8 @@ def _key_patterns(draw):
 
 
 def test_key_layouts_cover_every_regime():
-    regimes = {_PatternKey(f, np.ones((m, n), dtype=np.int64), f.ell, False).regime(
-        KEY_REGIME_COUNT) for scheme, n, m, f in KEY_LAYOUTS if scheme == "rncc"}
+    regimes = {_PatternKey(f, np.ones((m, n), dtype=np.int64), f.ell, False).regime
+               for scheme, n, m, f in KEY_LAYOUTS if scheme == "rncc"}
     assert regimes == {"table", "unique", "wide"}
 
 
@@ -1077,7 +1078,7 @@ def _table_layouts():
     for scheme, n, m, field in KEY_LAYOUTS:
         width = field.ell if scheme == "rncc" else 1
         scale = np.ones((m, n), dtype=np.int64)
-        if _PatternKey(field, scale, width, False).regime(KEY_REGIME_COUNT) == "table":
+        if _PatternKey(field, scale, width, False).regime == "table":
             out.append((n, m, field, scale, width))
     return out
 
@@ -1104,19 +1105,18 @@ def test_table_regime_keys_are_uint16_and_equal_the_int64_packing(n, m, field, s
     else:
         sym = rng.integers(0, 1 << width, (nb, m, n), dtype=np.int64)
     for unicast in (False, True):
-        narrow = _PatternKey(field, scale, width, unicast, count=KEY_REGIME_COUNT)
-        wide = _PatternKey(field, scale, width, unicast)
-        assert narrow.outcomes is not None and wide.outcomes is None
-        got, want = narrow.pack(ok_sd, heard, ok_rd, sym), wide.pack(ok_sd, heard, ok_rd, sym)
-        assert got.dtype == np.uint16 and want.dtype == np.int64
-        assert np.array_equal(got.astype(np.int64), want)
-        # the layout's bits, summed directly: direct bit k, then every slot
-        # of a relay row that was sent and reached j
+        key = _PatternKey(field, scale, width, unicast)
+        assert key.outcomes is not None
+        got = key.pack(ok_sd, heard, ok_rd, sym)
+        assert got.dtype == np.uint16
+        # the layout's bits, summed directly in int64: direct bit k, then
+        # every slot of a relay row that was sent and reached j
         deliver = heard.T[:, :, None] & ok_rd
         direct = (ok_sd.astype(np.int64) << np.arange(n)[:, None]).sum(axis=1)
-        slots = sym[:, wide.slot_i, wide.slot_k].astype(np.int64) << wide.shifts
-        assert np.array_equal(want, direct + (deliver[:, wide.slot_i, :] * slots[:, :, None]).sum(axis=1))
-        assert want.max() < narrow.span
+        slots = sym[:, key.slot_i, key.slot_k].astype(np.int64) << key.shifts
+        want = direct + (deliver[:, key.slot_i, :] * slots[:, :, None]).sum(axis=1)
+        assert np.array_equal(got.astype(np.int64), want)
+        assert want.max() < key.span
 
 
 @pytest.mark.parametrize("strategy", ["A", "B"])
@@ -1128,7 +1128,7 @@ def test_rncc_table_regime_counts_equal_the_scalar_reference(n, m, field, strate
     for traffic in ("multicast", "unicast"):
         scn = Scenario(scheme="rncc", n_sources=n, n_relays=m, field=field, strategy=strategy,
                        traffic=traffic, snr_grid=(3.0, 30.0), trials=trials, seed=n + m)
-        assert _pattern_key(scn, trials * n).regime(trials * n) == "table"
+        assert _pattern_key(scn).regime == "table"
         report = run_sweep(scn)
         for g, (rho, pt) in enumerate(zip(scn.snr_grid, report.points)):
             gsr, gsd, grd, coeffs = draw_chunk(scn, chunk_rng(scn.seed, g, 0), trials)
@@ -1154,9 +1154,9 @@ def test_selected_link_gain_cdf_rejects_bad_inputs(bad, message):
         selected_link_gain_cdf(**args)
 
 
-SETTLE_CASES = {  # one layout per open-pair regime; at SETTLE_TRIALS neither is tabled
-    "dncc-3x3-cauchy-B": (dict(scheme="dncc", n_sources=3, n_relays=3,
-                               code=build_cauchy(3, 3, F8), strategy="B"), "unique"),
+SETTLE_CASES = {  # one layout per open-pair regime, both wider than TABLE_BITS
+    "dncc-4x4-cauchy-B": (dict(scheme="dncc", n_sources=4, n_relays=4,
+                               code=build_cauchy(4, 4, F16), strategy="B"), "unique"),
     "rncc-4x4-wide": (DECIDE_CASES["rncc-4x4-wide"], "wide"),
 }
 SETTLE_TRIALS = 300
@@ -1172,7 +1172,7 @@ def test_settled_pairs_are_never_ranked(monkeypatch, case, traffic):
     layout, regime = SETTLE_CASES[case]
     scn = Scenario(snr_grid=(4.0,), trials=SETTLE_TRIALS, seed=11, traffic=traffic, **layout)
     n, nb = scn.n_sources, SETTLE_TRIALS
-    assert _pattern_key(scn, nb * n).regime(nb * n) == regime
+    assert _pattern_key(scn).regime == regime
     ranked, fails = [], _PatternKey.fails
 
     def counted(self, direct, relay):
