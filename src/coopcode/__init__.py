@@ -9,6 +9,9 @@ Layers, lowest first:
   analytic   closed-form outage bounds and diversity-multiplexing curves
   simkernel  chunked, counter-seeded Monte Carlo outage sweeps
   cli        the ``coopcode`` command-line driver
+
+The simulator is not re-exported: import it as ``coopcode.simkernel``, so
+that importing the package, or the CLI, loads no simulator.
 """
 
 from .gf import Field, field_new
@@ -37,19 +40,6 @@ from .analytic import (
     outage_bounds_unicast,
     selection_cdf_approx,
     system_outage,
-)
-from .simkernel import (
-    OutageReport,
-    PerLinkBeta,
-    Scenario,
-    SweepPoint,
-    TrialDraw,
-    run_sweep,
-    run_trial,
-    run_trial_cc,
-    run_trial_ncc,
-    select_relays,
-    selected_link_gain_cdf,
 )
 
 __version__ = "0.1.0"

@@ -31,6 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+SCHEMES = ("dncc", "rncc", "selection", "ncc", "cc")  # the labels of dmt_curve, the simulator and --scheme
+
 
 def tau_for(rho: float, rate_r0: float) -> float:
     """The gain a link needs at SNR rho to carry the per-packet rate r0."""

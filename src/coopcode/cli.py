@@ -25,7 +25,8 @@ import sys
 
 import numpy as np
 
-from . import analytic, netcode, simkernel
+from . import analytic, netcode
+from .ffmat import SUBSET_ROW_CAP
 from .gf import field_ell, field_new
 
 KIND_CHOICES = ("vandermonde", "cauchy", "random")
@@ -139,7 +140,7 @@ def _snr_grid_db(args) -> list:
         if not math.isfinite(value):
             raise ValueError(f"--snr-{flag}-db must be finite, got {value}")
     if step <= 0:
-        raise ValueError("snr-step-db must be positive")
+        raise ValueError(f"--snr-step-db must be positive, got {step:g}")
     if stop < start:
         raise ValueError("snr-stop-db must be >= snr-start-db")
     if (stop - start + 1e-9) / step >= MAX_GRID_POINTS:
@@ -210,8 +211,8 @@ def _schemes(args) -> list:
     if not names:
         raise ValueError("scheme list is empty")
     for s in names:
-        if s not in simkernel.SCHEMES:
-            raise ValueError(f"unknown scheme {s!r}; choose from {', '.join(simkernel.SCHEMES)}")
+        if s not in analytic.SCHEMES:
+            raise ValueError(f"unknown scheme {s!r}; choose from {', '.join(analytic.SCHEMES)}")
     return names
 
 
@@ -262,9 +263,16 @@ def cmd_analyze(args) -> int:
     if given is not None:
         if m < 0:
             raise ValueError(f"--m must be >= 0, got {m}")
+        low, low_name = (n, "N") if flag == "gamma" else (1, "1")
+        if not low <= given <= n + m:
+            raise ValueError(f"--{flag} must be in [{low_name}, N+M] = [{low}, {n + m}], "
+                             f"got {given}")
         thresholds = [given] * n
     else:
         _at_least_one(args, "m")
+        if n + m > SUBSET_ROW_CAP:
+            raise ValueError(f"--n + --m must be <= {SUBSET_ROW_CAP} where analyze builds a code "
+                             f"(give --gamma or --lam), got {n + m}")
         code = _build_code(args.kind, n, m, _field_for(args.q, n, m), args.seed)
         if args.traffic == "multicast":
             thresholds = [code.matrix.gamma_rank(n)] * n
@@ -303,24 +311,6 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _scenario_for(scheme: str, args, grid_rho, r0: float, code, field):
-    return simkernel.Scenario(
-        scheme=scheme,
-        n_sources=args.n,
-        n_relays=args.m,
-        snr_grid=tuple(grid_rho),
-        trials=args.trials,
-        seed=args.seed or 0,
-        code=code if scheme in ("dncc", "selection") else None,
-        field=field if scheme == "rncc" else None,
-        strategy=(args.strategy or "A") if scheme in STRATEGY_SCHEMES else "A",
-        traffic=args.traffic,
-        beta=args.beta,
-        rate_r0=r0,
-        k_select=args.k_select if scheme == "selection" else None,
-    )
-
-
 def cmd_simulate(args) -> int:
     _at_least_one(args, "workers")
     n, m = args.n, args.m
@@ -338,7 +328,22 @@ def cmd_simulate(args) -> int:
         field = _field_for(args.q, n, m)
     if {"dncc", "selection"} & set(schemes):
         code = _build_code(args.kind, n, m, field, args.seed)
-    scenarios = [_scenario_for(s, args, grid_rho, r0, code, field) for s in schemes]
+    from . import simkernel  # the one command that sweeps imports the simulator
+    scenarios = [simkernel.Scenario(
+        scheme=s,
+        n_sources=n,
+        n_relays=m,
+        snr_grid=tuple(grid_rho),
+        trials=args.trials,
+        seed=args.seed or 0,
+        code=code if s in ("dncc", "selection") else None,
+        field=field if s == "rncc" else None,
+        strategy=(args.strategy or "A") if s in STRATEGY_SCHEMES else "A",
+        traffic=args.traffic,
+        beta=args.beta,
+        rate_r0=r0,
+        k_select=args.k_select if s == "selection" else None,
+    ) for s in schemes]
     if code is None:
         _reject_unread(args, "to schemes dncc and selection, neither of which is in --scheme",
                        "kind")
@@ -375,6 +380,9 @@ def cmd_dmt(args) -> int:
         raise ValueError(f"--r-points must be >= 2, got {args.r_points}")
     if args.r_points > MAX_GRID_POINTS:
         raise ValueError(f"--r-points must be <= {MAX_GRID_POINTS}, got {args.r_points}")
+    if args.gamma is not None and {"dncc", "rncc"} & set(schemes):
+        if not args.n <= args.gamma <= args.n + args.m:
+            raise ValueError(f"--gamma must be in [{args.n}, {args.n + args.m}], got {args.gamma}")
     lines = ["r,scheme,d"]
     for s in schemes:
         curve = analytic.dmt_curve(
@@ -469,14 +477,14 @@ def build_parser() -> _Parser:
     p = command("simulate", "Monte Carlo outage sweep")
     _add_common(p, code=True, grid=True, sim=True)
     p.add_argument("--scheme", default="dncc", help="comma-separated subset of "
-                   + ",".join(simkernel.SCHEMES))
+                   + ",".join(analytic.SCHEMES))
     p.add_argument("--traffic", choices=("multicast", "unicast"), default="multicast")
     p.set_defaults(fn=cmd_simulate)
 
     p = command("dmt", "diversity-multiplexing tradeoff curves")
     _add_common(p)
     p.add_argument("--scheme", default="dncc", help="comma-separated subset of "
-                   + ",".join(simkernel.SCHEMES))
+                   + ",".join(analytic.SCHEMES))
     p.add_argument("--gamma", type=int, default=None,
                    help="decoding threshold for dncc/rncc (default N, the ideal code)")
     p.add_argument("--k-select", type=int, default=None,

@@ -65,7 +65,6 @@ rows vary per trial, and wider networks are decided per trial.
 """
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -73,7 +72,7 @@ import numpy as np
 from .gf import Field, field_new
 from .ffmat import FfMatrix, batch_rank, unit_spans
 from .netcode import NetworkCode, build_explicit
-from .analytic import tau_for
+from .analytic import SCHEMES, tau_for
 
 CHUNK_TRIALS = 1 << 14  # fixed chunk size; part of the reproducibility contract
 TABLE_BITS = 12    # pattern keys and link states this narrow are decided by enumerating them all
@@ -81,7 +80,6 @@ KEY_BITS = 62      # widest pattern key packed into an int64
 RANK_BLOCK = 4096  # matrices per batch_rank call; bounds the decide's memory
 CDF_CHUNK = 1 << 18  # trials per Philox stream of selected_link_gain_cdf; pins its numbers
 
-SCHEMES = ("dncc", "rncc", "selection", "ncc", "cc")
 COOP_SCHEMES = ("dncc", "rncc", "selection")
 
 
@@ -817,6 +815,7 @@ def run_sweep(scn, workers: int = 1):
     if workers == 1:
         results = list(map(_sweep_task, tasks))
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool pays its import
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_task, tasks,
                                     chunksize=max(1, len(tasks) // (workers * 4))))

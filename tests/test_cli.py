@@ -202,6 +202,23 @@ def test_simulate_unknown_scheme(capsys):
     assert code == 2 and "xyz" in err
 
 
+def test_scheme_names_are_the_simulators(capsys):
+    """--scheme accepts exactly simkernel.SCHEMES, and every scheme's
+    sweep reads the same at --workers 2 as at --workers 1."""
+    assert _run(capsys, "simulate", "--scheme", "xyz", "--trials", "10")[2] == (
+        f"error: unknown scheme 'xyz'; choose from {', '.join(simkernel.SCHEMES)}\n")
+    outs = []
+    for w in ("1", "2"):
+        code, out, err = _run(capsys, "simulate", "--scheme", ",".join(simkernel.SCHEMES),
+                              "--traffic", "unicast", "--k-select", "1", "--trials", "50",
+                              "--snr-start-db", "0", "--snr-stop-db", "10",
+                              "--snr-step-db", "10", "--workers", w)
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert [row[1] for row in _rows(outs[0])[1][::2]] == list(simkernel.SCHEMES)
+
+
 def test_dmt_csv_spot_values(capsys):
     code, out, _ = _run(capsys, "dmt", "--scheme", "dncc,ncc,cc,selection",
                         "--n", "2", "--m", "2", "--k-select", "2",
@@ -565,7 +582,7 @@ def test_kind_defaults_to_vandermonde_where_it_is_read(capsys):
 
 @pytest.mark.parametrize("argv, message", [
     # a threshold out of range is reported before the unread --kind
-    (("analyze", "--gamma", "9", "--kind", "random"), "gamma_n must be in [N, N+M] = [2, 4]"),
+    (("analyze", "--gamma", "9", "--kind", "random"), "--gamma must be in [N, N+M] = [2, 4], got 9"),
     # so is a scheme that the traffic mode does not support
     (("simulate", "--scheme", "cc", "--traffic", "multicast", "--kind", "random"),
      "cc supports unicast traffic only"),
@@ -573,6 +590,39 @@ def test_kind_defaults_to_vandermonde_where_it_is_read(capsys):
 def test_an_earlier_input_error_keeps_its_message(capsys, argv, message):
     code, out, err = _run(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("dmt", "--gamma", "1"), "--gamma must be in [2, 4], got 1"),
+    (("dmt", "--scheme", "cc,rncc", "--gamma", "5"), "--gamma must be in [2, 4], got 5"),
+    (("analyze", "--gamma", "0"), "--gamma must be in [N, N+M] = [2, 4], got 0"),
+    (("analyze", "--lam", "0", "--traffic", "unicast"),
+     "--lam must be in [1, N+M] = [1, 4], got 0"),
+    (("analyze", "--lam", "5", "--traffic", "unicast"),
+     "--lam must be in [1, N+M] = [1, 4], got 5"),
+    (("simulate", "--snr-step-db", "0", "--trials", "10"),
+     "--snr-step-db must be positive, got 0"),
+    (("simulate", "--snr-step-db", "-0.5", "--trials", "10"),
+     "--snr-step-db must be positive, got -0.5"),
+])
+def test_range_errors_name_the_flag_and_the_value_given(capsys, argv, message):
+    assert _run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_analyze_states_its_row_cap_in_flags(capsys):
+    """analyze's thresholds need the subset metrics, which stop at 24 rows;
+    construct prints a wider code, uncertified, and --gamma needs no code."""
+    argv = ("--n", "13", "--m", "12", "--q", "32")
+    assert _run(capsys, "analyze", *argv) == (
+        2, "", "error: --n + --m must be <= 24 where analyze builds a code "
+               "(give --gamma or --lam), got 25\n")
+    code, out, err = _run(capsys, "construct", *argv)
+    assert (code, err) == (0, "") and load_code(out).certified_kappa is None
+    code, out, err = _run(capsys, "analyze", "--n", "13", "--m", "12", "--gamma", "13")
+    assert (code, err) == (0, "") and out.startswith("snr_db,")
+    code, out, err = _run(capsys, "analyze", "--n", "12", "--m", "12", "--q", "32",
+                          "--traffic", "unicast", "--kind", "cauchy")
+    assert (code, err) == (0, "") and out.startswith("snr_db,")
 
 
 _NO_SEED_KIND = "--seed applies only to --kind random"
@@ -600,7 +650,7 @@ def test_seed_without_a_random_code_is_rejected(capsys, argv, message):
      f"--kind applies only {_NO_CODE} --gamma is given"),
     (("analyze", "--gamma", "2", "--q", "8", "--seed", "5"),
      f"--q applies only {_NO_CODE} --gamma is given"),
-    (("analyze", "--gamma", "9", "--seed", "5"), "gamma_n must be in [N, N+M] = [2, 4]"),
+    (("analyze", "--gamma", "9", "--seed", "5"), "--gamma must be in [N, N+M] = [2, 4], got 9"),
 ])
 def test_an_earlier_input_error_comes_before_an_unread_seed(capsys, argv, message):
     code, out, err = _run(capsys, *argv)

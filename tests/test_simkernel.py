@@ -1,5 +1,6 @@
 """Monte Carlo kernel: trial semantics, batching, determinism, and oracles."""
 
+import concurrent.futures
 import math
 import multiprocessing
 from dataclasses import replace
@@ -568,7 +569,7 @@ def test_run_sweep_starts_no_more_workers_than_chunks(monkeypatch):
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    monkeypatch.setattr(simkernel, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     scn = _scn(snr_grid=(1.0, 5.0, 25.0), trials=100, seed=5)  # 3 chunks
     serial = run_sweep(scn)
     assert started == []
