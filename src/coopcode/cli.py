@@ -27,7 +27,7 @@ import numpy as np
 
 from . import analytic, netcode
 from .ffmat import SUBSET_ROW_CAP
-from .gf import field_ell, field_new
+from .gf import MAX_ELL, field_ell, field_new
 
 KIND_CHOICES = ("vandermonde", "cauchy", "random")
 STRATEGY_SCHEMES = {"dncc", "rncc", "selection"}  # the schemes --strategy changes
@@ -101,7 +101,14 @@ def _field_for(q: int | None, n: int, m: int):
 
 def _build_code(kind: str | None, n: int, m: int, field, seed: int):
     """The --kind code; vandermonde when --kind is not given (None), and a
-    random code's seed is 0 when --seed is not given (None)."""
+    random code's seed is 0 when --seed is not given (None).  A ValueError
+    naming --q and its value where the field is too small for the kind:
+    vandermonde needs N+M distinct points, cauchy N+M nonzero ones."""
+    if kind != "random":
+        need, bound = (n + m + 1, "N+M+1") if kind == "cauchy" else (n + m, "N+M")
+        if field.order < need:
+            raise ValueError(f"--q must be >= {bound} = {need} for a {kind or 'vandermonde'} "
+                             f"code, got {field.order}")
     if kind == "cauchy":
         return netcode.build_cauchy(n, m, field)
     if kind == "random":
@@ -142,7 +149,7 @@ def _snr_grid_db(args) -> list:
     if step <= 0:
         raise ValueError(f"--snr-step-db must be positive, got {step:g}")
     if stop < start:
-        raise ValueError("snr-stop-db must be >= snr-start-db")
+        raise ValueError(f"--snr-stop-db must be >= --snr-start-db = {start:g}, got {stop:g}")
     if (stop - start + 1e-9) / step >= MAX_GRID_POINTS:
         raise ValueError(f"--snr-step-db gives more than {MAX_GRID_POINTS} grid points "
                          f"from {start} to {stop} dB")
@@ -209,7 +216,8 @@ def _rate_r0(args, n: int, m: int) -> float:
 def _schemes(args) -> list:
     names = [s.strip() for s in args.scheme.split(",") if s.strip()]
     if not names:
-        raise ValueError("scheme list is empty")
+        raise ValueError(f"--scheme must name at least one of {', '.join(analytic.SCHEMES)}, "
+                         f"got {args.scheme!r}")
     for s in names:
         if s not in analytic.SCHEMES:
             raise ValueError(f"unknown scheme {s!r}; choose from {', '.join(analytic.SCHEMES)}")
@@ -516,9 +524,13 @@ def main(argv=None) -> int:
     try:
         args = _parse_args(list(sys.argv[1:] if argv is None else argv))
         if getattr(args, "q", None) is not None:
-            field_ell(args.q)  # a bad --q fails even where no field is built
+            try:
+                field_ell(args.q)  # a bad --q fails even where no field is built
+            except ValueError:
+                raise ValueError(f"--q must be a power of two with 2 <= q <= 2**{MAX_ELL}, "
+                                 f"got {args.q}") from None
         if (getattr(args, "seed", None) or 0) < 0:  # likewise a bad --seed where nothing is drawn
-            raise ValueError(f"seed must be a non-negative integer, got {args.seed}")
+            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.fn(args)
     except (ValueError, OSError) as exc:
         return _die(str(exc))

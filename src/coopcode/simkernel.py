@@ -49,8 +49,15 @@ layout, its peel tables and, when there are at most 2**TABLE_BITS keys,
 the outcome of every key are built once per sweep by run_sweep; those
 table-regime keys are packed as uint16, the others as int64.
 
-The decide reads only link states: _link_states thresholds the gains,
-and _decide maps the states (and rncc's coefficients) to failure flags.
+The decide reads only link states, and _decide maps the states (and
+rncc's coefficients) to failure flags.  draw_chunk has two call forms:
+draw_chunk(scn, rng, count) returns the float64 gains, which the tests
+and the reference path (_coop_failures) threshold whole; run_sweep's
+draw_chunk(scn, rng, count, tau, bottleneck) draws each link block in
+slices of at most DRAW_SLICE values and compares each slice with tau as
+it is drawn, so it keeps only the bool link states and never holds a
+chunk's gains.  When a scenario selects, the same slices fold each
+relay's bottleneck gain (_fold_bottleneck), which selection ranks.
 Selection is applied as links taken down: _selected_links clears the
 source->relay links of the relays it drops, and a relay that heard
 nothing never transmits, just as an unselected one.  So when the
@@ -79,6 +86,7 @@ TABLE_BITS = 12    # pattern keys and link states this narrow are decided by enu
 KEY_BITS = 62      # widest pattern key packed into an int64
 RANK_BLOCK = 4096  # matrices per batch_rank call; bounds the decide's memory
 CDF_CHUNK = 1 << 18  # trials per Philox stream of selected_link_gain_cdf; pins its numbers
+DRAW_SLICE = 1 << 14  # gains drawn and compared at a time (128 KiB); results do not depend on it
 
 COOP_SCHEMES = ("dncc", "rncc", "selection")
 
@@ -338,22 +346,50 @@ def chunk_rng(seed: int, grid_index: int, chunk_index: int) -> np.random.Generat
     return np.random.Generator(np.random.Philox(ss))
 
 
-def draw_chunk(scn: Scenario, rng: np.random.Generator, count: int):
+def draw_chunk(scn: Scenario, rng: np.random.Generator, count: int, tau=None,
+               bottleneck=False):
     """Draw all randomness for `count` trials in the fixed order the
-    reproducibility contract pins down: gains first, then coefficients."""
+    reproducibility contract pins down: the sr, sd and rd gains, then
+    rncc's coefficients (None for the other schemes).  Two call forms:
+
+      draw_chunk(scn, rng, count) -> (gsr, gsd, grd, coeffs), the float64
+          gains shaped (count, N, M), (count, N, N) and (count, M, N);
+      draw_chunk(scn, rng, count, tau, bottleneck) -> (ok_sr, ok_sd, ok_rd,
+          coeffs, h), the link states gain > tau in the same shapes, and
+          when `bottleneck` the (M, count) bottleneck gains h of
+          _fold_bottleneck, else None.
+
+    The second form draws each link block in slices of whole trials, at
+    most DRAW_SLICE values each unless one trial holds more, and compares
+    (and folds) each slice as it is drawn, so the gains are never held
+    whole.  Consecutive draws continue one stream, so both forms read the
+    same values."""
     n, m = scn.n_sources, scn.n_relays
-    gains = []
-    for shape, beta in zip(((count, n, m), (count, n, n), (count, m, n)), _betas(scn)):
-        g = rng.standard_exponential(shape)
-        if np.any(beta != 1.0):  # x / 1.0 == x exactly
-            g /= beta            # in place: no second array per link block
-        gains.append(g)
-    gsr, gsd, grd = gains
+    shapes = ((count, n, m), (count, n, n), (count, m, n))
+    blocks = [np.empty(shape, dtype=float if tau is None else bool) for shape in shapes]
+    h = np.full((m, count), np.inf) if bottleneck else None
+    buf = None if tau is None else np.empty(max(DRAW_SLICE, n * max(n, m)))
+    for b, (block, beta) in enumerate(zip(blocks, _betas(scn))):
+        per, scale = block[0].size, np.any(beta != 1.0)  # x / 1.0 == x exactly
+        step = max(1, count if buf is None else DRAW_SLICE // per)
+        for lo in range(0, count, step):
+            hi = min(lo + step, count)
+            if buf is None:  # the gains themselves, scaled in place
+                g = block[lo:hi]
+            else:
+                g = buf[:(hi - lo) * per].reshape((hi - lo,) + block.shape[1:])
+            rng.standard_exponential(out=g)
+            if scale:
+                g /= beta
+            if buf is not None:
+                np.greater(g, tau, out=block[lo:hi])
+            if h is not None and b != 1:  # sd links are adjacent to no relay
+                _fold_bottleneck(h[:, lo:hi], g, sr=b == 0)
     coeffs = None
     if scn.scheme == "rncc":
         coeffs = rng.integers(0, scn.field.order, size=(count, m, n),
                               dtype=np.int64)
-    return gsr, gsd, grd, coeffs
+    return (*blocks, coeffs) if tau is None else (*blocks, coeffs, h)
 
 
 def _unit_table(cols, width):
@@ -531,17 +567,32 @@ def _link_states(tau, gsr, gsd, grd):
     return gsr > tau, gsd > tau, grd > tau
 
 
-def _kept_relays(scn, gsr, grd):
+def _fold_bottleneck(h, g, sr):
+    """Fold one gain block of B trials into the (M, B) bottleneck rows h, in
+    place: h[i] becomes the minimum of h[i] and the gains of relay i's links
+    in g, an sr block (B, N, M) when `sr`, else an rd block (B, M, N).  From
+    h = inf, folding both blocks gives each relay's bottleneck gain, the min
+    over its 2N adjacent links.  Folding one contiguous row per relay beats
+    a reduction along the short source axis."""
+    n = g.shape[1] if sr else g.shape[2]
+    for i, row in enumerate(h):
+        for k in range(n):
+            np.minimum(row, g[:, k, i] if sr else g[:, i, k], out=row)
+
+
+def _bottleneck(gsr, grd):
+    """The (M, B) bottleneck gains of full sr and rd gain blocks."""
+    h = np.full((gsr.shape[2], gsr.shape[0]), np.inf)
+    _fold_bottleneck(h, gsr, sr=True)
+    _fold_bottleneck(h, grd, sr=False)
+    return h
+
+
+def _kept_relays(scn, h):
     """(M, B) bool: keep[i, b] says selection keeps relay i in trial b.
-    It keeps the k_select best relays by bottleneck gain (min over the 2N
-    adjacent links), ties toward the lower index: a relay is kept iff fewer
-    than k_select relays rank ahead of it."""
-    # folding over the short source axis beats a reduction along it
-    h = np.minimum(gsr[:, 0], grd[:, :, 0])        # (B, M)
-    for k in range(1, scn.n_sources):
-        np.minimum(h, gsr[:, k], out=h)
-        np.minimum(h, grd[:, :, k], out=h)
-    h = np.ascontiguousarray(h.T)  # one contiguous row per relay beats strided columns
+    It keeps the k_select best relays by bottleneck gain h[i, b] (min over
+    the 2N adjacent links), ties toward the lower index: a relay is kept
+    iff fewer than k_select relays rank ahead of it."""
     keep = np.empty(h.shape, dtype=bool)
     for i in range(scn.n_relays):
         ahead = np.zeros(h.shape[1], dtype=np.intp)
@@ -552,14 +603,15 @@ def _kept_relays(scn, gsr, grd):
     return keep
 
 
-def _selected_links(scn, ok_sr, gsr, grd):
+def _selected_links(scn, ok_sr, h):
     """ok_sr with the source->relay links of every relay that selection
-    drops (_kept_relays) taken down.  A relay that heard no source never
-    transmits, under strategy A and B alike, so _decide then treats a
-    dropped relay as an unselected one.  ok_sr itself for other schemes."""
+    drops (_kept_relays on the bottleneck gains h) taken down.  A relay that
+    heard no source never transmits, under strategy A and B alike, so
+    _decide then treats a dropped relay as an unselected one.  ok_sr itself
+    for other schemes, which need no h."""
     if scn.scheme != "selection":
         return ok_sr
-    return ok_sr & _kept_relays(scn, gsr, grd).T[:, None, :]
+    return ok_sr & _kept_relays(scn, h).T[:, None, :]
 
 
 def _decide(scn, ok_sr, ok_sd, ok_rd, coeffs, key=None):
@@ -659,7 +711,8 @@ def _decide(scn, ok_sr, ok_sd, ok_rd, coeffs, key=None):
 def _coop_failures(scn, tau, gsr, gsd, grd, coeffs):
     """(B, N) boolean failure flags of B drawn trials at threshold tau."""
     ok_sr, ok_sd, ok_rd = _link_states(tau, gsr, gsd, grd)
-    return _decide(scn, _selected_links(scn, ok_sr, gsr, grd), ok_sd, ok_rd, coeffs)
+    h = _bottleneck(gsr, grd) if scn.scheme == "selection" else None
+    return _decide(scn, _selected_links(scn, ok_sr, h), ok_sd, ok_rd, coeffs)
 
 
 def _failure_table(scn):
@@ -733,26 +786,27 @@ def _chunk_counts(plans, grid_index: int, chunk_index: int, count: int):
     for all scenarios; the draw is an rncc scenario's when there is one, so
     its coefficients continue the stream exactly as a lone rncc sweep's
     would, and the other schemes never read them.  The scenarios share one
-    rate, so links are thresholded once.  A scenario with a table counts
-    the chunk's link-state keys, packed once for all of them (selection
-    clears its dropped relays' bits from them), and reads its counts off
-    the table; the others decide every trial."""
+    rate, so the draw thresholds the links once, slice by slice, and folds
+    the relays' bottleneck gains when a scenario selects.  A scenario with
+    a table counts the chunk's link-state keys, packed once for all of them
+    (selection clears its dropped relays' bits from them), and reads its
+    counts off the table; the others decide every trial."""
     drawer = next((s for s, *_ in plans if s.scheme == "rncc"), plans[0][0])
     rng = chunk_rng(drawer.seed, grid_index, chunk_index)
-    gsr, gsd, grd, coeffs = draw_chunk(drawer, rng, count)
     tau = tau_for(drawer.snr_grid[grid_index], drawer.rate_r0)
-    ok_sr, ok_sd, ok_rd = _link_states(tau, gsr, gsd, grd)
+    selects = any(s.scheme == "selection" for s, *_ in plans)
+    ok_sr, ok_sd, ok_rd, coeffs, h = draw_chunk(drawer, rng, count, tau, selects)
     keys, counts = None, []
     for scn, table, key in plans:
         if table is None:
-            sr = _selected_links(scn, ok_sr, gsr, grd)
+            sr = _selected_links(scn, ok_sr, h)
             counts.append(_fail_counts(_decide(scn, sr, ok_sd, ok_rd, coeffs, key)))
             continue
         if keys is None:
             keys = _state_keys(ok_sr, ok_sd, ok_rd)
         states = keys
         if scn.scheme == "selection":  # its dropped relays' links taken down
-            states = _drop_relay_states(keys, _kept_relays(scn, gsr, grd), scn.n_sources)
+            states = _drop_relay_states(keys, _kept_relays(scn, h), scn.n_sources)
         dest_sys = np.bincount(states, minlength=len(table)) @ table
         counts.append((dest_sys[:-1], int(dest_sys[-1])))
     return counts

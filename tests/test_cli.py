@@ -46,7 +46,7 @@ def test_construct_at_thirteen_rows_is_certified_by_a_proof_that_ran(capsys, mon
 def test_construct_field_too_small(capsys):
     code, _, err = _run(capsys, "construct", "--q", "4", "--n", "3", "--m", "2")
     assert code == 2
-    assert "q=4 < N+M=5" in err
+    assert err == "error: --q must be >= N+M = 5 for a vandermonde code, got 4\n"
 
 
 def test_construct_random_is_deterministic(capsys):
@@ -326,7 +326,7 @@ def test_k_select_without_a_selection_scheme_is_rejected(capsys, argv):
 def test_a_negative_seed_fails_where_nothing_is_drawn(capsys, argv):
     code, out, err = _run(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err == f"error: seed must be a non-negative integer, got {argv[-1]}\n"
+    assert err == f"error: --seed must be a non-negative integer, got {argv[-1]}\n"
 
 
 @pytest.mark.parametrize("flag", ["--q", "--seed"])
@@ -346,7 +346,7 @@ def test_dmt_takes_no_field_or_seed(tmp_path, capsys, flag):
 def test_random_code_rejects_a_negative_seed(capsys, command):
     code, out, err = _run(capsys, command, "--kind", "random", "--seed", "-1")
     assert (code, out) == (2, "")
-    assert err == "error: seed must be a non-negative integer, got -1\n"
+    assert err == "error: --seed must be a non-negative integer, got -1\n"
 
 
 def test_bad_snr_grid(capsys):
@@ -490,7 +490,7 @@ def test_zero_sources_with_a_system_rate_is_rejected(capsys, command):
 def test_field_size_below_two_is_rejected(capsys, command):
     code, out, err = _run(capsys, command, "--q", "0")
     assert (code, out) == (2, "")
-    assert err == "error: q must be a power of two with 2 <= q <= 2**16, got 0\n"
+    assert err == "error: --q must be a power of two with 2 <= q <= 2**16, got 0\n"
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -512,7 +512,7 @@ def test_analyze_rejects_the_other_traffic_modes_threshold(capsys, argv, flag):
 def test_a_bad_field_size_fails_where_no_field_is_built(capsys, argv, q):
     code, out, err = _run(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err == f"error: q must be a power of two with 2 <= q <= 2**16, got {q}\n"
+    assert err == f"error: --q must be a power of two with 2 <= q <= 2**16, got {q}\n"
 
 
 def test_dmt_gamma_without_a_coded_scheme_is_rejected(capsys):
@@ -609,6 +609,37 @@ def test_range_errors_name_the_flag_and_the_value_given(capsys, argv, message):
     assert _run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("analyze", "--snr-start-db", "5", "--snr-stop-db", "3"),
+     "--snr-stop-db must be >= --snr-start-db = 5, got 3"),
+    (("simulate", "--scheme", ""),
+     "--scheme must name at least one of dncc, rncc, selection, ncc, cc, got ''"),
+    (("construct", "--kind", "random", "--seed", "-1"),
+     "--seed must be a non-negative integer, got -1"),
+    (("construct", "--q", "6"), "--q must be a power of two with 2 <= q <= 2**16, got 6"),
+    (("construct", "--n", "3", "--m", "3", "--q", "4"),
+     "--q must be >= N+M = 6 for a vandermonde code, got 4"),
+    (("construct", "--n", "3", "--m", "3", "--q", "4", "--kind", "cauchy"),
+     "--q must be >= N+M+1 = 7 for a cauchy code, got 4"),
+    (("construct", "--n", "3", "--m", "5", "--q", "8", "--kind", "cauchy"),
+     "--q must be >= N+M+1 = 9 for a cauchy code, got 8"),
+    (("analyze", "--n", "3", "--m", "3", "--q", "4"),
+     "--q must be >= N+M = 6 for a vandermonde code, got 4"),
+    (("simulate", "--n", "3", "--m", "3", "--q", "4", "--trials", "10"),
+     "--q must be >= N+M = 6 for a vandermonde code, got 4"),
+])
+def test_input_errors_name_the_flag_and_the_value_given(capsys, argv, message):
+    assert _run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_field_size_bounds_are_the_constructions_own(capsys):
+    """The --q bound is N+M for vandermonde and N+M+1 for cauchy, and a
+    random code takes any field."""
+    assert _run(capsys, "construct", "--n", "3", "--m", "5", "--q", "8")[0] == 0
+    assert _run(capsys, "construct", "--n", "3", "--m", "4", "--q", "8", "--kind", "cauchy")[0] == 0
+    assert _run(capsys, "construct", "--n", "3", "--m", "3", "--q", "2", "--kind", "random")[0] == 0
+
+
 def test_analyze_states_its_row_cap_in_flags(capsys):
     """analyze's thresholds need the subset metrics, which stop at 24 rows;
     construct prints a wider code, uncertified, and --gamma needs no code."""
@@ -643,9 +674,9 @@ def test_seed_without_a_random_code_is_rejected(capsys, argv, message):
 
 
 @pytest.mark.parametrize("argv, message", [
-    # the code's own input errors, and the --q / --kind rejections, come first
+    # a field too small for the code, and the --q / --kind rejections, come first
     (("construct", "--kind", "cauchy", "--q", "4", "--n", "3", "--m", "2", "--seed", "5"),
-     "q=4 < N+M=5"),
+     "--q must be >= N+M+1 = 6 for a cauchy code, got 4"),
     (("analyze", "--gamma", "2", "--kind", "random", "--seed", "5"),
      f"--kind applies only {_NO_CODE} --gamma is given"),
     (("analyze", "--gamma", "2", "--q", "8", "--seed", "5"),

@@ -3,6 +3,7 @@
 import concurrent.futures
 import math
 import multiprocessing
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -988,7 +989,7 @@ def test_batched_selection_equals_select_relays_on_tied_gains(n, m):
     for k in range(1, m + 1):
         scn = _scn(scheme="selection", n_sources=n, n_relays=m, k_select=k,
                    code=build_vandermonde(n, m, F8))
-        kept = simkernel._selected_links(scn, every_link, gsr, grd)
+        kept = simkernel._selected_links(scn, every_link, simkernel._bottleneck(gsr, grd))
         assert (kept == kept[:, :1, :]).all()  # a relay keeps all its links or none
         for t in range(400):
             want = select_relays(scn, TrialDraw(gsr[t], gsd[t], grd[t]), k)
@@ -1063,10 +1064,10 @@ def test_shared_state_keys_with_dropped_relays_cleared_equal_selected_states(n, 
             before = shared.copy()
             for k in range(1, m + 1):
                 scn = _scn(scheme="selection", n_sources=n, n_relays=m, k_select=k, code=code)
-                want = simkernel._state_keys(simkernel._selected_links(scn, ok_sr, gsr, grd),
+                h = simkernel._bottleneck(gsr, grd)
+                want = simkernel._state_keys(simkernel._selected_links(scn, ok_sr, h),
                                              ok_sd, ok_rd)
-                got = simkernel._drop_relay_states(
-                    shared, simkernel._kept_relays(scn, gsr, grd), n)
+                got = simkernel._drop_relay_states(shared, simkernel._kept_relays(scn, h), n)
                 assert got.dtype == want.dtype == np.uint16
                 assert np.array_equal(got, want), (k, tau)
             assert np.array_equal(shared, before)  # the shared keys stay as packed
@@ -1198,3 +1199,109 @@ def test_settled_pairs_are_never_ranked(monkeypatch, case, traffic):
     for t in range(nb):
         draw = TrialDraw(gsr[t], gsd[t], grd[t], None if coeffs is None else coeffs[t])
         assert run_trial(scn, rho, draw) == tuple(not f for f in got[t]), t
+
+
+# -- the draw, compared slice by slice ---------------------------------------------
+
+
+SLICES = [1, 7, simkernel.DRAW_SLICE, 1 << 20]
+
+
+def _stream_scn(scheme, n, m, beta):
+    code = build_vandermonde(n, m, field_new(max(2, math.ceil(math.log2(n + m + 1)))))
+    return Scenario(scheme=scheme, n_sources=n, n_relays=m, snr_grid=(3.0,), trials=1,
+                    code=code if scheme in ("dncc", "selection") else None,
+                    field=F16 if scheme == "rncc" else None,
+                    traffic="unicast" if scheme in ("ncc", "cc") else "multicast",
+                    k_select=1 if scheme == "selection" else None, beta=beta)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("scheme", simkernel.SCHEMES)
+def test_streamed_link_states_equal_the_gains_compared_with_tau(monkeypatch, scheme, n):
+    """draw_chunk with tau draws and compares slice by slice; its link states
+    must equal the whole gains compared with tau, its coefficients the
+    gains-form ones, and its folded bottleneck the min over each relay's
+    2N links, bit for bit, for any slice size and any count."""
+    m = 7 - n
+    tau = 0.8
+    for beta in (1.0, 0.37, _skewed_beta(n, m)):
+        scn = _stream_scn(scheme, n, m, beta)
+        for size in SLICES:
+            monkeypatch.setattr(simkernel, "DRAW_SLICE", size)
+            for count in {1: (1, 50), 7: (1, 300)}.get(size, (1, 5000)):
+                gsr, gsd, grd, coeffs = draw_chunk(scn, chunk_rng(3, 1, 2), count)
+                ok_sr, ok_sd, ok_rd, got_coeffs, h = draw_chunk(
+                    scn, chunk_rng(3, 1, 2), count, tau, True)
+                for ok, g in ((ok_sr, gsr), (ok_sd, gsd), (ok_rd, grd)):
+                    assert ok.dtype == bool and np.array_equal(ok, g > tau), (size, count)
+                assert (coeffs is None) == (got_coeffs is None) == (scheme != "rncc")
+                if coeffs is not None:
+                    assert coeffs.tobytes() == got_coeffs.tobytes()
+                want = np.minimum(gsr.min(axis=1), grd.min(axis=2)).T
+                assert h.shape == (m, count) and h.tobytes() == want.tobytes()
+                assert draw_chunk(scn, chunk_rng(3, 1, 2), count, tau, False)[4] is None
+
+
+@pytest.mark.parametrize("n, m", [(1, 3), (2, 2), (3, 4)])
+def test_folded_bottleneck_selects_as_the_full_gains_do(n, m):
+    """Folding the bottleneck slice by slice, on tie-heavy gains and on
+    drawn ones, keeps exactly the relays the full gains keep, and those of
+    the scalar rule."""
+    rng = np.random.default_rng(30 * n + m)
+    tied = (TIE_LEVELS[rng.integers(0, 4, (400, n, m))], TIE_LEVELS[rng.integers(0, 4, (400, m, n))])
+    drawn = (rng.standard_exponential((400, n, m)), rng.standard_exponential((400, m, n)))
+    for gsr, grd in (tied, drawn):
+        full = np.minimum(gsr.min(axis=1), grd.min(axis=2)).T
+        assert simkernel._bottleneck(gsr, grd).tobytes() == full.tobytes()
+        for step in (1, 7, 64, 400):
+            h = np.full((m, 400), np.inf)
+            for lo in range(0, 400, step):
+                simkernel._fold_bottleneck(h[:, lo:lo + step], gsr[lo:lo + step], sr=True)
+            for lo in range(0, 400, step):
+                simkernel._fold_bottleneck(h[:, lo:lo + step], grd[lo:lo + step], sr=False)
+            assert h.tobytes() == full.tobytes()
+        for k in range(1, m + 1):
+            scn = _scn(scheme="selection", n_sources=n, n_relays=m, k_select=k,
+                       code=build_vandermonde(n, m, F8))
+            keep = simkernel._kept_relays(scn, h)
+            for t in range(400):
+                want = select_relays(scn, TrialDraw(gsr[t], np.zeros((n, n)), grd[t]), k)
+                assert np.flatnonzero(keep[:, t]).tolist() == sorted(want), (k, t)
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (2, 3)])
+def test_sweep_counts_do_not_depend_on_the_draw_slice(monkeypatch, n, m):
+    """dncc, rncc, selection, ncc and cc count as the whole gains do for
+    every slice size, at one worker and at two, on a tabled shape (2, 2)
+    and an untabled one."""
+    code = build_vandermonde(n, m, F8)
+    base = dict(n_sources=n, n_relays=m, snr_grid=(2.0, 20.0), trials=700, seed=9,
+                traffic="unicast")
+    mix = [Scenario(scheme="rncc", field=F16, strategy="B", **base)]  # first: it draws
+    mix += [Scenario(scheme="dncc", code=code, strategy=s, **base) for s in "AB"]
+    mix += [Scenario(scheme="selection", code=code, k_select=k, **base) for k in range(1, m + 1)]
+    mix += [Scenario(scheme=s, **base) for s in ("ncc", "cc")]
+    want = _per_trial_counts(mix)  # from the whole gains
+    for size in SLICES:
+        monkeypatch.setattr(simkernel, "DRAW_SLICE", size)
+        for workers in (1, 2):
+            assert [_counts(r) for r in run_sweep(mix, workers=workers)] == want, (size, workers)
+
+
+def test_a_chunk_never_holds_its_gains():
+    """The tracemalloc peak of one chunk of a dncc N=M=6 strategy-B sweep
+    stays below the size of that chunk's float64 gains."""
+    n = m = 6
+    count = 4096
+    scn = Scenario(scheme="dncc", n_sources=n, n_relays=m, snr_grid=(10 ** 2.5,), trials=count,
+                   seed=1, code=build_vandermonde(n, m, F16), strategy="B")
+    plans = (simkernel._plan(scn),)
+    gain_bytes = count * (n * m + n * n + m * n) * 8  # 3.54 MB
+    tracemalloc.start()
+    try:
+        simkernel._chunk_counts(plans, 0, 0, count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < gain_bytes
