@@ -16,13 +16,12 @@ tau -> 0 (rho up to 1e8 and beyond).
 
 The link terms have one home, _up_down and _binomial, which _bracket reads
 once per call; it also builds the powers of a link's up and down
-probabilities once per call, and takes the constants that hold no SNR
-(k_low, k_up and the binomial coefficients) from a memo, computed once per
-(N, M, beta, t, own).  Each term keeps its operands and the order of its
-sum, so every float is the one the term-by-term formulas give.  p_fm,
-p_ekl and p_relay_all are the same terms one at a time: no bracket calls
-them, and they stay as the term-by-term reference the tests check _bracket
-against.
+probabilities once per call, and takes the binomial coefficients, which
+hold no SNR, from a memo, computed once per (N, M, t, own).  Each term
+keeps its operands and the order of its sum, so every float is the one the
+term-by-term formulas give.  p_fm, p_ekl and p_relay_all are the same
+terms one at a time: no bracket calls them, and they stay as the
+term-by-term reference the tests check _bracket against.
 """
 
 import functools
@@ -114,16 +113,10 @@ def p_ekl(lp: LinkParams, k: int, l_ok: int) -> float:
 
 @dataclass(frozen=True)
 class OutageBounds:
-    """Per-destination outage bracket plus the leading asymptotic constants.
-
-    As tau -> 0, upper/tau**d -> k_up and lower/tau**d -> k_low where d is
-    the diversity exponent implied by the code metric used.
-    """
+    """Per-destination outage bracket."""
 
     lower: float
     upper: float
-    k_low: float
-    k_up: float
 
     def __post_init__(self):
         if not (0.0 <= self.lower <= self.upper * (1 + 1e-12) and self.upper <= 1.0 + 1e-12):
@@ -131,30 +124,23 @@ class OutageBounds:
 
 
 @functools.lru_cache(maxsize=256, typed=True)
-def _snr_free_terms(n: int, m_relays: int, beta: float, t: int, own: int) -> tuple:
+def _snr_free_terms(n: int, m_relays: int, t: int, own: int) -> tuple:
     """What _bracket needs that holds no SNR, so that an SNR sweep computes
-    it once per (N, M, beta, t, own): k_low, k_up, and for each count m of
-    failed relays the binomials C(k, l), l < t, of the k = N+M-own-m
-    transmissions counted."""
+    it once per (N, M, t, own): for each count m of failed relays the
+    binomials C(k, l), l < t, of the k = N+M-own-m transmissions counted."""
     total = n + m_relays
-    k_up = 0.0
     combs = []
     for m in range(m_relays + 1):
         k = total - own - m
         combs.append(tuple(math.comb(k, l) for l in range(min(t - 1, k) + 1)))
-        if t - 1 <= k:
-            k_up += (math.comb(m_relays, m) * (n * beta) ** m
-                     * math.comb(k, t - 1) * beta ** (k - (t - 1)))
-    if own:
-        k_up *= beta
-    return beta ** (total - (t - 1)), k_up, tuple(combs)
+    return tuple(combs)
 
 
 def _bracket(lp: LinkParams, t: int, own: int) -> OutageBounds:
     """The one count behind both brackets: decoding never fails once t of
     the N+M-own counted transmissions survive.  ``own=1`` (unicast)
     conditions the destination's own direct row on being down, a factor p0
-    on the upper bound and beta on k_up.
+    on the upper bound.
 
     The link terms (tau, p0 and 1 - p0, a relay's success and failure) and
     the powers up**l (l < t) and down**e (e <= N+M-own) are computed once
@@ -167,7 +153,7 @@ def _bracket(lp: LinkParams, t: int, own: int) -> OutageBounds:
     ps, fail = _up_down(n * beta * tau)
     up_pow = [up ** l for l in range(t)]
     down_pow = [down ** e for e in range(total - own + 1)]
-    k_low, k_up, combs = _snr_free_terms(n, m_relays, beta, t, own)
+    combs = _snr_free_terms(n, m_relays, t, own)
     upper = 0.0
     for m, comb_k in enumerate(combs):
         k = total - own - m
@@ -177,7 +163,7 @@ def _bracket(lp: LinkParams, t: int, own: int) -> OutageBounds:
         upper *= down
     d = total - (t - 1)
     lower = _binomial(m_relays, 0, fail, ps) * down ** d * (1.0 - down) ** (t - 1)
-    return OutageBounds(lower, min(upper, 1.0), k_low, k_up)
+    return OutageBounds(lower, min(upper, 1.0))
 
 
 def outage_bounds_multicast(lp: LinkParams, gamma_n: int) -> OutageBounds:

@@ -13,8 +13,9 @@ system rate (--rate) of the N+M-slot dncc/rncc schedule; every scheme of
 a command then runs at r0 = rate*(N+M)/N, also those with other
 schedules.  A flat ``key=value`` config file can seed any flag; explicit
 flags win.  All CSV output is deterministic for a fixed configuration,
-including across --workers settings.  Errors exit with status 2 and a
-message naming the violated bound.
+including across --workers settings.  Every input error exits with
+status 2, and a message naming the violated bound, before any field,
+code, row, curve or trial is built.
 """
 
 import argparse
@@ -99,66 +100,14 @@ def _field_for(q: int | None, n: int, m: int):
     return field_new(field_ell(q))
 
 
-def _build_code(kind: str | None, n: int, m: int, field, seed: int):
+def _build_code(kind: str | None, n: int, m: int, field, seed: int | None):
     """The --kind code; vandermonde when --kind is not given (None), and a
-    random code's seed is 0 when --seed is not given (None).  A ValueError
-    naming --q and its value where the field is too small for the kind:
-    vandermonde needs N+M distinct points, cauchy N+M nonzero ones."""
-    if kind != "random":
-        need, bound = (n + m + 1, "N+M+1") if kind == "cauchy" else (n + m, "N+M")
-        if field.order < need:
-            raise ValueError(f"--q must be >= {bound} = {need} for a {kind or 'vandermonde'} "
-                             f"code, got {field.order}")
+    random code's seed is 0 when --seed is not given (None)."""
     if kind == "cauchy":
         return netcode.build_cauchy(n, m, field)
     if kind == "random":
         return netcode.build_random(n, m, field, seed or 0)
     return netcode.build_vandermonde(n, m, field)
-
-
-def _reject_unread(args, where: str, *flags) -> None:
-    """ValueError naming the first of `flags` that was given (is not None):
-    the command does not read it.  Each command checks this after its other
-    inputs, so an input error it already reported keeps its message."""
-    for flag in flags:
-        if getattr(args, flag) is not None:
-            raise ValueError(f"--{flag} applies only {where}")
-
-
-def _at_least_one(args, *flags) -> None:
-    """ValueError naming the first of `flags` below 1, and its value."""
-    for flag in flags:
-        value = getattr(args, flag)
-        if value < 1:
-            raise ValueError(f"--{flag} must be >= 1, got {value}")
-
-
-def _check_beta(args) -> None:
-    """ValueError naming --beta and its value unless it is finite and positive."""
-    if not (math.isfinite(args.beta) and args.beta > 0):
-        raise ValueError(f"--beta must be finite and positive, got {args.beta:g}")
-
-
-def _snr_grid_db(args) -> list:
-    start, stop, step = args.snr_start_db, args.snr_stop_db, args.snr_step_db
-    if stop is None:
-        stop = start
-    for flag, value in (("start", start), ("stop", stop), ("step", step)):
-        if not math.isfinite(value):
-            raise ValueError(f"--snr-{flag}-db must be finite, got {value}")
-    if step <= 0:
-        raise ValueError(f"--snr-step-db must be positive, got {step:g}")
-    if stop < start:
-        raise ValueError(f"--snr-stop-db must be >= --snr-start-db = {start:g}, got {stop:g}")
-    if (stop - start + 1e-9) / step >= MAX_GRID_POINTS:
-        raise ValueError(f"--snr-step-db gives more than {MAX_GRID_POINTS} grid points "
-                         f"from {start} to {stop} dB")
-    grid = []
-    i = 0
-    while (db := start + i * step) <= stop + 1e-9:
-        grid.append(db)
-        i += 1
-    return grid
 
 
 def _power(base: float, exponent: float, flag: str) -> float:
@@ -170,125 +119,203 @@ def _power(base: float, exponent: float, flag: str) -> float:
         raise ValueError(f"--{flag} is too large: {base:g}**{exponent:g} overflows a float") from None
 
 
-def _snr_linear(args, grid_db: list) -> list:
-    """rho = 10**(dB/10) at every grid point; a ValueError naming the SNR
-    flags unless every rho is a positive float and the grid strictly
-    increases: below about -3233 dB rho underflows to 0, and in the
-    subnormal range just above, close grid points round to one float."""
-    flag = "snr-start-db" if args.snr_stop_db is None else "snr-stop-db"
-    grid_rho = [_power(10.0, db / 10.0, flag) for db in grid_db]
-    if not grid_rho[0] > 0.0:
-        raise ValueError(f"--snr-start-db is too small: 10**{grid_db[0] / 10.0:g} "
-                         f"underflows a float to 0")
-    for i in range(1, len(grid_rho)):
-        if not grid_rho[i] > grid_rho[i - 1]:
-            raise ValueError(f"--snr-start-db and --snr-stop-db give grid points "
-                             f"{grid_db[i - 1]!r} and {grid_db[i]!r} dB whose linear SNRs "
-                             f"are one float, {grid_rho[i]:g}")
-    return grid_rho
+def _inputs(args) -> tuple:
+    """Check every input of the command before any work, and return what
+    the checks derive: the scheme list, the per-packet rate r0 (of --r0,
+    or of --rate as rate*(N+M)/N) and the SNR grid in dB and linear, each
+    None where the command has none.
 
+    A ValueError names the first input at fault, in this order: --q,
+    --seed, --workers, --n, the rate, --m, --trials, --beta, the schemes,
+    --k-select, --r-points and dmt's --gamma; the SNR grid in dB; analyze's
+    --gamma or --lam, --m and 24-row cap; the field size where a code is
+    built; the grid in linear SNR; a scheme the traffic mode does not
+    support; 2**r0; and last a flag the command would not read (a config
+    entry counts as given), so that an error in an input it reads keeps
+    its message."""
+    cmd, n, m = args.command, args.n, args.m
+    sweep = cmd in ("analyze", "simulate")
 
-def _reject_rate_overflow(args, r0: float) -> None:
-    """Every threshold tau is (2**r0 - 1)/rho, so 2**r0 must be a float."""
-    _power(2.0, r0, "r0" if args.rate is None else "rate")
+    def at_least(flag, low=1):
+        if getattr(args, flag) < low:
+            raise ValueError(f"--{flag} must be >= {low}, got {getattr(args, flag)}")
 
+    q = getattr(args, "q", None)
+    if q is not None:
+        try:
+            field_ell(q)
+        except ValueError:
+            raise ValueError(f"--q must be a power of two with 2 <= q <= 2**{MAX_ELL}, "
+                             f"got {q}") from None
+    if (getattr(args, "seed", None) or 0) < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
+    if cmd == "simulate":
+        at_least("workers")
+    at_least("n")
+    schemes = r0 = grid_db = grid_rho = None
+    if sweep:
+        if args.r0 is not None and args.rate is not None:
+            raise ValueError("give either --r0 or --rate, not both")
+        flag, value = ("rate", args.rate) if args.rate is not None else ("r0", args.r0)
+        r0 = 1.0
+        if value is not None:
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"--{flag} must be finite and positive, got {value:g}")
+            r0 = value * (n + m) / n if flag == "rate" else value
+            if not math.isfinite(r0):
+                raise ValueError(f"--rate {value:g} gives a per-packet rate r0 = rate*(N+M)/N "
+                                 f"that overflows a float")
+    if cmd != "analyze":  # analyze's --m bound depends on its threshold flags, below
+        at_least("m")
+    if cmd == "simulate":
+        at_least("trials")
+    if sweep and not (math.isfinite(args.beta) and args.beta > 0):
+        raise ValueError(f"--beta must be finite and positive, got {args.beta:g}")
 
-def _rate_r0(args, n: int, m: int) -> float:
-    """The per-packet rate r0 of --r0, or of --rate as rate*(N+M)/N; a
-    ValueError naming the flag and its value unless the flag and r0 are
-    finite and positive."""
-    if n < 1:
-        raise ValueError(f"--n must be >= 1, got {n}")
-    if args.r0 is not None and args.rate is not None:
-        raise ValueError("give either --r0 or --rate, not both")
-    flag, value = ("rate", args.rate) if args.rate is not None else ("r0", args.r0)
-    if value is None:
-        return 1.0
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"--{flag} must be finite and positive, got {value:g}")
-    r0 = value * (n + m) / n if flag == "rate" else value
-    if not math.isfinite(r0):
-        raise ValueError(f"--rate {value:g} gives a per-packet rate r0 = rate*(N+M)/N "
-                         f"that overflows a float")
-    return r0
+    if cmd != "construct":
+        schemes = [s.strip() for s in args.scheme.split(",") if s.strip()]
+        if not schemes:
+            raise ValueError(f"--scheme must name at least one of "
+                             f"{', '.join(analytic.SCHEMES)}, got {args.scheme!r}")
+        for s in schemes:
+            if s not in analytic.SCHEMES:
+                raise ValueError(f"unknown scheme {s!r}; choose from {', '.join(analytic.SCHEMES)}")
+    if cmd == "analyze":
+        for s in schemes:
+            if s not in ("dncc", "rncc"):
+                raise ValueError(f"analyze covers the coded schemes dncc/rncc, not {s!r}")
+    elif cmd != "construct":  # --k-select: given exactly where selection reads it, in [1, M]
+        k = args.k_select
+        if "selection" not in schemes:
+            if k is not None:
+                raise ValueError("--k-select applies only to scheme selection, "
+                                 "which is not in --scheme")
+        elif k is None:
+            raise ValueError("--k-select must be given for scheme selection")
+        elif not 1 <= k <= m:
+            raise ValueError(f"--k-select must be in [1, M] = [1, {m}], got {k}")
+    if cmd == "dmt":
+        if args.r_points < 2:
+            raise ValueError(f"--r-points must be >= 2, got {args.r_points}")
+        if args.r_points > MAX_GRID_POINTS:
+            raise ValueError(f"--r-points must be <= {MAX_GRID_POINTS}, got {args.r_points}")
+        if args.gamma is not None and {"dncc", "rncc"} & set(schemes):
+            if not n <= args.gamma <= n + m:
+                raise ValueError(f"--gamma must be in [{n}, {n + m}], got {args.gamma}")
 
+    if sweep:
+        start, stop, step = args.snr_start_db, args.snr_stop_db, args.snr_step_db
+        if stop is None:
+            stop = start
+        for flag, value in (("start", start), ("stop", stop), ("step", step)):
+            if not math.isfinite(value):
+                raise ValueError(f"--snr-{flag}-db must be finite, got {value}")
+        if step <= 0:
+            raise ValueError(f"--snr-step-db must be positive, got {step:g}")
+        if stop < start:
+            raise ValueError(f"--snr-stop-db must be >= --snr-start-db = {start:g}, got {stop:g}")
+        if (stop - start + 1e-9) / step >= MAX_GRID_POINTS:
+            raise ValueError(f"--snr-step-db gives more than {MAX_GRID_POINTS} grid points "
+                             f"from {start} to {stop} dB")
+        grid_db = []
+        i = 0
+        while (db := start + i * step) <= stop + 1e-9:
+            grid_db.append(db)
+            i += 1
 
-def _schemes(args) -> list:
-    names = [s.strip() for s in args.scheme.split(",") if s.strip()]
-    if not names:
-        raise ValueError(f"--scheme must name at least one of {', '.join(analytic.SCHEMES)}, "
-                         f"got {args.scheme!r}")
-    for s in names:
-        if s not in analytic.SCHEMES:
-            raise ValueError(f"unknown scheme {s!r}; choose from {', '.join(analytic.SCHEMES)}")
-    return names
+    builds_code = cmd == "construct"
+    if cmd == "simulate":
+        builds_code = bool({"dncc", "selection"} & set(schemes))
+    if cmd == "analyze":
+        threshold, stray = ("gamma", "lam") if args.traffic == "multicast" else ("lam", "gamma")
+        given = getattr(args, threshold)
+        if getattr(args, stray) is not None:
+            raise ValueError(f"--{stray} does not apply to {args.traffic} traffic")
+        at_least("m", 0 if given is not None else 1)
+        if given is not None:
+            low, low_name = (n, "N") if threshold == "gamma" else (1, "1")
+            if not low <= given <= n + m:
+                raise ValueError(f"--{threshold} must be in [{low_name}, N+M] = [{low}, {n + m}], "
+                                 f"got {given}")
+        elif n + m > SUBSET_ROW_CAP:
+            raise ValueError(f"--n + --m must be <= {SUBSET_ROW_CAP} where analyze builds a code "
+                             f"(give --gamma or --lam), got {n + m}")
+        builds_code = given is None
+    # vandermonde needs N+M distinct points, cauchy N+M nonzero ones, and a
+    # random code takes any field; the default --q admits both
+    if builds_code and q is not None and args.kind != "random":
+        need, bound = (n + m + 1, "N+M+1") if args.kind == "cauchy" else (n + m, "N+M")
+        if q < need:
+            raise ValueError(f"--q must be >= {bound} = {need} for a "
+                             f"{args.kind or 'vandermonde'} code, got {q}")
 
+    if sweep:
+        # rho must be a positive float at every point and strictly increase:
+        # below about -3233 dB it underflows to 0, and in the subnormal range
+        # just above, close grid points round to one float
+        flag = "snr-start-db" if args.snr_stop_db is None else "snr-stop-db"
+        grid_rho = [_power(10.0, db / 10.0, flag) for db in grid_db]
+        if not grid_rho[0] > 0.0:
+            raise ValueError(f"--snr-start-db is too small: 10**{grid_db[0] / 10.0:g} "
+                             f"underflows a float to 0")
+        for i in range(1, len(grid_rho)):
+            if not grid_rho[i] > grid_rho[i - 1]:
+                raise ValueError(f"--snr-start-db and --snr-stop-db give grid points "
+                                 f"{grid_db[i - 1]!r} and {grid_db[i]!r} dB whose linear SNRs "
+                                 f"are one float, {grid_rho[i]:g}")
+    if cmd == "simulate" and args.traffic != "unicast":
+        for s in schemes:
+            if s in ("ncc", "cc"):
+                raise ValueError(f"{s} supports unicast traffic only")
+    if sweep:  # every threshold tau is (2**r0 - 1)/rho
+        _power(2.0, r0, "r0" if args.rate is None else "rate")
 
-def _check_k_select(args, schemes) -> None:
-    """ValueError naming --k-select unless it is given exactly where scheme
-    selection reads it, and then in [1, M]."""
-    k = args.k_select
-    if "selection" not in schemes:
-        if k is not None:
-            raise ValueError("--k-select applies only to scheme selection, "
-                             "which is not in --scheme")
-    elif k is None:
-        raise ValueError("--k-select must be given for scheme selection")
-    elif not 1 <= k <= args.m:
-        raise ValueError(f"--k-select must be in [1, M] = [1, {args.m}], got {k}")
+    unread = {}  # flag: where the command reads it
+    if cmd == "analyze" and not builds_code:
+        unread = dict.fromkeys(("q", "kind", "seed"), f"where a code is built, and analyze "
+                               f"builds none when --{threshold} is given")
+    elif cmd in ("construct", "analyze") and args.kind != "random":
+        unread["seed"] = "to --kind random"
+    if cmd == "simulate":
+        if not builds_code:
+            unread["kind"] = "to schemes dncc and selection, neither of which is in --scheme"
+        if not {"dncc", "selection", "rncc"} & set(schemes):
+            unread["q"] = "to schemes dncc, selection and rncc, none of which is in --scheme"
+        if not STRATEGY_SCHEMES & set(schemes):
+            unread["strategy"] = ("to schemes dncc, rncc and selection, none of which is in "
+                                  "--scheme")
+    if cmd == "dmt" and not {"dncc", "rncc"} & set(schemes):
+        unread["gamma"] = "to schemes dncc and rncc, neither of which is in --scheme"
+    for flag, where in unread.items():
+        if getattr(args, flag) is not None:
+            raise ValueError(f"--{flag} applies only {where}")
+    return schemes, r0, grid_db, grid_rho
 
 
 # -- subcommands ----------------------------------------------------------------
 
 
-def cmd_construct(args) -> int:
-    _at_least_one(args, "n", "m")
-    field = _field_for(args.q, args.n, args.m)
-    code = _build_code(args.kind, args.n, args.m, field, args.seed)
-    if args.kind != "random":
-        _reject_unread(args, "to --kind random", "seed")
+def cmd_construct(args, *_) -> int:
+    code = _build_code(args.kind, args.n, args.m, _field_for(args.q, args.n, args.m), args.seed)
     _emit(netcode.dump_code(code), args.out)
     return 0
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args, schemes, r0, grid_db, grid_rho) -> int:
     n, m = args.n, args.m
-    r0 = _rate_r0(args, n, m)
-    _check_beta(args)
-    schemes = _schemes(args)
-    for s in schemes:
-        if s not in ("dncc", "rncc"):
-            raise ValueError(f"analyze covers the coded schemes dncc/rncc, not {s!r}")
-    grid_db = _snr_grid_db(args)
-
     if args.traffic == "multicast":
-        bound, flag, stray = analytic.outage_bounds_multicast, "gamma", "lam"
+        bound, given = analytic.outage_bounds_multicast, args.gamma
     else:
-        bound, flag, stray = analytic.outage_bounds_unicast, "lam", "gamma"
-    given = getattr(args, flag)
-    if getattr(args, stray) is not None:
-        raise ValueError(f"--{stray} does not apply to {args.traffic} traffic")
+        bound, given = analytic.outage_bounds_unicast, args.lam
     if given is not None:
-        if m < 0:
-            raise ValueError(f"--m must be >= 0, got {m}")
-        low, low_name = (n, "N") if flag == "gamma" else (1, "1")
-        if not low <= given <= n + m:
-            raise ValueError(f"--{flag} must be in [{low_name}, N+M] = [{low}, {n + m}], "
-                             f"got {given}")
         thresholds = [given] * n
     else:
-        _at_least_one(args, "m")
-        if n + m > SUBSET_ROW_CAP:
-            raise ValueError(f"--n + --m must be <= {SUBSET_ROW_CAP} where analyze builds a code "
-                             f"(give --gamma or --lam), got {n + m}")
         code = _build_code(args.kind, n, m, _field_for(args.q, n, m), args.seed)
         if args.traffic == "multicast":
             thresholds = [code.matrix.gamma_rank(n)] * n
         else:
             thresholds = [code.matrix.lambda_rank(j) for j in range(n)]
 
-    grid_rho = _snr_linear(args, grid_db)
-    _reject_rate_overflow(args, r0)
     lines = ["snr_db,scheme,traffic,p0,p_low,p_up,p_system_low,p_system_up"]
     for db, rho in zip(grid_db, grid_rho):
         lp = analytic.LinkParams.from_rate_r0(
@@ -310,26 +337,12 @@ def cmd_analyze(args) -> int:
         for s in schemes:
             row[1] = s
             lines.append(",".join(row))
-    if given is not None:
-        _reject_unread(args, f"where a code is built, and analyze builds none "
-                       f"when --{flag} is given", "q", "kind", "seed")
-    elif args.kind != "random":
-        _reject_unread(args, "to --kind random", "seed")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
-def cmd_simulate(args) -> int:
-    _at_least_one(args, "workers")
+def cmd_simulate(args, schemes, r0, grid_db, grid_rho) -> int:
     n, m = args.n, args.m
-    r0 = _rate_r0(args, n, m)
-    _at_least_one(args, "m", "trials")
-    _check_beta(args)
-    schemes = _schemes(args)
-    _check_k_select(args, schemes)
-    grid_db = _snr_grid_db(args)
-    grid_rho = _snr_linear(args, grid_db)
-
     # one field and one code per command, shared by every scheme that uses it
     field = code = None
     if {"dncc", "selection", "rncc"} & set(schemes):
@@ -352,16 +365,6 @@ def cmd_simulate(args) -> int:
         rate_r0=r0,
         k_select=args.k_select if s == "selection" else None,
     ) for s in schemes]
-    if code is None:
-        _reject_unread(args, "to schemes dncc and selection, neither of which is in --scheme",
-                       "kind")
-    if field is None:
-        _reject_unread(args, "to schemes dncc, selection and rncc, none of which is in --scheme",
-                       "q")
-    if not STRATEGY_SCHEMES & set(schemes):
-        _reject_unread(args, "to schemes dncc, rncc and selection, none of which is in --scheme",
-                       "strategy")
-    _reject_rate_overflow(args, r0)
     reports = simkernel.run_sweep(scenarios, workers=args.workers)
 
     dest_cols = ",".join(f"dest{j}_rate" for j in range(n))
@@ -380,17 +383,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_dmt(args) -> int:
-    _at_least_one(args, "n", "m")
-    schemes = _schemes(args)
-    _check_k_select(args, schemes)
-    if args.r_points < 2:
-        raise ValueError(f"--r-points must be >= 2, got {args.r_points}")
-    if args.r_points > MAX_GRID_POINTS:
-        raise ValueError(f"--r-points must be <= {MAX_GRID_POINTS}, got {args.r_points}")
-    if args.gamma is not None and {"dncc", "rncc"} & set(schemes):
-        if not args.n <= args.gamma <= args.n + args.m:
-            raise ValueError(f"--gamma must be in [{args.n}, {args.n + args.m}], got {args.gamma}")
+def cmd_dmt(args, schemes, *_) -> int:
     lines = ["r,scheme,d"]
     for s in schemes:
         curve = analytic.dmt_curve(
@@ -398,9 +391,6 @@ def cmd_dmt(args) -> int:
         )
         for r in np.linspace(0.0, curve.r_max, args.r_points):
             lines.append(f"{FMT.format(float(r))},{s},{FMT.format(curve.at(float(r)))}")
-    if not {"dncc", "rncc"} & set(schemes):
-        _reject_unread(args, "to schemes dncc and rncc, neither of which is in --scheme",
-                       "gamma")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -523,15 +513,7 @@ def main(argv=None) -> int:
     _pin_malloc_thresholds()
     try:
         args = _parse_args(list(sys.argv[1:] if argv is None else argv))
-        if getattr(args, "q", None) is not None:
-            try:
-                field_ell(args.q)  # a bad --q fails even where no field is built
-            except ValueError:
-                raise ValueError(f"--q must be a power of two with 2 <= q <= 2**{MAX_ELL}, "
-                                 f"got {args.q}") from None
-        if (getattr(args, "seed", None) or 0) < 0:  # likewise a bad --seed where nothing is drawn
-            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
-        return args.fn(args)
+        return args.fn(args, *_inputs(args))
     except (ValueError, OSError) as exc:
         return _die(str(exc))
 

@@ -99,16 +99,14 @@ def test_p_ekl_terms():
 def test_multicast_bounds_frozen_constants():
     b = outage_bounds_multicast(_lp(100.0), gamma_n=2)
     assert b.lower <= b.upper
-    # K_up for N=2, M=2, Gamma=2, beta=1: sum over relay-failure counts
-    # of C(M,m) (N beta)^m C(k, Gamma-1) beta^(k-Gamma+1) = 6+12+6 = 24
-    assert b.k_up == pytest.approx(24.0)
-    assert b.k_low == pytest.approx(1.0)  # beta^(N+M-Gamma+1) = 1
 
 
 def test_multicast_bounds_converge_to_constants():
     hi = _lp(1e9)
     b = outage_bounds_multicast(hi, gamma_n=2)
     d = 3  # N+M-(Gamma-1)
+    # for N=2, M=2, Gamma=2, beta=1, the sum over relay-failure counts of
+    # C(M,m) (N beta)^m C(k, Gamma-1) beta^(k-Gamma+1) = 6+12+6 = 24
     assert b.upper / hi.tau**d == pytest.approx(24.0, rel=1e-6)
     assert b.lower / hi.tau**d == pytest.approx(1.0, rel=1e-6)
 
@@ -127,7 +125,6 @@ def test_unicast_bounds():
     assert b.upper <= p0(lp)  # leading direct-link factor
     hi = _lp(1e9)
     bh = outage_bounds_unicast(hi, lambda_i=2)
-    assert bh.k_up == pytest.approx(15.0)
     assert bh.upper / hi.tau**3 == pytest.approx(15.0, rel=1e-6)
     with pytest.raises(ValueError):
         outage_bounds_unicast(lp, 0)
@@ -159,41 +156,30 @@ def _ref_multicast(lp, gamma_n):
     """The multicast bracket as written before both modes shared one count."""
     n, m_relays = lp.n_sources, lp.n_relays
     total = n + m_relays
-    beta = lp.beta
     upper = 0.0
-    k_up = 0.0
     for m in range(m_relays + 1):
         k = total - m
         fm = p_fm(lp, m)
         upper += fm * sum(p_ekl(lp, k, l) for l in range(min(gamma_n - 1, k) + 1))
-        if gamma_n - 1 <= k:
-            k_up += (math.comb(m_relays, m) * (n * beta) ** m
-                     * math.comb(k, gamma_n - 1) * beta ** (k - (gamma_n - 1)))
     d = total - (gamma_n - 1)
     lower = p_fm(lp, 0) * p0(lp) ** d * (1.0 - p0(lp)) ** (gamma_n - 1)
-    return OutageBounds(lower, min(upper, 1.0), beta ** d, k_up)
+    return OutageBounds(lower, min(upper, 1.0))
 
 
 def _ref_unicast(lp, lambda_i):
     """The unicast bracket as written before both modes shared one count."""
     n, m_relays = lp.n_sources, lp.n_relays
     total = n + m_relays
-    beta = lp.beta
     direct_down = p0(lp)
     upper = 0.0
-    k_up = 0.0
     for m in range(m_relays + 1):
         k = n - 1 + m_relays - m
         fm = p_fm(lp, m)
         upper += fm * sum(p_ekl(lp, k, l) for l in range(min(lambda_i - 1, k) + 1))
-        if lambda_i - 1 <= k:
-            k_up += (math.comb(m_relays, m) * (n * beta) ** m
-                     * math.comb(k, lambda_i - 1) * beta ** (k - (lambda_i - 1)))
     upper *= direct_down
-    k_up *= beta
     d = total - (lambda_i - 1)
     lower = p_fm(lp, 0) * direct_down ** d * (1.0 - direct_down) ** (lambda_i - 1)
-    return OutageBounds(lower, min(upper, 1.0), beta ** d, k_up)
+    return OutageBounds(lower, min(upper, 1.0))
 
 
 def test_shared_bracket_matches_the_separate_formulas_exactly():

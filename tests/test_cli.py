@@ -627,6 +627,13 @@ def test_range_errors_name_the_flag_and_the_value_given(capsys, argv, message):
      "--q must be >= N+M = 6 for a vandermonde code, got 4"),
     (("simulate", "--n", "3", "--m", "3", "--q", "4", "--trials", "10"),
      "--q must be >= N+M = 6 for a vandermonde code, got 4"),
+    (("construct", "--n", "0"), "--n must be >= 1, got 0"),
+    (("dmt", "--n", "0"), "--n must be >= 1, got 0"),
+    (("analyze", "--n", "0"), "--n must be >= 1, got 0"),
+    (("simulate", "--workers", "0"), "--workers must be >= 1, got 0"),
+    (("analyze", "--r0", "1", "--rate", "0.5"), "give either --r0 or --rate, not both"),
+    (("analyze", "--scheme", "ncc"), "analyze covers the coded schemes dncc/rncc, not 'ncc'"),
+    (("analyze", "--snr-start-db", "nan"), "--snr-start-db must be finite, got nan"),
 ])
 def test_input_errors_name_the_flag_and_the_value_given(capsys, argv, message):
     assert _run(capsys, *argv) == (2, "", f"error: {message}\n")
@@ -818,14 +825,35 @@ def test_strategy_without_a_scheme_that_reads_it_is_rejected(tmp_path, capsys, s
 
 
 def _assert_rejected_before_any_work(monkeypatch, capsys, argv, message):
+    """main exits 2 with `message` and calls no code builder, bracket, DMT
+    line or draw on the way."""
     work = []
-    draw_chunk = simkernel.draw_chunk
-    monkeypatch.setattr(simkernel, "draw_chunk", lambda *a: work.append(1) or draw_chunk(*a))
-    bound = analytic.outage_bounds_multicast
-    monkeypatch.setattr(analytic, "outage_bounds_multicast",
-                        lambda *a: work.append(1) or bound(*a))
+    for module, name in ((simkernel, "draw_chunk"), (analytic, "outage_bounds_multicast"),
+                         (analytic, "outage_bounds_unicast"), (analytic, "dmt_curve"),
+                         (netcode, "build_vandermonde"), (netcode, "build_cauchy"),
+                         (netcode, "build_random")):
+        def recorded(*a, _fn=getattr(module, name), **kw):
+            work.append(1)
+            return _fn(*a, **kw)
+
+        monkeypatch.setattr(module, name, recorded)
     assert _run(capsys, *argv) == (2, "", f"error: {message}\n")
     assert work == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("construct", "--n", "12", "--m", "12", "--q", "32", "--seed", "5"), _NO_SEED_KIND),
+    (("analyze", "--q", "8", "--seed", "5"), _NO_SEED_KIND),
+    (("analyze", "--gamma", "2", "--q", "8"), f"--q applies only {_NO_CODE} --gamma is given"),
+    (("analyze", "--traffic", "unicast", "--lam", "2", "--kind", "random"),
+     f"--kind applies only {_NO_CODE} --lam is given"),
+    (("dmt", "--scheme", "ncc,cc", "--gamma", "3"),
+     "--gamma applies only to schemes dncc and rncc, neither of which is in --scheme"),
+    (("simulate", "--scheme", "dncc,cc", "--traffic", "multicast"),
+     "cc supports unicast traffic only"),
+])
+def test_an_input_error_is_rejected_before_any_work(monkeypatch, capsys, argv, message):
+    _assert_rejected_before_any_work(monkeypatch, capsys, argv, message)
 
 
 @pytest.mark.parametrize("argv, message", [
