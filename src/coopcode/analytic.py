@@ -4,7 +4,8 @@ Model: every link is quasi-static Rayleigh fading, so the channel power
 gain is exponential with rate beta, and a link at SNR rho supports the
 per-packet rate r0 iff gain > tau = (2**r0 - 1)/rho.  With N sources and
 M relays the cooperative schedule fits N packets into N+M slots, giving
-r0 = R*(N+M)/N for a system rate of R bits per channel use.
+r0 = R*(N+M)/N for a system rate of R bits per channel use.  The library
+holds r0 only, as the simulator does; R appears only in this text.
 
 Both outage brackets are one count of surviving transmissions against a
 code threshold (gamma_N in multicast, lambda_j in unicast).  Unicast
@@ -40,32 +41,23 @@ def tau_for(rho: float, rate_r0: float) -> float:
 
 @dataclass(frozen=True)
 class LinkParams:
-    """Fading/rate operating point shared by the closed-form expressions."""
+    """Fading/rate operating point shared by the closed-form expressions.
+    It holds the per-packet rate r0 as given, so tau is bit for bit the
+    simulator's at the same (rho, r0)."""
 
     beta: float       # exponential rate of the channel power gain
     rho: float        # transmit SNR (linear)
-    rate_r: float     # end-to-end system rate R in bits/channel use
+    rate_r0: float    # per-packet rate r0 in bits/channel use
     n_sources: int
     n_relays: int
 
     def __post_init__(self):
-        for name in ("beta", "rho", "rate_r"):
+        for name in ("beta", "rho", "rate_r0"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.n_sources < 1 or self.n_relays < 0:
             raise ValueError("need n_sources >= 1 and n_relays >= 0")
-
-    @classmethod
-    def from_rate_r0(cls, beta, rho, rate_r0, n_sources, n_relays):
-        """Build from the per-packet rate r0 instead of the system rate R."""
-        total = n_sources + n_relays
-        return cls(beta, rho, rate_r0 * n_sources / total, n_sources, n_relays)
-
-    @property
-    def rate_r0(self) -> float:
-        total = self.n_sources + self.n_relays
-        return self.rate_r * total / self.n_sources
 
     @property
     def tau(self) -> float:

@@ -19,7 +19,6 @@ code, row, curve or trial is built.
 """
 
 import argparse
-import ctypes
 import functools
 import math
 import sys
@@ -128,8 +127,9 @@ def _inputs(args) -> tuple:
     A ValueError names the first input at fault, in this order: --q,
     --seed, --workers, --n, the rate, --m, --trials, --beta, the schemes,
     --k-select, --r-points and dmt's --gamma; the SNR grid in dB; analyze's
-    --gamma or --lam, --m and 24-row cap; the field size where a code is
-    built; the grid in linear SNR; a scheme the traffic mode does not
+    --gamma or --lam, --m and 24-row cap; where a field is built, N+M
+    against the largest default field, and --q where a code is built; the
+    grid in linear SNR; a scheme the traffic mode does not
     support; 2**r0; and last a flag the command would not read (a config
     entry counts as given), so that an error in an input it reads keeps
     its message."""
@@ -241,6 +241,11 @@ def _inputs(args) -> tuple:
             raise ValueError(f"--n + --m must be <= {SUBSET_ROW_CAP} where analyze builds a code "
                              f"(give --gamma or --lam), got {n + m}")
         builds_code = given is None
+    builds_field = builds_code or (cmd == "simulate" and "rncc" in schemes)
+    # the default q, 2**ceil(log2(N+M+1)), must not pass the largest field
+    if builds_field and q is None and n + m >= 1 << MAX_ELL:
+        raise ValueError(f"--n + --m must be <= {(1 << MAX_ELL) - 1} where a field is built "
+                         f"without --q, got {n + m}")
     # vandermonde needs N+M distinct points, cauchy N+M nonzero ones, and a
     # random code takes any field; the default --q admits both
     if builds_code and q is not None and args.kind != "random":
@@ -279,7 +284,7 @@ def _inputs(args) -> tuple:
     if cmd == "simulate":
         if not builds_code:
             unread["kind"] = "to schemes dncc and selection, neither of which is in --scheme"
-        if not {"dncc", "selection", "rncc"} & set(schemes):
+        if not builds_field:
             unread["q"] = "to schemes dncc, selection and rncc, none of which is in --scheme"
         if not STRATEGY_SCHEMES & set(schemes):
             unread["strategy"] = ("to schemes dncc, rncc and selection, none of which is in "
@@ -318,9 +323,7 @@ def cmd_analyze(args, schemes, r0, grid_db, grid_rho) -> int:
 
     lines = ["snr_db,scheme,traffic,p0,p_low,p_up,p_system_low,p_system_up"]
     for db, rho in zip(grid_db, grid_rho):
-        lp = analytic.LinkParams.from_rate_r0(
-            beta=args.beta, rho=rho, rate_r0=r0, n_sources=n, n_relays=m
-        )
+        lp = analytic.LinkParams(beta=args.beta, rho=rho, rate_r0=r0, n_sources=n, n_relays=m)
         per = {t: bound(lp, t) for t in set(thresholds)}
         lows = [per[t].lower for t in thresholds]
         ups = [per[t].upper for t in thresholds]
@@ -493,24 +496,7 @@ def build_parser() -> _Parser:
     return ap
 
 
-@functools.cache  # once per process: the settings outlive the call
-def _pin_malloc_thresholds() -> None:
-    """Fix glibc's mmap threshold at 64 MiB and its trim threshold at 256
-    MiB, once per process.  The simulator's per-chunk arrays (hundreds of
-    KiB each) then always come from the heap; left to glibc's sliding
-    threshold they are mapped afresh, and page-faulted, or not, depending
-    on earlier frees.  A no-op where the C library has no mallopt."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(-3, 64 << 20)   # M_MMAP_THRESHOLD
-    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
-
-
 def main(argv=None) -> int:
-    _pin_malloc_thresholds()
     try:
         args = _parse_args(list(sys.argv[1:] if argv is None else argv))
         return args.fn(args, *_inputs(args))

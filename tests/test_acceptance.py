@@ -168,8 +168,7 @@ def test_c5_bound_sandwich():
                        trials=trials, seed=5, code=CODE22, traffic=traffic)
         rep = run_sweep(scn)
         for pt in rep.points:
-            lp = analytic.LinkParams.from_rate_r0(beta=1.0, rho=pt.rho, rate_r0=1.0,
-                                                  n_sources=2, n_relays=2)
+            lp = analytic.LinkParams(beta=1.0, rho=pt.rho, rate_r0=1.0, n_sources=2, n_relays=2)
             if traffic == "multicast":
                 bounds = [analytic.outage_bounds_multicast(lp, gamma_n=2)] * 2
             else:
@@ -194,8 +193,7 @@ def test_c6_diversity_slopes():
     analytic_ok = True
     for n, m in ((2, 1), (2, 2), (3, 3)):
         ups = [analytic.outage_bounds_multicast(
-            analytic.LinkParams.from_rate_r0(beta=1.0, rho=r, rate_r0=1.0,
-                                             n_sources=n, n_relays=m),
+            analytic.LinkParams(beta=1.0, rho=r, rate_r0=1.0, n_sources=n, n_relays=m),
             gamma_n=n).upper for r in rhos]
         slope = analytic.loglog_slope(rhos, ups)
         analytic_ok = analytic_ok and abs(slope + (m + 1)) <= 0.05

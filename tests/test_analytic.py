@@ -25,34 +25,34 @@ from coopcode.analytic import (
 
 
 def _lp(rho, n=2, m=2, beta=1.0, r0=1.0):
-    return LinkParams.from_rate_r0(
-        beta=beta, rho=rho, rate_r0=r0, n_sources=n, n_relays=m
-    )
+    return LinkParams(beta=beta, rho=rho, rate_r0=r0, n_sources=n, n_relays=m)
 
 
 def test_link_params_rate_relation():
-    lp = LinkParams(beta=1.0, rho=10.0, rate_r=0.5, n_sources=2, n_relays=2)
-    assert lp.rate_r0 == pytest.approx(1.0)  # R0 = R(N+M)/N
+    lp = LinkParams(beta=1.0, rho=10.0, rate_r0=1.0, n_sources=2, n_relays=2)
+    assert (lp.beta, lp.rho, lp.rate_r0, lp.n_sources, lp.n_relays) == (1.0, 10.0, 1.0, 2, 2)
     assert lp.tau == pytest.approx(0.1)
-    same = _lp(10.0)
-    assert same.rate_r == pytest.approx(0.5)
-    assert same.tau == pytest.approx(lp.tau)
+    assert not hasattr(lp, "rate_r") and not hasattr(LinkParams, "from_rate_r0")
+    # a system rate R enters as r0 = R(N+M)/N, here R = 0.5
+    assert _lp(10.0, r0=0.5 * (2 + 2) / 2) == lp
 
 
 def test_link_params_tau_is_tau_for_bit_for_bit():
     assert simkernel.tau_for is tau_for  # the simulator thresholds with the same tau
     rng = random.Random(11)
     for _ in range(200):
-        lp = _lp(10.0 ** rng.uniform(-2, 8), n=rng.randrange(1, 7), m=rng.randrange(0, 7),
-                 beta=rng.uniform(0.1, 4.0), r0=rng.uniform(0.01, 8.0))
-        assert lp.tau == tau_for(lp.rho, lp.rate_r0) == (2.0 ** lp.rate_r0 - 1.0) / lp.rho
+        rho = 10.0 ** rng.uniform(-2, 8)
+        n, m, beta = rng.randrange(1, 7), rng.randrange(0, 7), rng.uniform(0.1, 4.0)
+        r0 = rng.uniform(0.01, 8.0)
+        tau = _lp(rho, n=n, m=m, beta=beta, r0=r0).tau
+        assert tau == tau_for(rho, r0) == (2.0 ** r0 - 1.0) / rho
 
 
 def test_link_params_validation():
-    bad = [("beta", 0.0), ("rho", -1.0), ("rate_r", 0.0)]
-    bad += [(name, v) for name in ("beta", "rho", "rate_r") for v in (math.nan, math.inf)]
+    bad = [("beta", 0.0), ("rho", -1.0), ("rate_r0", 0.0)]
+    bad += [(name, v) for name in ("beta", "rho", "rate_r0") for v in (math.nan, math.inf)]
     for name, value in bad:
-        base = dict(beta=1.0, rho=1.0, rate_r=1.0, n_sources=2, n_relays=2)
+        base = dict(beta=1.0, rho=1.0, rate_r0=1.0, n_sources=2, n_relays=2)
         base[name] = value
         with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
             LinkParams(**base)
@@ -137,7 +137,7 @@ def test_bounds_bracket_over_random_parameters():
     for _ in range(300):
         n = rng.randrange(1, 5)
         m = rng.randrange(1, 5)
-        lp = LinkParams.from_rate_r0(
+        lp = LinkParams(
             beta=rng.uniform(0.1, 3.0),
             rho=10 ** rng.uniform(-1, 8),
             rate_r0=rng.uniform(0.1, 4.0),

@@ -1,7 +1,5 @@
 """Command-line driver: flags, config files, CSV shapes, and determinism."""
 
-import types
-
 import pytest
 
 from coopcode import analytic, cli, ffmat, netcode, simkernel
@@ -113,7 +111,7 @@ def test_analyze_unicast_uses_each_destinations_lambda(capsys):
     assert len(rows) == 4
     for db, cells in zip((0, 10, 20, 30), rows):
         row = dict(zip(header, cells))
-        lp = analytic.LinkParams.from_rate_r0(
+        lp = analytic.LinkParams(
             beta=1.0, rho=10.0 ** (db / 10.0), rate_r0=1.0, n_sources=3, n_relays=2
         )
         per = [analytic.outage_bounds_unicast(lp, lam) for lam in lams]
@@ -439,45 +437,6 @@ def test_simulate_rejects_workers_below_one(capsys, workers):
     code, out, err = _run(capsys, "simulate", "--workers", workers)
     assert (code, out) == (2, "")
     assert f"--workers must be >= 1, got {workers}" in err
-
-
-@pytest.fixture
-def fresh_malloc_pin():
-    """Forget that this process pinned the malloc thresholds, before the test
-    and after it, so the next main call pins them again."""
-    cli._pin_malloc_thresholds.cache_clear()
-    yield
-    cli._pin_malloc_thresholds.cache_clear()
-
-
-@pytest.mark.parametrize("libc", [object(), OSError("no C library")])
-def test_malloc_pinning_is_a_no_op_without_mallopt(monkeypatch, capsys, fresh_malloc_pin, libc):
-    def cdll(name):
-        if isinstance(libc, Exception):
-            raise libc
-        return libc
-
-    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
-    code, out, _ = _run(capsys, "construct")
-    assert code == 0 and out
-
-
-def test_the_c_library_is_loaded_once_per_process(monkeypatch, capsys, fresh_malloc_pin):
-    loads, settings = [], []
-
-    def mallopt(param, value):
-        settings.append((param, value))
-        return 1
-
-    def cdll(name):
-        loads.append(name)
-        return types.SimpleNamespace(mallopt=mallopt)
-
-    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
-    for _ in range(3):
-        assert _run(capsys, "construct")[0] == 0
-    assert loads == [None]
-    assert settings == [(-3, 64 << 20), (-1, 256 << 20)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
 
 
 @pytest.mark.parametrize("command", ["analyze", "simulate"])
@@ -824,6 +783,9 @@ def test_strategy_without_a_scheme_that_reads_it_is_rejected(tmp_path, capsys, s
     assert _run(capsys, *argv, "--config", str(cfg)) == (2, "", _NO_STRATEGY)
 
 
+_NO_DEFAULT_FIELD = "--n + --m must be <= 65535 where a field is built without --q, got 80000"
+
+
 def _assert_rejected_before_any_work(monkeypatch, capsys, argv, message):
     """main exits 2 with `message` and calls no code builder, bracket, DMT
     line or draw on the way."""
@@ -851,9 +813,52 @@ def _assert_rejected_before_any_work(monkeypatch, capsys, argv, message):
      "--gamma applies only to schemes dncc and rncc, neither of which is in --scheme"),
     (("simulate", "--scheme", "dncc,cc", "--traffic", "multicast"),
      "cc supports unicast traffic only"),
+    (("construct", "--n", "40000", "--m", "40000"), _NO_DEFAULT_FIELD),
+    (("construct", "--n", "40000", "--m", "40000", "--seed", "3"), _NO_DEFAULT_FIELD),
+    (("simulate", "--scheme", "rncc", "--n", "40000", "--m", "40000"), _NO_DEFAULT_FIELD),
 ])
 def test_an_input_error_is_rejected_before_any_work(monkeypatch, capsys, argv, message):
     _assert_rejected_before_any_work(monkeypatch, capsys, argv, message)
+
+
+def test_the_largest_default_field_is_still_built(capsys):
+    code, out, err = _run(capsys, "construct", "--n", "1", "--m", "65534")
+    assert (code, err) == (0, "")
+    assert load_code(out).field.order == 65536
+
+
+def _link_params_of(monkeypatch, capsys, *argv):
+    """The LinkParams that analyze hands the bracket at each grid point."""
+    seen = []
+    for name in ("outage_bounds_multicast", "outage_bounds_unicast"):
+        def recorded(lp, t, _fn=getattr(analytic, name)):
+            seen.append(lp)
+            return _fn(lp, t)
+
+        monkeypatch.setattr(analytic, name, recorded)
+    code, out, err = _run(capsys, "analyze", *argv)
+    assert (code, err) == (0, "")
+    return seen, _rows(out)[1]
+
+
+@pytest.mark.parametrize("traffic", ["multicast", "unicast"])
+def test_analyze_thresholds_at_the_r0_it_was_given(monkeypatch, capsys, traffic):
+    seen, _ = _link_params_of(monkeypatch, capsys, "--n", "1", "--m", "2", "--r0", "1.8",
+                              "--traffic", traffic, "--snr-stop-db", "40", "--snr-step-db", "5")
+    rhos = sorted({lp.rho for lp in seen})
+    assert rhos == [10.0 ** (db / 10.0) for db in range(0, 41, 5)]
+    for lp in seen:
+        assert lp.rate_r0 == 1.8
+        assert lp.tau == analytic.tau_for(lp.rho, 1.8)  # simulate's tau, bit for bit
+
+
+def test_analyze_at_the_smallest_positive_rate_runs_as_simulate_does(monkeypatch, capsys):
+    seen, rows = _link_params_of(monkeypatch, capsys, "--r0", "5e-324")
+    assert [lp.tau for lp in seen] == [0.0]  # 2**r0 rounds to 1
+    assert rows == [["0", "dncc", "multicast", "0", "0", "0", "0", "0"]]
+    code, out, err = _run(capsys, "simulate", "--r0", "5e-324", "--trials", "10")
+    assert (code, err) == (0, "")
+    assert _rows(out)[1][0][5:] == ["0"] * 5  # never in outage
 
 
 @pytest.mark.parametrize("argv, message", [

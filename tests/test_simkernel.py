@@ -665,8 +665,7 @@ def test_strategy_b_never_loses_to_a_with_coupled_draws():
 
 
 def test_simulated_outage_within_analytic_bounds():
-    lp = LinkParams.from_rate_r0(beta=1.0, rho=100.0, rate_r0=1.0,
-                                 n_sources=2, n_relays=2)
+    lp = LinkParams(beta=1.0, rho=100.0, rate_r0=1.0, n_sources=2, n_relays=2)
     trials = 400000
     scn = _scn(snr_grid=(100.0,), trials=trials, seed=33)
     pt = run_sweep(scn).points[0]
