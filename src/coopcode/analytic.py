@@ -12,8 +12,9 @@ code threshold (gamma_N in multicast, lambda_j in unicast).  Unicast
 differs only in that destination j's own direct row is conditioned to be
 down: a factor p0, and the count runs over the other N-1+M rows.
 
-All formulas are evaluated with expm1/exp so they stay accurate for
-tau -> 0 (rho up to 1e8 and beyond).
+The per-destination formulas are evaluated with expm1/exp so they stay
+accurate for tau -> 0 (rho up to 1e8 and beyond); system_outage is not
+(see there).
 
 The link terms have one home, _up_down and _binomial, which _bracket reads
 once per call; it also builds the powers of a link's up and down
@@ -32,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 SCHEMES = ("dncc", "rncc", "selection", "ncc", "cc")  # the labels of dmt_curve, the simulator and --scheme
+COOP_SCHEMES = ("dncc", "rncc", "selection")  # the coded ones: run_trial's and --strategy's
 
 
 def tau_for(rho: float, rate_r0: float) -> float:
@@ -187,7 +189,17 @@ def outage_bounds_unicast(lp: LinkParams, lambda_i: int) -> OutageBounds:
 
 
 def system_outage(per_dest) -> float:
-    """P(any destination fails) from independent per-destination outages."""
+    """P(any destination fails) from independent per-destination outages.
+
+    It computes 1 - prod(1 - p) directly, so it is accurate only to about
+    1e-16 absolute and reads 0 once every p is below that: analyze --n 1
+    --m 5 at 30 dB prints p_up 3.182451096e-17 and p_system_up 0.  analyze
+    prints it of the upper bounds as p_system_up, an upper bound on the
+    system outage under strategy A, where each destination's success is
+    increasing in the links that are up (Harris-FKG).  Of the lower bounds
+    it prints p_system_low, their independence product, which is not a
+    proven lower bound.
+    """
     acc = 1.0
     for p in per_dest:
         if not 0.0 <= p <= 1.0:

@@ -30,7 +30,6 @@ from .ffmat import SUBSET_ROW_CAP
 from .gf import MAX_ELL, field_ell, field_new
 
 KIND_CHOICES = ("vandermonde", "cauchy", "random")
-STRATEGY_SCHEMES = {"dncc", "rncc", "selection"}  # the schemes --strategy changes
 FMT = "{:.10g}"
 MAX_GRID_POINTS = 10 ** 6  # SNR and r grids are refused beyond this many points
 
@@ -286,7 +285,7 @@ def _inputs(args) -> tuple:
             unread["kind"] = "to schemes dncc and selection, neither of which is in --scheme"
         if not builds_field:
             unread["q"] = "to schemes dncc, selection and rncc, none of which is in --scheme"
-        if not STRATEGY_SCHEMES & set(schemes):
+        if not set(analytic.COOP_SCHEMES) & set(schemes):
             unread["strategy"] = ("to schemes dncc, rncc and selection, none of which is in "
                                   "--scheme")
     if cmd == "dmt" and not {"dncc", "rncc"} & set(schemes):
@@ -362,7 +361,7 @@ def cmd_simulate(args, schemes, r0, grid_db, grid_rho) -> int:
         seed=args.seed or 0,
         code=code if s in ("dncc", "selection") else None,
         field=field if s == "rncc" else None,
-        strategy=(args.strategy or "A") if s in STRATEGY_SCHEMES else "A",
+        strategy=(args.strategy or "A") if s in analytic.COOP_SCHEMES else "A",
         traffic=args.traffic,
         beta=args.beta,
         rate_r0=r0,

@@ -55,9 +55,8 @@ def batch_rank(mats: np.ndarray, field: Field) -> np.ndarray:
     remaining rows are zero.  Returns the (B,) int64 ranks.
 
     Column c's row operations start at column c: the rows at or below the
-    current rank are zero to its left.  Where only some matrices have a
-    pivot in column c, those are gathered, reduced and scattered back;
-    where all have one, the stack is reduced where it lies.
+    current rank are zero to its left.  The matrices with a pivot in
+    column c are gathered, reduced and scattered back.
     """
     log_t, exp2_t, inv_t = field.np_tables()
     nb, nr, nc = mats.shape
@@ -68,13 +67,9 @@ def batch_rank(mats: np.ndarray, field: Field) -> np.ndarray:
         has = cand.any(axis=1)
         if not has.any():
             continue
-        whole = bool(has.all())
-        if whole:
-            b, work = slice(None), mats
-        else:
-            b = np.nonzero(has)[0]
-            work, cand = mats[b], cand[b]
-        k = np.arange(len(work))
+        b = np.nonzero(has)[0]
+        work, cand = mats[b], cand[b]
+        k = np.arange(len(b))
         src, dst = cand.argmax(axis=1), rk[b]
         # swap the pivot row up, normalised to 1 in column c
         prow = work[k, src, c:]
@@ -85,8 +80,7 @@ def batch_rank(mats: np.ndarray, field: Field) -> np.ndarray:
         fac = work[:, :, c].copy()
         fac[k, dst] = 0
         work[:, :, c:] ^= np.take(exp2_t, log_t[fac][:, :, None] + log_t[prow][:, None, :])
-        if not whole:
-            mats[b] = work
+        mats[b] = work
         rk[b] += 1
     return rk
 

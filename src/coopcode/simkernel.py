@@ -79,7 +79,7 @@ import numpy as np
 from .gf import Field, field_new
 from .ffmat import FfMatrix, batch_rank, unit_spans
 from .netcode import NetworkCode, build_explicit
-from .analytic import SCHEMES, tau_for
+from .analytic import COOP_SCHEMES, SCHEMES, tau_for
 
 CHUNK_TRIALS = 1 << 14  # fixed chunk size; part of the reproducibility contract
 TABLE_BITS = 12    # pattern keys and link states this narrow are decided by enumerating them all
@@ -87,8 +87,6 @@ KEY_BITS = 62      # widest pattern key packed into an int64
 RANK_BLOCK = 4096  # matrices per batch_rank call; bounds the decide's memory
 CDF_CHUNK = 1 << 18  # trials per Philox stream of selected_link_gain_cdf; pins its numbers
 DRAW_SLICE = 1 << 14  # gains drawn and compared at a time (128 KiB); results do not depend on it
-
-COOP_SCHEMES = ("dncc", "rncc", "selection")
 
 
 @dataclass(frozen=True)
@@ -432,16 +430,18 @@ class _PatternKey:
         self.span = 1 << self.bits  # keys lie in [0, span)
         self.col_bits = [sum(((1 << width) - 1) << int(s) for s in self.shifts[self.slot_k == k])
                          for k in range(n)]  # column k's relay slots, as a mask
+        self.relays = [(int(i), tuple(self.slot_k[self.slot_i == i].tolist()),
+                        tuple(self.shifts[self.slot_i == i].tolist()))
+                       for i in np.unique(self.slot_i)]  # (i, slot columns, slot shifts)
         self.peel = []  # (shift, mask, _unit_table) per relay whose slots fit TABLE_BITS
         units = {}      # relays with the same slot columns share one table
-        for i in np.unique(self.slot_i):
-            mine = np.flatnonzero(self.slot_i == i)
-            row_bits, cols = width * len(mine), tuple(self.slot_k[mine].tolist())
+        for _, cols, shifts in self.relays:
+            row_bits = width * len(cols)
             if row_bits > TABLE_BITS:
                 continue
             if cols not in units:
                 units[cols] = _unit_table(cols, width)
-            self.peel.append((int(self.shifts[mine[0]]), (1 << row_bits) - 1, units[cols]))
+            self.peel.append((shifts[0], (1 << row_bits) - 1, units[cols]))
         self.outcomes = None
         if self.regime == "table":
             every = np.arange(self.span, dtype=np.int64)
@@ -473,11 +473,10 @@ class _PatternKey:
         for j in range(n):
             for k in range(n):
                 keys[j] += ok_sd[:, k, j] * dtype(1 << k)
-        for i in np.unique(self.slot_i):
-            mine = self.slot_i == i
+        for i, cols, shifts in self.relays:
             row = np.zeros(nb, dtype=dtype)     # relay i's slots, as sent
-            for k, shift in zip(self.slot_k[mine], self.shifts[mine]):
-                row += sym[:, i, k] * dtype(1 << int(shift))
+            for k, shift in zip(cols, shifts):
+                row += sym[:, i, k] * dtype(1 << shift)
             row *= heard[i]
             for j in range(n):
                 keys[j] += ok_rd[:, i, j] * row
@@ -570,7 +569,8 @@ def _link_states(tau, gsr, gsd, grd):
 def _fold_bottleneck(h, g, sr):
     """Fold one gain block of B trials into the (M, B) bottleneck rows h, in
     place: h[i] becomes the minimum of h[i] and the gains of relay i's links
-    in g, an sr block (B, N, M) when `sr`, else an rd block (B, M, N).  From
+    in g, an sr block (B, N, M) when `sr` (any (B, L, M) block of L links
+    per relay folds the same way), else an rd block (B, M, N).  From
     h = inf, folding both blocks gives each relay's bottleneck gain, the min
     over its 2N adjacent links.  Folding one contiguous row per relay beats
     a reduction along the short source axis."""
@@ -588,18 +588,20 @@ def _bottleneck(gsr, grd):
     return h
 
 
-def _kept_relays(scn, h):
+def _kept_relays(h, k):
     """(M, B) bool: keep[i, b] says selection keeps relay i in trial b.
-    It keeps the k_select best relays by bottleneck gain h[i, b] (min over
-    the 2N adjacent links), ties toward the lower index: a relay is kept
-    iff fewer than k_select relays rank ahead of it."""
+    It keeps the k best relays by bottleneck gain h[i, b] (min over the 2N
+    adjacent links), ties toward the lower index: a relay is kept iff fewer
+    than k relays rank ahead of it.  For k = 1 that is argmax's rule, the
+    first relay of the largest gain."""
+    m = h.shape[0]
     keep = np.empty(h.shape, dtype=bool)
-    for i in range(scn.n_relays):
+    for i in range(m):
         ahead = np.zeros(h.shape[1], dtype=np.intp)
-        for t in range(scn.n_relays):  # t ranks ahead on a higher gain, or on a tie at t < i
+        for t in range(m):  # t ranks ahead on a higher gain, or on a tie at t < i
             if t != i:
                 ahead += h[t] >= h[i] if t < i else h[t] > h[i]
-        np.less(ahead, scn.k_select, out=keep[i])
+        np.less(ahead, k, out=keep[i])
     return keep
 
 
@@ -611,7 +613,7 @@ def _selected_links(scn, ok_sr, h):
     for other schemes, which need no h."""
     if scn.scheme != "selection":
         return ok_sr
-    return ok_sr & _kept_relays(scn, h).T[:, None, :]
+    return ok_sr & _kept_relays(h, scn.k_select).T[:, None, :]
 
 
 def _decide(scn, ok_sr, ok_sd, ok_rd, coeffs, key=None):
@@ -806,7 +808,7 @@ def _chunk_counts(plans, grid_index: int, chunk_index: int, count: int):
             keys = _state_keys(ok_sr, ok_sd, ok_rd)
         states = keys
         if scn.scheme == "selection":  # its dropped relays' links taken down
-            states = _drop_relay_states(keys, _kept_relays(scn, h), scn.n_sources)
+            states = _drop_relay_states(keys, _kept_relays(h, scn.k_select), scn.n_sources)
         dest_sys = np.bincount(states, minlength=len(table)) @ table
         counts.append((dest_sys[:-1], int(dest_sys[-1])))
     return counts
@@ -889,29 +891,16 @@ def run_sweep(scn, workers: int = 1):
 # -- selection-rule sampling ---------------------------------------------------
 
 
-def _best_relay_first_gain(gains: np.ndarray) -> np.ndarray:
-    """gains[t, r, 0] of the relay r whose min over gains[t, r, :] is
-    largest, the first such r on a tie: argmax's rule, bit for bit.  Folds
-    one strided column per (relay, link), with no (trials, relays) temporary
-    and no gather."""
-    nb, m, links = gains.shape
-    best, g = np.full(nb, -np.inf), np.empty(nb)
-    for r in range(m):
-        h = gains[:, r, 0].copy()
-        for link in range(1, links):
-            np.minimum(h, gains[:, r, link], out=h)
-        better = h > best  # strictly: an equal later relay loses, as in argmax
-        np.copyto(g, gains[:, r, 0], where=better)
-        np.copyto(best, h, where=better)
-    return g
-
-
 def selected_link_gain_cdf(n: int, m: int, beta: float, taus, trials: int,
                            seed: int = 0) -> np.ndarray:
     """Empirical P(g <= tau) where g is one adjacent-link gain of the relay
     with the best bottleneck (min over its 2N adjacent links).
 
-    Vectorized sampling oracle for selection_cdf_approx in analytic.
+    Vectorized sampling oracle for selection_cdf_approx in analytic.  Each
+    chunk of at most CDF_CHUNK trials draws its (B, M, 2N) gains from its
+    own Philox stream and picks the relay by the sweep's rule:
+    _fold_bottleneck, then _kept_relays with k = 1, which keeps the first
+    relay of the best bottleneck on a tie.  g is that relay's first gain.
     Raises ValueError on the inputs a Scenario rejects.
     """
     if n < 1 or m < 1:
@@ -930,7 +919,9 @@ def selected_link_gain_cdf(n: int, m: int, beta: float, taus, trials: int,
         gains = rng.standard_exponential((nb, m, 2 * n))
         if beta != 1.0:
             gains /= beta
-        g = _best_relay_first_gain(gains)
+        h = np.full((m, nb), np.inf)
+        _fold_bottleneck(h, gains.transpose(0, 2, 1), sr=True)
+        g = gains[:, :, 0][_kept_relays(h, 1).T]
         counts += (g[None, :] <= taus[..., None]).sum(axis=-1)
         done += nb
         ci += 1

@@ -266,6 +266,14 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     assert code == 2 and "bogus" in err
 
 
+def test_config_rejects_a_line_without_equals(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.txt").write_text("n = 2\nbogus line\n")
+    code, out, err = _run(capsys, "simulate", "--config", "cfg.txt", "--snr-start-db", "10")
+    assert (code, out) == (2, "")
+    assert err == "error: cfg.txt:2: expected key=value, got 'bogus line\\n'\n"
+
+
 def test_config_rejects_bad_choice(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("traffic = sideways\n")

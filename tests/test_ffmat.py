@@ -66,6 +66,9 @@ def test_constructor_validates_entries():
         FfMatrix(F4, [[-1]])
     with pytest.raises(ValueError):
         FfMatrix(F4, [[1, 2], [3]])
+    with pytest.raises(ValueError) as exc:
+        FfMatrix(F4, [1, 2])
+    assert str(exc.value) == "entries must be two-dimensional"
     # floats, strings and objects are refused, not cast to int64
     for bad in ([[1.5]], [[1.0]], [["3"]], np.array([[1]], dtype=object)):
         with pytest.raises(ValueError, match="entries must be integers"):
@@ -99,6 +102,12 @@ def test_matmul_against_hand_product():
     # 1*2=2, 2*1=2 -> 2^2=0; 1*1=1, 2*3=1 -> 1^1=0
     # row 1: (3*2, 3*1) = (1, 3)
     assert (a @ b).to_lists() == [[0, 0], [1, 3]]
+    row = FfMatrix(F4, [[1, 2]])
+    for other, message in ((FfMatrix(F16, [[1], [2]]), "mixed fields"),
+                           (row, "shape mismatch (1, 2) @ (1, 2)")):
+        with pytest.raises(ValueError) as exc:
+            row @ other
+        assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("ell", [1, 2, 4, 8, 16])
@@ -338,12 +347,20 @@ def test_dump_load_roundtrip_keeps_every_shape(rows, cols):
     assert load_matrix(m.dump()) == m
 
 
-@pytest.mark.parametrize("text", ["4 -1 -2\n1 1\n", "4 -1 3\n", "4 2 -1\n"])
-def test_load_matrix_rejects_negative_dimensions(text):
-    rows, cols = text.split()[1:3]
+BAD_MATRIX_TEXT = [
+    ("4 -1 -2\n1 1\n", "rows and cols must be non-negative, got -1 -2"),
+    ("4 -1 3\n", "rows and cols must be non-negative, got -1 3"),
+    ("4 2 -1\n", "rows and cols must be non-negative, got 2 -1"),
+    ("# no header\n4 2\n", "matrix text needs a 'q rows cols' header"),
+    ("4 2 2\n1 0\n3\n", "expected 4 entries, got 3"),
+]
+
+
+@pytest.mark.parametrize("text, message", BAD_MATRIX_TEXT, ids=[t for t, _ in BAD_MATRIX_TEXT])
+def test_load_matrix_rejects_negative_dimensions(text, message):
     with pytest.raises(ValueError) as exc:
         load_matrix(text)
-    assert str(exc.value) == f"rows and cols must be non-negative, got {rows} {cols}"
+    assert str(exc.value) == message
 
 
 def test_load_matrix_rejects_bad_field():
@@ -392,7 +409,7 @@ def test_batch_rank_leaves_reduced_row_echelon_form():
 def _reference_batch_rank(mats, field):
     """batch_rank as first written: every matrix with a pivot in column c
     is gathered, and whole rows are eliminated.  The reference for the
-    kernel's column-c-on row operations and its in-place path."""
+    kernel's column-c-on row operations."""
     log_t, exp2_t, inv_t = field.np_tables()
     nb, nr, nc = mats.shape
     rk = np.zeros(nb, dtype=np.int64)
@@ -453,7 +470,7 @@ def test_batch_rank_matches_the_reference_kernel_on_mixed_stacks(ell, nb, rows, 
 
 def test_batch_rank_reduces_in_place_where_every_matrix_pivots():
     # invertible matrices have a pivot in every column, rank-2 ones in the
-    # first two columns only, so both ways of reducing a column are taken
+    # first two columns only, so some columns gather the whole stack
     rng = random.Random(3)
     full = [_random_invertible(F16, 4, rng).to_array() for _ in range(20)]
     low = [(_random_matrix(F16, 4, 2, rng) @ _random_matrix(F16, 2, 4, rng)).to_array()

@@ -472,6 +472,16 @@ def test_network_code_refuses_an_unknown_construction():
         NetworkCode(2, 2, F4, a, "mds", None)
 
 
+@pytest.mark.parametrize("matrix, message", [
+    (FfMatrix(F4, [[1, 0], [0, 1], [1, 1]]), "matrix must be (4, 2), got (3, 2)"),
+    (build_vandermonde(2, 2, F16).matrix, "matrix field mismatch"),
+], ids=["shape", "field"])
+def test_network_code_refuses_a_matrix_it_cannot_hold(matrix, message):
+    with pytest.raises(ValueError) as exc:
+        NetworkCode(2, 2, F4, matrix, "explicit", None)
+    assert str(exc.value) == message
+
+
 def test_kruskal_full_is_kruskal_rank_at_the_top():
     rng, seen = random.Random(7), set()
     for _ in range(60):

@@ -737,7 +737,9 @@ def test_selected_gain_folds_equal_the_argmax_gather_bit_for_bit():
         for gains in (rng.standard_exponential((4000, m, 2 * n)) / 0.7,
                       rng.integers(0, 3, (4000, m, 2 * n)).astype(float)):
             want = gains[np.arange(len(gains)), np.argmax(gains.min(axis=2), axis=1), 0]
-            got = simkernel._best_relay_first_gain(gains)
+            h = np.full((m, len(gains)), np.inf)
+            simkernel._fold_bottleneck(h, gains.transpose(0, 2, 1), sr=True)
+            got = gains[:, :, 0][simkernel._kept_relays(h, 1).T]
             assert got.tobytes() == want.tobytes()
     # and the whole estimate, with and without the division by beta
     taus = np.array([0.05, 0.3, 1.0])
@@ -746,6 +748,37 @@ def test_selected_gain_folds_equal_the_argmax_gather_bit_for_bit():
         g = gains[np.arange(3000), np.argmax(gains.min(axis=2), axis=1), 0]
         want = (g[None, :] <= taus[:, None]).sum(axis=1) / 3000
         assert np.array_equal(selected_link_gain_cdf(2, 3, beta, taus, 3000, seed=4), want)
+
+
+# selected_link_gain_cdf(n, m, beta, [0.05, 0.3, 1.0], CDF_CHUNK + 777, seed)
+# times the trial count, as first recorded: the pick of the relay may be
+# rewritten, but its numbers may not move
+SELECTED_GAIN_COUNTS = {  # (n, m, beta, seed): counts at the three taus
+    (1, 1, 1.0, 0): (12847, 67912, 166144),
+    (1, 1, 1.0, 7): (12790, 68116, 166058),
+    (1, 1, 2.5, 0): (30797, 138724, 241076),
+    (1, 1, 2.5, 7): (31010, 138740, 241183),
+    (2, 2, 1.0, 0): (2291, 43715, 152351),
+    (2, 2, 1.0, 7): (2277, 44084, 153198),
+    (2, 2, 2.5, 0): (11457, 121029, 238111),
+    (2, 2, 2.5, 7): (11565, 121767, 238388),
+    (2, 3, 1.0, 0): (412, 28994, 142738),
+    (2, 3, 1.0, 7): (374, 29416, 143102),
+    (2, 3, 2.5, 0): (4355, 108743, 235911),
+    (2, 3, 2.5, 7): (4480, 109033, 236318),
+    (3, 4, 1.0, 0): (172, 31395, 146667),
+    (3, 4, 1.0, 7): (196, 31675, 146468),
+    (3, 4, 2.5, 0): (3932, 113495, 236788),
+    (3, 4, 2.5, 7): (3844, 113399, 236873),
+}
+
+
+@pytest.mark.parametrize("n, m, beta, seed", list(SELECTED_GAIN_COUNTS))
+def test_selected_link_gain_cdf_keeps_its_recorded_values(n, m, beta, seed):
+    trials = simkernel.CDF_CHUNK + 777  # two Philox streams, the second one short
+    cdf = selected_link_gain_cdf(n, m, beta, [0.05, 0.3, 1.0], trials, seed=seed)
+    want = np.array(SELECTED_GAIN_COUNTS[n, m, beta, seed], dtype=np.int64) / trials
+    assert cdf.tobytes() == want.tobytes()
 
 
 def test_trials_of_one_work():
@@ -1066,7 +1099,7 @@ def test_shared_state_keys_with_dropped_relays_cleared_equal_selected_states(n, 
                 h = simkernel._bottleneck(gsr, grd)
                 want = simkernel._state_keys(simkernel._selected_links(scn, ok_sr, h),
                                              ok_sd, ok_rd)
-                got = simkernel._drop_relay_states(shared, simkernel._kept_relays(scn, h), n)
+                got = simkernel._drop_relay_states(shared, simkernel._kept_relays(h, k), n)
                 assert got.dtype == want.dtype == np.uint16
                 assert np.array_equal(got, want), (k, tau)
             assert np.array_equal(shared, before)  # the shared keys stay as packed
@@ -1263,7 +1296,7 @@ def test_folded_bottleneck_selects_as_the_full_gains_do(n, m):
         for k in range(1, m + 1):
             scn = _scn(scheme="selection", n_sources=n, n_relays=m, k_select=k,
                        code=build_vandermonde(n, m, F8))
-            keep = simkernel._kept_relays(scn, h)
+            keep = simkernel._kept_relays(h, k)
             for t in range(400):
                 want = select_relays(scn, TrialDraw(gsr[t], np.zeros((n, n)), grd[t]), k)
                 assert np.flatnonzero(keep[:, t]).tolist() == sorted(want), (k, t)
