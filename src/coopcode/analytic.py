@@ -215,7 +215,7 @@ def selection_cdf_approx(n: int, m: int, beta: float, tau: float) -> float:
     link gains, the chosen relay's individual link gain g satisfies
     P(g <= tau) ~= (2*N*beta)**(M-1) * beta * tau**M as tau -> 0.
     """
-    if n < 1 or m < 1 or beta <= 0 or tau < 0:
+    if n < 1 or m < 1 or not (0 < beta < math.inf and 0 <= tau < math.inf):
         raise ValueError("need n, m >= 1, beta > 0, tau >= 0")
     return (2 * n * beta) ** (m - 1) * beta * tau ** m
 

@@ -5,7 +5,9 @@ coefficients of the element written as a polynomial in the generator x,
 high bit first: in GF(4) the value 2 is x and 3 is x + 1.  Addition is
 XOR; multiplication and inversion go through log/antilog tables built
 once per field, so a Field instance is cheap to use and safe to share
-(treat it as immutable).
+(treat it as immutable).  Each q names one field: GF(2^l) is always taken
+modulo DEFAULT_PRIM_POLY[l], so q alone fixes every product, and a matrix
+written as q and its entries reads back as the same matrix.
 """
 
 from functools import lru_cache
@@ -14,9 +16,9 @@ import numpy as np
 
 MAX_ELL = 16
 
-# Default modulus per degree: primitive polynomials, so that x (value 2)
-# generates the whole multiplicative group.  Table construction verifies
-# primitivity and raises if a custom polynomial is not primitive.
+# The modulus per degree: primitive polynomials, so that x (value 2)
+# generates the whole multiplicative group.  Pinned by the tests, which
+# build every table again by a loop and check the cycle closes.
 DEFAULT_PRIM_POLY = {
     1: 0b11,
     2: 0b111,
@@ -40,18 +42,12 @@ DEFAULT_PRIM_POLY = {
 class Field:
     """GF(2^ell) with table-based multiply/invert/power."""
 
-    def __init__(self, ell: int, prim_poly: int | None = None):
+    def __init__(self, ell: int):
         if not 1 <= ell <= MAX_ELL:
             raise ValueError(f"ell must be in [1, {MAX_ELL}], got {ell}")
-        if prim_poly is None:
-            prim_poly = DEFAULT_PRIM_POLY[ell]
-        if prim_poly.bit_length() != ell + 1:
-            raise ValueError(
-                f"prim_poly must have degree {ell}, got 0b{prim_poly:b}"
-            )
         self.ell = ell
         self.order = 1 << ell
-        self.prim_poly = prim_poly
+        self.prim_poly = DEFAULT_PRIM_POLY[ell]
         self._build_tables()
         self._np = None  # numpy table mirror, built on demand
 
@@ -63,8 +59,7 @@ class Field:
     def _build_tables(self):
         # powers[i] = x^i mod prim_poly for i in [0, q).  Doubling: the
         # block x^L .. x^(2L-1) is x^0 .. x^(L-1) times the constant x^L,
-        # multiplied shift-and-add over the constant's bits.  This holds in
-        # GF(2)[x]/(prim_poly) for any modulus, primitive or not.
+        # multiplied shift-and-add over the constant's bits.
         q = self.order
         powers = np.ones(1, dtype=np.int64)
         for _ in range(self.ell):
@@ -76,9 +71,6 @@ class Field:
                 shifted = self._times_x(shifted)
             powers = np.concatenate([powers, block])
         exp = powers[:q - 1]
-        # primitive iff x^0 .. x^(q-2) are distinct and x^(q-1) closes the cycle
-        if powers[q - 1] != 1 or np.bincount(exp, minlength=q).max() > 1:
-            raise ValueError(f"0b{self.prim_poly:b} is not primitive over GF(2)")
         log = np.zeros(q, dtype=np.int64)  # log[0] unused
         log[exp] = np.arange(q - 1)
         self._exp = exp.tolist()  # exp[i] = x^i
@@ -138,21 +130,17 @@ class Field:
     # -- plumbing ----------------------------------------------------------
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Field)
-            and self.ell == other.ell
-            and self.prim_poly == other.prim_poly
-        )
+        return isinstance(other, Field) and self.ell == other.ell
 
     def __hash__(self):
-        return hash((self.ell, self.prim_poly))
+        return hash(self.ell)
 
     def __reduce__(self):
         # unpickle to this process's cached field, so tables are built once
-        return (_cached_field, (self.ell, self.prim_poly))
+        return (field_new, (self.ell,))
 
     def __repr__(self):
-        return f"Field(ell={self.ell}, prim_poly=0b{self.prim_poly:b})"
+        return f"Field(ell={self.ell})"
 
 
 def field_ell(q: int) -> int:
@@ -164,10 +152,6 @@ def field_ell(q: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _cached_field(ell: int, prim_poly: int | None) -> Field:
-    return Field(ell, prim_poly)
-
-
 def field_new(ell: int) -> Field:
-    """GF(2^ell) with the default primitive polynomial (cached)."""
-    return _cached_field(ell, DEFAULT_PRIM_POLY.get(ell))
+    """GF(2^ell), one shared instance per ell."""
+    return Field(ell)

@@ -13,7 +13,9 @@ construction: each relay block is the Lagrange basis on one point set
 evaluated at the other (_lagrange; Cauchy's on the relay points, at the
 source points, transposed, and Vandermonde's the other way round), which
 makes it a generalized Cauchy matrix.  certified_kappa is set only where
-that check ran and passed, up to SUBSET_ROW_CAP = 24 rows.
+that check ran and passed, up to SUBSET_ROW_CAP = 24 rows.  A NetworkCode
+reads N, M and its field off its matrix (one field per q, see gf), so a
+code file's q and matrix are the whole code: its header is only checked.
 """
 
 import json
@@ -58,34 +60,37 @@ def symbols_to_bits(symbols, ell: int):
 
 @dataclass(frozen=True)
 class NetworkCode:
-    n_sources: int
-    n_relays: int
-    field: Field
+    """The (N+M) x N code matrix [I_N; R] over GF(q); N is its column count,
+    M its rows past N and the field its field."""
     matrix: FfMatrix           # (N+M) x N, top block I_N
     construction: str          # cauchy | vandermonde | random | explicit
     certified_kappa: int | None  # N where kruskal_full proved it, else None
 
     def __post_init__(self):
-        n, m = self.n_sources, self.n_relays
-        if n < 1 or m < 0:
+        if self.n_sources < 1 or self.n_relays < 0:
             raise ValueError("need n_sources >= 1 and n_relays >= 0")
         if self.construction not in ("cauchy", "vandermonde", "random", "explicit"):
             raise ValueError(f"unknown construction {self.construction!r}")
-        if self.matrix.shape != (n + m, n):
-            raise ValueError(
-                f"matrix must be {(n + m, n)}, got {self.matrix.shape}"
-            )
-        if self.matrix.field != self.field:
-            raise ValueError("matrix field mismatch")
-        eye = FfMatrix.identity(self.field, n)
-        if self.matrix.row_submatrix(range(n)) != eye:
+        eye = FfMatrix.identity(self.field, self.n_sources)
+        if self.matrix.row_submatrix(range(self.n_sources)) != eye:
             raise ValueError("top block must be the identity")
+
+    @property
+    def n_sources(self) -> int:
+        return self.matrix.cols
+
+    @property
+    def n_relays(self) -> int:
+        return self.matrix.rows - self.matrix.cols
+
+    @property
+    def field(self) -> Field:
+        return self.matrix.field
 
     @property
     def relay_block(self) -> FfMatrix:
         """The M x N block of relay combination coefficients."""
-        n = self.n_sources
-        return self.matrix.row_submatrix(range(n, n + self.n_relays))
+        return self.matrix.row_submatrix(range(self.n_sources, self.matrix.rows))
 
 
 def _proven_kappa(matrix: FfMatrix) -> int | None:
@@ -94,13 +99,13 @@ def _proven_kappa(matrix: FfMatrix) -> int | None:
     return matrix.cols if matrix.rows <= SUBSET_ROW_CAP and matrix.kruskal_full() else None
 
 
-def _stack_code(field, n, m, relay_rows, construction):
+def _stack_code(field, n, relay_rows, construction):
     a = FfMatrix.identity(field, n).vstack(FfMatrix(field, relay_rows))
     certify = construction in ("cauchy", "vandermonde")
     kappa = _proven_kappa(a) if certify else None
     if certify and kappa is None and a.rows <= SUBSET_ROW_CAP:
         raise AssertionError(f"{construction} construction lost full diversity")
-    return NetworkCode(n, m, field, a, construction, kappa)
+    return NetworkCode(a, construction, kappa)
 
 
 def _check_shape(n: int, m: int, field: Field) -> None:
@@ -147,7 +152,7 @@ def build_cauchy(n: int, m: int, field: Field) -> NetworkCode:
     if len(set(xs) | set(ys)) != total:
         raise FieldTooSmallError(f"q={field.order} gives repeated points and zero "
                                  f"denominators; need q >= {total + 1}")
-    return _stack_code(field, n, m, _lagrange(field, xs, ys).T.tolist(), "cauchy")
+    return _stack_code(field, n, _lagrange(field, xs, ys).T.tolist(), "cauchy")
 
 
 def build_vandermonde(n: int, m: int, field: Field) -> NetworkCode:
@@ -162,7 +167,7 @@ def build_vandermonde(n: int, m: int, field: Field) -> NetworkCode:
     swapped, and a generalized Cauchy matrix too.
     """
     _check_shape(n, m, field)
-    return _stack_code(field, n, m, _lagrange(field, range(n), range(n, n + m)).tolist(),
+    return _stack_code(field, n, _lagrange(field, range(n), range(n, n + m)).tolist(),
                        "vandermonde")
 
 
@@ -174,12 +179,11 @@ def build_random(n: int, m: int, field: Field, seed: int) -> NetworkCode:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     rows = rng.integers(0, field.order, size=(m, n)).tolist()
-    return _stack_code(field, n, m, rows, "random")
+    return _stack_code(field, n, rows, "random")
 
 
-def build_explicit(matrix: FfMatrix, n_sources: int) -> NetworkCode:
-    m = matrix.rows - n_sources
-    return NetworkCode(n_sources, m, matrix.field, matrix, "explicit", None)
+def build_explicit(matrix: FfMatrix) -> NetworkCode:
+    return NetworkCode(matrix, "explicit", None)
 
 
 def encode(code: NetworkCode, packets: FfMatrix) -> FfMatrix:
@@ -208,9 +212,8 @@ def recover(code: NetworkCode, received_rows, observations: FfMatrix,
     if mode == "unicast":
         if dest is None or not 0 <= dest < code.n_sources:
             raise ValueError("unicast needs a destination index in [0, N)")
-        unit = FfMatrix.zeros(code.field, code.n_sources, 1).to_lists()
-        unit[dest][0] = 1
-        x = sub.transpose().solve_any(FfMatrix(code.field, unit))
+        unit = FfMatrix.identity(code.field, code.n_sources).row_submatrix([dest]).transpose()
+        x = sub.transpose().solve_any(unit)
         if x is None:
             return None
         return x.transpose() @ observations
@@ -285,11 +288,11 @@ def load_code(text: str) -> NetworkCode:
     kappa = meta.get("certified_kappa")
     if not all(type(v) is int for v in (n, m, q)) or not (kappa is None or type(kappa) is int):
         raise ValueError(f"header n, m, q must be ints and certified_kappa an int or null: {meta}")
-    if n + m != mat.rows or q != mat.field.order:
+    if (n, m, q) != (mat.cols, mat.rows - mat.cols, mat.field.order):
         raise ValueError(f"header n={n}, m={m}, q={q} contradicts a {mat.rows}-row "
                          f"matrix over GF({mat.field.order})")
     construction = meta.get("construction", "explicit")
-    code = NetworkCode(n, m, mat.field, mat, construction, None)  # checked before any proof
+    code = NetworkCode(mat, construction, None)  # checked before any proof
     if construction != "explicit" and kappa == n:
         code = replace(code, certified_kappa=_proven_kappa(mat))
     return code

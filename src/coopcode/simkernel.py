@@ -778,7 +778,7 @@ def _ncc_as_selection(scn: Scenario) -> Scenario:
     (strategy A).  It draws the same gains and no coefficients."""
     n, gf2 = scn.n_sources, field_new(1)
     xor = FfMatrix.identity(gf2, n).vstack(FfMatrix(gf2, [[1] * n] * scn.n_relays))
-    return replace(scn, scheme="selection", code=build_explicit(xor, n),
+    return replace(scn, scheme="selection", code=build_explicit(xor),
                    k_select=1, strategy="A")
 
 
@@ -909,6 +909,8 @@ def selected_link_gain_cdf(n: int, m: int, beta: float, taus, trials: int,
         raise ValueError("trials must be >= 1")
     if not (math.isfinite(beta) and beta > 0):
         raise ValueError(f"beta must be finite and positive, got {beta}")
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     taus = np.asarray(taus, dtype=float)
     counts = np.zeros(taus.shape, dtype=np.int64)
     done = 0

@@ -227,6 +227,15 @@ def test_selection_cdf_approx():
     assert selection_cdf_approx(2, 3, 1.0, 0.01) == pytest.approx(16 * 1e-6)
 
 
+@pytest.mark.parametrize("args", [
+    (0, 1, 1.0, 0.1), (1, 0, 1.0, 0.1), (1, 1, 0.0, 0.1), (1, 1, -1.0, 0.1), (1, 1, 1.0, -0.1),
+    (1, 1, math.nan, 0.1), (1, 1, 1.0, math.nan), (1, 1, math.inf, 0.1), (1, 1, 1.0, math.inf),
+])
+def test_selection_cdf_approx_rejects_bad_inputs(args):
+    with pytest.raises(ValueError, match=r"need n, m >= 1, beta > 0, tau >= 0$"):
+        selection_cdf_approx(*args)
+
+
 def test_dmt_curve_values():
     c = dmt_curve("dncc", 2, 2)
     assert (c.d0, c.r_max) == (3, 0.5)

@@ -572,7 +572,7 @@ def _matrices(draw):
 def test_batched_subset_metrics_match_scalar_reference(m):
     _check_metrics(m)
     n = m.cols
-    code = build_explicit(FfMatrix.identity(m.field, n).vstack(m), n)
+    code = build_explicit(FfMatrix.identity(m.field, n).vstack(m))
     assert mds_check(code) == _ref_every_n_full_rank(code.matrix, n)
 
 
@@ -748,7 +748,7 @@ def test_mds_check_refuses_a_code_one_minor_short_ranking_nothing(build, n, m, f
         calls.append(len(mats))
         return batch_rank(mats, fld)
 
-    short = build_explicit(_one_minor_short(build(n, m, field)), n)
+    short = build_explicit(_one_minor_short(build(n, m, field)))
     monkeypatch.setattr(ffmat, "batch_rank", counting_batch_rank)
     assert not mds_check(short)
     assert calls == [] and short.matrix._levels == {}

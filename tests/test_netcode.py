@@ -120,7 +120,7 @@ def _assert_builder_equals_its_reference(monkeypatch, kind, ell):
     # every (n, m) with n + m <= top; a Vandermonde relay row i depends on
     # t = n+i alone, so one reference at m = q-n holds the rows of every
     # smaller m
-    monkeypatch.setattr(netcode, "_stack_code", lambda field, n, m, rows, kind: rows)
+    monkeypatch.setattr(netcode, "_stack_code", lambda field, n, rows, kind: rows)
     for n in range(1, top):
         whole = _vandermonde_by_inverse(n, q - n, field) if kind == "vandermonde" else None
         for m in range(1, top - n + 1):
@@ -195,7 +195,7 @@ def test_random_code_rank_deficiency_exact_fraction_q4():
     top = FfMatrix.identity(F4, 2)
     for entries in itertools.product(range(4), repeat=4):
         relay = FfMatrix(F4, [list(entries[:2]), list(entries[2:])])
-        code = build_explicit(top.vstack(relay), 2)
+        code = build_explicit(top.vstack(relay))
         if code.matrix.kruskal_rank() < 2:
             deficient += 1
     assert deficient == 202
@@ -291,7 +291,7 @@ def test_mds_check_and_min_distance():
     assert min_distance(code) == 3  # [4,2] MDS: d = n-k+1
 
     dup = build_explicit(
-        FfMatrix(F4, [[1, 0], [0, 1], [3, 2], [3, 2]]), 2
+        FfMatrix(F4, [[1, 0], [0, 1], [3, 2], [3, 2]])
     )
     assert not mds_check(dup)
     assert min_distance(dup) == 2
@@ -323,7 +323,7 @@ def test_min_distance_at_the_codeword_cap():
 
 def test_min_distance_errors():
     with pytest.raises(ValueError, match="no relay rows"):
-        min_distance(build_explicit(FfMatrix.identity(F4, 2), 2))
+        min_distance(build_explicit(FfMatrix.identity(F4, 2)))
     with pytest.raises(ValueError, match="exceeds cap"):
         min_distance(build_random(2, 6, F16, seed=0))  # 16**6 > 2**20 codewords
 
@@ -406,7 +406,7 @@ def test_load_code_certifies_from_the_relay_minors(monkeypatch):
     a, r = code.matrix.to_lists(), code.relay_block.to_lists()
     a[7][1] = F16.mul(F16.mul(r[0][1], r[1][0]), F16.inv(r[0][0]))
     assert a[7][1] != r[1][1]
-    edited = NetworkCode(6, 6, F16, FfMatrix(F16, a), "cauchy", 6)
+    edited = NetworkCode(FfMatrix(F16, a), "cauchy", 6)
     text = dump_code(edited)
     assert '"certified_kappa": 6' in text
     back = load_code(text)
@@ -442,6 +442,7 @@ _HEADER = {"construction": "vandermonde", "n": 2, "m": 2, "q": 4, "certified_kap
     ({"m": 5}, "contradicts"),
     ({"m": 1}, "contradicts"),
     ({"n": 3}, "contradicts"),
+    ({"n": 1, "m": 3}, "contradicts"),
     ({"q": 8}, "contradicts"),
     ({"n": "x"}, "must be ints"),
     ({"m": 2.0}, "must be ints"),
@@ -451,7 +452,7 @@ _HEADER = {"construction": "vandermonde", "n": 2, "m": 2, "q": 4, "certified_kap
     ({"certified_kappa": 2.5}, "certified_kappa an int or null"),
     ({"construction": "bogus"}, "unknown construction 'bogus'"),
     ({"construction": None}, "unknown construction None"),
-], ids=["list", "string", "m5", "m1", "n3", "q8", "n-str", "m-float", "q-null", "n-bool",
+], ids=["list", "string", "m5", "m1", "n3", "n1-m3", "q8", "n-str", "m-float", "q-null", "n-bool",
         "kappa-str", "kappa-float", "bogus", "construction-null"])
 def test_load_code_refuses_a_header_that_contradicts_its_matrix(header, message):
     body = dump_code(build_vandermonde(2, 2, F4)).split("\n", 1)[1]
@@ -469,17 +470,7 @@ def test_load_code_refuses_a_header_that_contradicts_its_matrix(header, message)
 def test_network_code_refuses_an_unknown_construction():
     a = build_vandermonde(2, 2, F4).matrix
     with pytest.raises(ValueError, match="unknown construction 'mds'"):
-        NetworkCode(2, 2, F4, a, "mds", None)
-
-
-@pytest.mark.parametrize("matrix, message", [
-    (FfMatrix(F4, [[1, 0], [0, 1], [1, 1]]), "matrix must be (4, 2), got (3, 2)"),
-    (build_vandermonde(2, 2, F16).matrix, "matrix field mismatch"),
-], ids=["shape", "field"])
-def test_network_code_refuses_a_matrix_it_cannot_hold(matrix, message):
-    with pytest.raises(ValueError) as exc:
-        NetworkCode(2, 2, F4, matrix, "explicit", None)
-    assert str(exc.value) == message
+        NetworkCode(a, "mds", None)
 
 
 def test_kruskal_full_is_kruskal_rank_at_the_top():
@@ -506,4 +497,4 @@ def test_bit_helpers():
 
 def test_systematic_top_block_enforced():
     with pytest.raises(ValueError):
-        build_explicit(FfMatrix(F4, [[1, 1], [0, 1], [2, 3]]), 2)
+        build_explicit(FfMatrix(F4, [[1, 1], [0, 1], [2, 3]]))

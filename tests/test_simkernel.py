@@ -303,7 +303,7 @@ DECIDE_CASES = {
     "dncc-4x4-cauchy": dict(scheme="dncc", n_sources=4, n_relays=4,
                             code=build_cauchy(4, 4, F16)),
     "dncc-2x2-zeros": dict(scheme="dncc", n_sources=2, n_relays=2, code=build_explicit(
-        FfMatrix(F4, [[1, 0], [0, 1], [0, 0], [2, 0]]), 2)),
+        FfMatrix(F4, [[1, 0], [0, 1], [0, 0], [2, 0]]))),
     "selection-2x2": dict(scheme="selection", n_sources=2, n_relays=2, code=CODE22,
                           k_select=1),
     "selection-3x4-random-perlink": dict(scheme="selection", n_sources=3, n_relays=4,
@@ -488,7 +488,7 @@ def _coop_scenarios(draw):
         if kind == "explicit":
             relay = rng.integers(0, field.order, size=(m, n)) * (rng.random((m, n)) < 0.5)
             matrix = FfMatrix.identity(field, n).vstack(FfMatrix(field, relay))
-            kw["code"] = build_explicit(matrix, n)
+            kw["code"] = build_explicit(matrix)
         elif kind == "random":
             kw["code"] = build_random(n, m, field, seed=int(rng.integers(1 << 16)))
         else:
@@ -626,7 +626,7 @@ def test_shared_draw_sweep_rejects_scenarios_that_draw_differently(change, name)
 
 def test_shared_draw_sweep_rejects_rncc_fields_of_different_order_and_no_scenario():
     rncc = _scn(scheme="rncc", code=None, field=F4)
-    run_sweep([rncc, replace(rncc, field=Field(2, 0b111), traffic="unicast")])
+    run_sweep([rncc, replace(rncc, field=Field(2), traffic="unicast")])
     with pytest.raises(ValueError, match="must share field order"):
         run_sweep([rncc, _scn(), replace(rncc, field=F16)])
     for empty in ([], ()):
@@ -1181,6 +1181,8 @@ def test_rncc_table_regime_counts_equal_the_scalar_reference(n, m, field, strate
     (dict(beta=0.0), "beta must be finite and positive, got 0.0"),
     (dict(beta=math.nan), "beta must be finite and positive, got nan"),
     (dict(beta=math.inf), "beta must be finite and positive, got inf"),
+    (dict(seed=1.5), "seed must be a non-negative integer, got 1.5"),
+    (dict(seed=-1), "seed must be a non-negative integer, got -1"),
 ])
 def test_selected_link_gain_cdf_rejects_bad_inputs(bad, message):
     args = dict(n=2, m=2, beta=1.0, taus=[0.1], trials=100) | bad
