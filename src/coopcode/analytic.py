@@ -16,17 +16,34 @@ The per-destination formulas are evaluated with expm1/exp so they stay
 accurate for tau -> 0 (rho up to 1e8 and beyond); system_outage is not
 (see there).
 
-The link terms have one home, _up_down and _binomial, which _bracket reads
-once per call; it also builds the powers of a link's up and down
-probabilities once per call, and takes the binomial coefficients, which
-hold no SNR, from a memo, computed once per (N, M, t, own).  Each term
-keeps its operands and the order of its sum, so every float is the one the
-term-by-term formulas give.  p_fm, p_ekl and p_relay_all are the same
-terms one at a time: no bracket calls them, and they stay as the
-term-by-term reference the tests check _bracket against.
+A whole grid of SNR points is one call: LinkParams.rho may be a float or a
+1-D array of points, and p0, the brackets, system_outage and the link
+terms mirror its shape (a float rho gives floats, and is the one-point
+case of the same code).  Each call works on float64 arrays over its
+points, with the work split so that every float is the one a point-by-point
+evaluation gives, on any grid:
+- exp, expm1 and every power go through libm one point at a time
+  (math.exp, math.expm1 and Python's float pow, in _up_down, _pow and
+  _powers).  numpy's exp, expm1 and power round differently from libm on
+  some hosts, so no printed float may come from them;
+- + - * / and min are numpy array ops, which round as Python's float ops
+  do, and each term keeps its operands and the order of its sum.  Sums run
+  left to right, as sum() of floats does up to CPython 3.11 (3.12's sum()
+  compensates, and the term-by-term reference in the tests uses sum()).
+The CLI hands the grid over in blocks of cli.GRID_BLOCK points, so memory
+stays bounded on any grid, and prints the bytes a point-by-point loop did.
+
+The link terms have one home, _rate, _up_down and _binomial, which
+_bracket reads once per call; it also builds the powers of a link's up
+and down probabilities once per call, and takes the binomial
+coefficients, which hold no SNR, from a memo, computed once per (N, M, t,
+own).  p_fm, p_ekl and p_relay_all are the same terms one at a time: no
+bracket calls them, and they stay as the term-by-term reference the
+tests check _bracket against.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -36,8 +53,9 @@ SCHEMES = ("dncc", "rncc", "selection", "ncc", "cc")  # the labels of dmt_curve,
 COOP_SCHEMES = ("dncc", "rncc", "selection")  # the coded ones: run_trial's and --strategy's
 
 
-def tau_for(rho: float, rate_r0: float) -> float:
-    """The gain a link needs at SNR rho to carry the per-packet rate r0."""
+def tau_for(rho, rate_r0: float):
+    """The gain a link needs at SNR rho to carry the per-packet rate r0
+    (at every point, for an array of rho)."""
     return (2.0 ** rate_r0 - 1.0) / rho
 
 
@@ -45,88 +63,124 @@ def tau_for(rho: float, rate_r0: float) -> float:
 class LinkParams:
     """Fading/rate operating point shared by the closed-form expressions.
     It holds the per-packet rate r0 as given, so tau is bit for bit the
-    simulator's at the same (rho, r0)."""
+    simulator's at the same (rho, r0).  rho is one SNR point, a float, or
+    a 1-D float array of points that the functions below evaluate at once."""
 
     beta: float       # exponential rate of the channel power gain
-    rho: float        # transmit SNR (linear)
+    rho: float        # transmit SNR (linear): a float or a 1-D array
     rate_r0: float    # per-packet rate r0 in bits/channel use
     n_sources: int
     n_relays: int
 
     def __post_init__(self):
         for name in ("beta", "rho", "rate_r0"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+            value = np.atleast_1d(getattr(self, name))
+            bad = np.flatnonzero(~(np.isfinite(value) & (value > 0)))
+            if bad.size:
+                raise ValueError(f"{name} must be finite and positive, got {value[bad[0]]}")
         if self.n_sources < 1 or self.n_relays < 0:
             raise ValueError("need n_sources >= 1 and n_relays >= 0")
 
     @property
-    def tau(self) -> float:
+    def tau(self):
         return tau_for(self.rho, self.rate_r0)
 
 
-def _up_down(rate: float) -> tuple:
-    """(exp(-rate), 1 - exp(-rate)): P(up) and P(down) of a link whose
-    outage is exponential in `rate`, the second by expm1 so it stays exact
-    as rate -> 0."""
-    return math.exp(-rate), -math.expm1(-rate)
+def _rate(lp: LinkParams, links: int = 1) -> np.ndarray:
+    """links * beta * tau, the outage rate of `links` links in series, at
+    each point of lp as a 1-D array.  Where it overflows it is inf with no
+    warning, as in Python's float arithmetic."""
+    with np.errstate(over="ignore"):
+        return links * lp.beta * np.array(lp.tau, dtype=float, ndmin=1)
 
 
-def _binomial(k: int, j: int, p: float, not_p: float) -> float:
-    """P(exactly j of k independent events of probability p), given p and
-    1 - p (each computed stably by the caller)."""
-    return math.comb(k, j) * not_p ** (k - j) * p ** j
+def _mirror(lp: LinkParams, values: np.ndarray):
+    """`values`, one per point of lp, in the shape of lp.rho: a float for a
+    float rho."""
+    return values if isinstance(lp.rho, np.ndarray) else float(values[0])
 
 
-def p0(lp: LinkParams) -> float:
+def _up_down(rate: np.ndarray) -> tuple:
+    """(exp(-rate), 1 - exp(-rate)) at every point: P(up) and P(down) of a
+    link whose outage is exponential in `rate`, the second by expm1 so it
+    stays exact as rate -> 0.  Both go through libm point by point."""
+    neg = (-rate).tolist()
+    return (np.fromiter(map(math.exp, neg), float, len(neg)),
+            -np.fromiter(map(math.expm1, neg), float, len(neg)))
+
+
+def _pow(x: np.ndarray, e: int) -> np.ndarray:
+    """x**e at every point, each by Python's float pow (libm's): numpy's
+    power rounds differently."""
+    return np.fromiter(map(pow, x.tolist(), itertools.repeat(e)), float, len(x))
+
+
+def _powers(x: np.ndarray, count: int) -> np.ndarray:
+    """The (points, count) table of x**e, e < count, each as _pow's."""
+    cells = itertools.starmap(pow, itertools.product(x.tolist(), range(count)))
+    return np.fromiter(cells, float, len(x) * count).reshape(len(x), count)
+
+
+def _binomial(k: int, j: int, p: np.ndarray, not_p: np.ndarray) -> np.ndarray:
+    """P(exactly j of k independent events of probability p) at every
+    point, given p and 1 - p (each computed stably by the caller)."""
+    return float(math.comb(k, j)) * _pow(not_p, k - j) * _pow(p, j)
+
+
+def p0(lp: LinkParams):
     """Outage probability of a single link: P(gain <= tau)."""
-    return _up_down(lp.beta * lp.tau)[1]
+    return _mirror(lp, _up_down(_rate(lp))[1])
 
 
-def p_relay_all(lp: LinkParams) -> float:
+def p_relay_all(lp: LinkParams):
     """Probability one relay hears all N sources: every source link up."""
-    return _up_down(lp.n_sources * lp.beta * lp.tau)[0]
+    return _mirror(lp, _up_down(_rate(lp, lp.n_sources))[0])
 
 
-def p_fm(lp: LinkParams, m: int) -> float:
+def p_fm(lp: LinkParams, m: int):
     """Probability exactly m of the M relays fail to decode all N packets."""
     if not 0 <= m <= lp.n_relays:
         raise ValueError(f"m must be in [0, {lp.n_relays}]")
-    ps, fail = _up_down(lp.n_sources * lp.beta * lp.tau)
-    return _binomial(lp.n_relays, m, fail, ps)
+    ps, fail = _up_down(_rate(lp, lp.n_sources))
+    return _mirror(lp, _binomial(lp.n_relays, m, fail, ps))
 
 
-def p_ekl(lp: LinkParams, k: int, l_ok: int) -> float:
+def p_ekl(lp: LinkParams, k: int, l_ok: int):
     """Probability exactly l_ok of k independent links are operational."""
     if k < 0 or not 0 <= l_ok <= k:
         raise ValueError("need 0 <= l_ok <= k")
-    up, down = _up_down(lp.beta * lp.tau)
-    return _binomial(k, l_ok, up, down)
+    up, down = _up_down(_rate(lp))
+    return _mirror(lp, _binomial(k, l_ok, up, down))
 
 
 @dataclass(frozen=True)
 class OutageBounds:
-    """Per-destination outage bracket."""
+    """Per-destination outage bracket: floats, or arrays over a grid."""
 
     lower: float
     upper: float
 
     def __post_init__(self):
-        if not (0.0 <= self.lower <= self.upper * (1 + 1e-12) and self.upper <= 1.0 + 1e-12):
-            raise ValueError(f"invalid bracket [{self.lower}, {self.upper}]")
+        lower, upper = np.atleast_1d(self.lower), np.atleast_1d(self.upper)
+        bad = np.flatnonzero(~((0.0 <= lower) & (lower <= upper * (1 + 1e-12))
+                               & (upper <= 1.0 + 1e-12)))
+        if bad.size:
+            raise ValueError(f"invalid bracket [{lower[bad[0]]}, {upper[bad[0]]}]")
 
 
 @functools.lru_cache(maxsize=256, typed=True)
 def _snr_free_terms(n: int, m_relays: int, t: int, own: int) -> tuple:
     """What _bracket needs that holds no SNR, so that an SNR sweep computes
     it once per (N, M, t, own): for each count m of failed relays the
-    binomials C(k, l), l < t, of the k = N+M-own-m transmissions counted."""
+    binomials C(k, l), l < t, of the k = N+M-own-m transmissions counted,
+    as a read-only float array."""
     total = n + m_relays
     combs = []
     for m in range(m_relays + 1):
         k = total - own - m
-        combs.append(tuple(math.comb(k, l) for l in range(min(t - 1, k) + 1)))
+        row = np.array([float(math.comb(k, l)) for l in range(min(t - 1, k) + 1)])
+        row.flags.writeable = False
+        combs.append(row)
     return tuple(combs)
 
 
@@ -137,27 +191,26 @@ def _bracket(lp: LinkParams, t: int, own: int) -> OutageBounds:
     on the upper bound.
 
     The link terms (tau, p0 and 1 - p0, a relay's success and failure) and
-    the powers up**l (l < t) and down**e (e <= N+M-own) are computed once
+    the power tables up**l (l < t) and down**e (e <= N+M) are computed once
     per call; the sum is p_fm times p_ekl, term by term, each term from the
-    same operands in the same order as _binomial's."""
+    same operands in the same order as _binomial's, and each sum left to
+    right."""
     n, m_relays = lp.n_sources, lp.n_relays
     total = n + m_relays
-    beta, tau = lp.beta, lp.tau
-    up, down = _up_down(beta * tau)
-    ps, fail = _up_down(n * beta * tau)
-    up_pow = [up ** l for l in range(t)]
-    down_pow = [down ** e for e in range(total - own + 1)]
-    combs = _snr_free_terms(n, m_relays, t, own)
-    upper = 0.0
-    for m, comb_k in enumerate(combs):
-        k = total - own - m
-        fm = _binomial(m_relays, m, fail, ps)
-        upper += fm * sum([c * down_pow[k - l] * up_pow[l] for l, c in enumerate(comb_k)])
+    up, down = _up_down(_rate(lp))
+    ps, fail = _up_down(_rate(lp, n))
+    up_pow, down_pow = _powers(up, t), _powers(down, total + 1)
+    upper = np.zeros(len(up))
+    for m, comb_k in enumerate(_snr_free_terms(n, m_relays, t, own)):
+        k, count = total - own - m, len(comb_k)
+        # term l is C(k, l) * down**(k-l) * up**l; accumulate sums along l in order
+        terms = comb_k * down_pow[:, k::-1][:, :count] * up_pow[:, :count]
+        upper += _binomial(m_relays, m, fail, ps) * np.add.accumulate(terms, axis=1)[:, -1]
     if own:
         upper *= down
     d = total - (t - 1)
-    lower = _binomial(m_relays, 0, fail, ps) * down ** d * (1.0 - down) ** (t - 1)
-    return OutageBounds(lower, min(upper, 1.0))
+    lower = _binomial(m_relays, 0, fail, ps) * down_pow[:, d] * _pow(1.0 - down, t - 1)
+    return OutageBounds(_mirror(lp, lower), _mirror(lp, np.minimum(upper, 1.0)))
 
 
 def outage_bounds_multicast(lp: LinkParams, gamma_n: int) -> OutageBounds:
@@ -188,8 +241,9 @@ def outage_bounds_unicast(lp: LinkParams, lambda_i: int) -> OutageBounds:
     return _bracket(lp, lambda_i, own=1)
 
 
-def system_outage(per_dest) -> float:
-    """P(any destination fails) from independent per-destination outages.
+def system_outage(per_dest):
+    """P(any destination fails) from independent per-destination outages,
+    given as floats, or as arrays over the same grid points.
 
     It computes 1 - prod(1 - p) directly, so it is accurate only to about
     1e-16 absolute and reads 0 once every p is below that: analyze --n 1
@@ -202,7 +256,7 @@ def system_outage(per_dest) -> float:
     """
     acc = 1.0
     for p in per_dest:
-        if not 0.0 <= p <= 1.0:
+        if not np.all((0.0 <= p) & (p <= 1.0)):
             raise ValueError("probabilities must lie in [0, 1]")
         acc *= 1.0 - p
     return 1.0 - acc
@@ -236,10 +290,11 @@ class DmtCurve:
         if self.d0 < 0 or self.r_max <= 0:
             raise ValueError("need d0 >= 0 and r_max > 0")
 
-    def at(self, r: float) -> float:
-        if r < 0 or r > self.r_max:
-            return 0.0
-        return self.d0 * (1.0 - r / self.r_max)
+    def at(self, r):
+        """d(r) at a float r, or at every point of a 1-D array of r."""
+        rs = np.atleast_1d(r)
+        d = np.where((rs < 0) | (rs > self.r_max), 0.0, self.d0 * (1.0 - rs / self.r_max))
+        return d if isinstance(r, np.ndarray) else float(d[0])
 
 
 def dmt_curve(scheme: str, n: int, m: int, *, gamma_n: int | None = None,

@@ -32,6 +32,7 @@ from .gf import MAX_ELL, field_ell, field_new
 KIND_CHOICES = ("vandermonde", "cauchy", "random")
 FMT = "{:.10g}"
 MAX_GRID_POINTS = 10 ** 6  # SNR and r grids are refused beyond this many points
+GRID_BLOCK = 4096  # grid points per array evaluation in analyze and dmt; bounds their memory
 
 
 def _die(msg: str) -> int:
@@ -45,6 +46,16 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_csv(lines: list, out: str | None) -> None:
+    """_emit the lines, each ended by a newline.  The list is emptied once
+    the text is joined, so a long grid's rows are never held together with
+    both the text and the bytes it is written as."""
+    lines.append("")
+    text = "\n".join(lines)
+    lines.clear()
+    _emit(text, out)
 
 
 def _read_config(path: str) -> dict:
@@ -321,25 +332,19 @@ def cmd_analyze(args, schemes, r0, grid_db, grid_rho) -> int:
             thresholds = [code.matrix.lambda_rank(j) for j in range(n)]
 
     lines = ["snr_db,scheme,traffic,p0,p_low,p_up,p_system_low,p_system_up"]
-    for db, rho in zip(grid_db, grid_rho):
-        lp = analytic.LinkParams(beta=args.beta, rho=rho, rate_r0=r0, n_sources=n, n_relays=m)
+    row = ",".join([FMT, "{}", args.traffic] + [FMT] * 5)  # snr_db, scheme, ..., p_system_up
+    for lo in range(0, len(grid_rho), GRID_BLOCK):
+        lp = analytic.LinkParams(beta=args.beta, rho=np.array(grid_rho[lo:lo + GRID_BLOCK]),
+                                 rate_r0=r0, n_sources=n, n_relays=m)
         per = {t: bound(lp, t) for t in set(thresholds)}
         lows = [per[t].lower for t in thresholds]
         ups = [per[t].upper for t in thresholds]
-        row = [
-            FMT.format(db),
-            "",  # scheme, filled below
-            args.traffic,
-            FMT.format(analytic.p0(lp)),
-            FMT.format(sum(lows) / n),
-            FMT.format(sum(ups) / n),
-            FMT.format(analytic.system_outage(lows)),
-            FMT.format(analytic.system_outage(ups)),
-        ]
-        for s in schemes:
-            row[1] = s
-            lines.append(",".join(row))
-    _emit("\n".join(lines) + "\n", args.out)
+        # sum() adds the per-destination arrays left to right, as it added floats
+        columns = (analytic.p0(lp), sum(lows) / n, sum(ups) / n,
+                   analytic.system_outage(lows), analytic.system_outage(ups))
+        for db, *values in zip(grid_db[lo:lo + GRID_BLOCK], *(c.tolist() for c in columns)):
+            lines.extend(row.format(db, s, *values) for s in schemes)
+    _emit_csv(lines, args.out)
     return 0
 
 
@@ -381,7 +386,7 @@ def cmd_simulate(args, schemes, r0, grid_db, grid_rho) -> int:
                 FMT.format(pt.ci95_avg),
             ]
             lines.append(",".join(cells))
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit_csv(lines, args.out)
     return 0
 
 
@@ -391,9 +396,12 @@ def cmd_dmt(args, schemes, *_) -> int:
         curve = analytic.dmt_curve(
             s, args.n, args.m, gamma_n=args.gamma, k_select=args.k_select
         )
-        for r in np.linspace(0.0, curve.r_max, args.r_points):
-            lines.append(f"{FMT.format(float(r))},{s},{FMT.format(curve.at(float(r)))}")
-    _emit("\n".join(lines) + "\n", args.out)
+        row = f"{FMT},{s},{FMT}"
+        grid = np.linspace(0.0, curve.r_max, args.r_points)
+        for lo in range(0, len(grid), GRID_BLOCK):
+            block = grid[lo:lo + GRID_BLOCK]
+            lines.extend(map(row.format, block.tolist(), curve.at(block).tolist()))
+    _emit_csv(lines, args.out)
     return 0
 
 

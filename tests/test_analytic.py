@@ -3,10 +3,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from coopcode import simkernel
 from coopcode.analytic import (
+    SCHEMES,
     DmtCurve,
     LinkParams,
     OutageBounds,
@@ -193,6 +195,90 @@ def test_shared_bracket_matches_the_separate_formulas_exactly():
                             assert outage_bounds_multicast(lp, gamma_n=g) == _ref_multicast(lp, g)
                         for lam in range(1, n + m + 1):
                             assert outage_bounds_unicast(lp, lambda_i=lam) == _ref_unicast(lp, lam)
+
+
+def _bits(values):
+    """Each float's exact value, sign of zero included."""
+    return [float.hex(v) for v in values]
+
+
+def _loop_bracket(lp, t, own):
+    """(lower, upper) at lp's one point as a loop over Python floats, with
+    libm's exp, expm1 and **: the code that the grid evaluation replaced."""
+    n, m_relays = lp.n_sources, lp.n_relays
+    total = n + m_relays
+    up, down = math.exp(-(lp.beta * lp.tau)), -math.expm1(-(lp.beta * lp.tau))
+    ps, fail = math.exp(-(n * lp.beta * lp.tau)), -math.expm1(-(n * lp.beta * lp.tau))
+
+    def binomial(k, j, p, not_p):
+        return math.comb(k, j) * not_p ** (k - j) * p ** j
+
+    upper = 0.0
+    for m in range(m_relays + 1):
+        k = total - own - m
+        upper += binomial(m_relays, m, fail, ps) * sum(
+            [math.comb(k, l) * down ** (k - l) * up ** l for l in range(min(t - 1, k) + 1)])
+    if own:
+        upper *= down
+    d = total - (t - 1)
+    lower = binomial(m_relays, 0, fail, ps) * down ** d * (1.0 - down) ** (t - 1)
+    return lower, min(upper, 1.0)
+
+
+def test_grid_evaluation_equals_the_one_point_calls_bit_for_bit():
+    rng = random.Random(31)
+    for _ in range(14):
+        n, m = rng.randint(1, 8), rng.randint(1, 8)
+        beta, r0 = rng.uniform(0.05, 5.0), rng.uniform(0.01, 8.0)
+        dbs = sorted([-1000.0, 2000.0] + [rng.uniform(-1000.0, 2000.0) for _ in range(22)])
+        rhos = [10.0 ** (db / 10.0) for db in dbs]
+        grid = _lp(np.array(rhos), n=n, m=m, beta=beta, r0=r0)
+        points = [_lp(rho, n=n, m=m, beta=beta, r0=r0) for rho in rhos]
+        assert _bits(p0(grid).tolist()) == _bits([p0(lp) for lp in points]) == _bits(
+            [-math.expm1(-(lp.beta * lp.tau)) for lp in points])
+        for bound, thresholds, own in ((outage_bounds_multicast, range(n, n + m + 1), 0),
+                                       (outage_bounds_unicast, range(1, n + m + 1), 1)):
+            per = {t: bound(grid, t) for t in thresholds}
+            one = {t: [bound(lp, t) for lp in points] for t in thresholds}
+            for t in thresholds:
+                loop = [_loop_bracket(lp, t, own) for lp in points]
+                assert _bits(per[t].lower.tolist()) == _bits([b.lower for b in one[t]]) == _bits(
+                    [lower for lower, _ in loop])
+                assert _bits(per[t].upper.tolist()) == _bits([b.upper for b in one[t]]) == _bits(
+                    [upper for _, upper in loop])
+            # the average and system columns, as analyze forms them from one
+            # threshold per destination
+            dest = [rng.choice(thresholds) for _ in range(n)]
+            for side in ("lower", "upper"):
+                block = [getattr(per[t], side) for t in dest]
+                at_point = [[getattr(one[t][i], side) for t in dest] for i in range(len(rhos))]
+                assert _bits((sum(block) / n).tolist()) == _bits([sum(v) / n for v in at_point])
+                assert _bits(system_outage(block).tolist()) == _bits(
+                    [system_outage(v) for v in at_point])
+
+
+def test_dmt_line_on_a_grid_equals_at_point_by_point():
+    rng = random.Random(7)
+    for _ in range(40):
+        n, m = rng.randint(1, 8), rng.randint(1, 8)
+        scheme = rng.choice(SCHEMES)
+        curve = dmt_curve(scheme, n, m, gamma_n=rng.randint(n, n + m),
+                          k_select=rng.randint(1, m))
+        rs = np.concatenate([[-0.25], np.linspace(0.0, curve.r_max, rng.randint(2, 400)),
+                             [curve.r_max * 1.5]])
+        line = [0.0 if r < 0 or r > curve.r_max else curve.d0 * (1.0 - r / curve.r_max)
+                for r in rs.tolist()]
+        assert _bits(curve.at(rs).tolist()) == _bits([curve.at(r) for r in rs.tolist()])
+        assert _bits(curve.at(rs).tolist()) == _bits(line)
+
+
+def test_a_grid_names_its_first_bad_point():
+    with pytest.raises(ValueError, match=r"^rho must be finite and positive, got -2.0$"):
+        _lp(np.array([1.0, 10.0, -2.0, np.nan]))
+    with pytest.raises(ValueError, match=r"^invalid bracket \[0.5, 0.25\]$"):
+        OutageBounds(np.array([0.1, 0.5, 0.9]), np.array([0.2, 0.25, 0.8]))
+    with pytest.raises(ValueError, match="probabilities must lie in"):
+        system_outage([np.array([0.1, 0.2]), np.array([0.3, 1.5])])
 
 
 def test_upper_bound_monotone_in_snr():

@@ -836,7 +836,8 @@ def test_the_largest_default_field_is_still_built(capsys):
 
 
 def _link_params_of(monkeypatch, capsys, *argv):
-    """The LinkParams that analyze hands the bracket at each grid point."""
+    """The LinkParams that analyze hands the bracket, one per call, each
+    holding a block of grid points as its rho array."""
     seen = []
     for name in ("outage_bounds_multicast", "outage_bounds_unicast"):
         def recorded(lp, t, _fn=getattr(analytic, name)):
@@ -853,16 +854,53 @@ def _link_params_of(monkeypatch, capsys, *argv):
 def test_analyze_thresholds_at_the_r0_it_was_given(monkeypatch, capsys, traffic):
     seen, _ = _link_params_of(monkeypatch, capsys, "--n", "1", "--m", "2", "--r0", "1.8",
                               "--traffic", traffic, "--snr-stop-db", "40", "--snr-step-db", "5")
-    rhos = sorted({lp.rho for lp in seen})
+    rhos = sorted({rho for lp in seen for rho in lp.rho.tolist()})
     assert rhos == [10.0 ** (db / 10.0) for db in range(0, 41, 5)]
     for lp in seen:
         assert lp.rate_r0 == 1.8
-        assert lp.tau == analytic.tau_for(lp.rho, 1.8)  # simulate's tau, bit for bit
+        for rho, tau in zip(lp.rho.tolist(), lp.tau.tolist(), strict=True):
+            assert tau == analytic.tau_for(rho, 1.8)  # simulate's tau, bit for bit
+
+
+# a certified code (one gamma_N for all destinations), and a random one whose
+# destinations have three distinct lambdas, [5, 3, 4]
+_CERTIFIED = ("--n", "4", "--m", "4", "--q", "16")
+_THREE_LAMBDAS = ("--n", "3", "--m", "2", "--q", "2", "--kind", "random", "--seed", "6",
+                  "--traffic", "unicast")
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", *_CERTIFIED, "--snr-stop-db", "30"),
+    ("analyze", *_THREE_LAMBDAS, "--scheme", "dncc,rncc", "--snr-start-db", "-1000",
+     "--snr-stop-db", "2000", "--snr-step-db", "97.3"),
+    ("dmt", "--scheme", "dncc,rncc,selection,ncc,cc", "--k-select", "2", "--r-points", "101"),
+])
+def test_grid_blocks_leave_every_byte_as_it_is(monkeypatch, capsys, argv):
+    outputs = []
+    for block in (cli.GRID_BLOCK, 1, 7):
+        monkeypatch.setattr(cli, "GRID_BLOCK", block)
+        outputs.append(_run(capsys, *argv))
+    assert outputs[0][0] == 0 and len(_rows(outputs[0][1])[1]) > 7
+    assert outputs == [outputs[0]] * 3
+
+
+@pytest.mark.parametrize("argv, thresholds", [(_CERTIFIED, 1), (_THREE_LAMBDAS, 3)])
+@pytest.mark.parametrize("block", [None, 1, 7])
+def test_analyze_calls_the_bound_once_per_threshold_per_block(monkeypatch, capsys, argv,
+                                                              thresholds, block):
+    block = block or cli.GRID_BLOCK
+    monkeypatch.setattr(cli, "GRID_BLOCK", block)
+    seen, rows = _link_params_of(monkeypatch, capsys, *argv, "--snr-stop-db", "30")
+    assert len(rows) == 31
+    assert len(seen) == thresholds * -(-31 // block)
+    assert all(len(lp.rho) <= block for lp in seen)
+    rhos = [rho for lp in seen for rho in lp.rho.tolist()]
+    assert sorted(rhos) == sorted([10.0 ** (db / 10.0) for db in range(31)] * thresholds)
 
 
 def test_analyze_at_the_smallest_positive_rate_runs_as_simulate_does(monkeypatch, capsys):
     seen, rows = _link_params_of(monkeypatch, capsys, "--r0", "5e-324")
-    assert [lp.tau for lp in seen] == [0.0]  # 2**r0 rounds to 1
+    assert [lp.tau.tolist() for lp in seen] == [[0.0]]  # 2**r0 rounds to 1
     assert rows == [["0", "dncc", "multicast", "0", "0", "0", "0", "0"]]
     code, out, err = _run(capsys, "simulate", "--r0", "5e-324", "--trials", "10")
     assert (code, err) == (0, "")
@@ -898,6 +936,7 @@ def test_an_snr_whose_linear_grid_underflows_is_rejected_before_any_work(
     _assert_rejected_before_any_work(monkeypatch, capsys, (command, *argv), message)
 
 
+@pytest.mark.filterwarnings("error")  # a warning would reach stderr
 @pytest.mark.parametrize("command", ["analyze", "simulate"])
 def test_subnormal_snr_points_that_stay_apart_run(capsys, command):
     extra = ("--trials", "10") if command == "simulate" else ()
@@ -906,6 +945,7 @@ def test_subnormal_snr_points_that_stay_apart_run(capsys, command):
     assert (code, err) == (0, "") and len(_rows(out)[1]) == 3
 
 
+@pytest.mark.filterwarnings("error")  # a warning would reach stderr
 @pytest.mark.parametrize("command", ["analyze", "simulate"])
 def test_snr_and_rate_just_below_the_overflow_run(capsys, command):
     extra = ("--trials", "10") if command == "simulate" else ()
