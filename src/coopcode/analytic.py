@@ -35,22 +35,26 @@ stays bounded on any grid, and prints the bytes a point-by-point loop did.
 
 The link terms have one home, _rate, _up_down and _binomial, which
 _bracket reads once per call; it also builds the powers of a link's up
-and down probabilities once per call, and takes the binomial
-coefficients, which hold no SNR, from a memo, computed once per (N, M, t,
-own).  p_fm, p_ekl and p_relay_all are the same terms one at a time: no
-bracket calls them, and they stay as the term-by-term reference the
-tests check _bracket against.
+and down probabilities, and the binomial rows C(k, l), once per call, and
+keeps nothing between calls.  p_fm, p_ekl and p_relay_all are the same
+terms one at a time: no bracket calls them, and they stay as the
+term-by-term reference the tests check _bracket against.  A bracket takes
+N+M up to MAX_TOTAL, past which a binomial it may need is no float.
 """
 
-import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 SCHEMES = ("dncc", "rncc", "selection", "ncc", "cc")  # the labels of dmt_curve, the simulator and --scheme
 COOP_SCHEMES = ("dncc", "rncc", "selection")  # the coded ones: run_trial's and --strategy's
+# The largest N+M for which every C(k, j), k <= N+M, is a float: C(k, k//2),
+# the largest, passes the float limit a few k past max_exp (1029 for doubles).
+MAX_TOTAL = next(k for k in itertools.count(sys.float_info.max_exp)
+                 if math.comb(k + 1, (k + 1) // 2) > sys.float_info.max)
 
 
 def tau_for(rho, rate_r0: float):
@@ -168,22 +172,6 @@ class OutageBounds:
             raise ValueError(f"invalid bracket [{lower[bad[0]]}, {upper[bad[0]]}]")
 
 
-@functools.lru_cache(maxsize=256, typed=True)
-def _snr_free_terms(n: int, m_relays: int, t: int, own: int) -> tuple:
-    """What _bracket needs that holds no SNR, so that an SNR sweep computes
-    it once per (N, M, t, own): for each count m of failed relays the
-    binomials C(k, l), l < t, of the k = N+M-own-m transmissions counted,
-    as a read-only float array."""
-    total = n + m_relays
-    combs = []
-    for m in range(m_relays + 1):
-        k = total - own - m
-        row = np.array([float(math.comb(k, l)) for l in range(min(t - 1, k) + 1)])
-        row.flags.writeable = False
-        combs.append(row)
-    return tuple(combs)
-
-
 def _bracket(lp: LinkParams, t: int, own: int) -> OutageBounds:
     """The one count behind both brackets: decoding never fails once t of
     the N+M-own counted transmissions survive.  ``own=1`` (unicast)
@@ -194,15 +182,23 @@ def _bracket(lp: LinkParams, t: int, own: int) -> OutageBounds:
     the power tables up**l (l < t) and down**e (e <= N+M) are computed once
     per call; the sum is p_fm times p_ekl, term by term, each term from the
     same operands in the same order as _binomial's, and each sum left to
-    right."""
+    right.  Each row C(k, l), l < t, comes from the exact integer recurrence
+    C(k, l+1) = C(k, l)*(k-l)//(l+1), so each float is float(math.comb(k, l)).
+    N+M above MAX_TOTAL raises ValueError."""
     n, m_relays = lp.n_sources, lp.n_relays
     total = n + m_relays
+    if total > MAX_TOTAL:
+        raise ValueError(f"N+M must be <= {MAX_TOTAL}, where every binomial C(k, j) with "
+                         f"k <= N+M is a float, got {total}")
     up, down = _up_down(_rate(lp))
     ps, fail = _up_down(_rate(lp, n))
     up_pow, down_pow = _powers(up, t), _powers(down, total + 1)
     upper = np.zeros(len(up))
-    for m, comb_k in enumerate(_snr_free_terms(n, m_relays, t, own)):
-        k, count = total - own - m, len(comb_k)
+    for m in range(m_relays + 1):
+        k = total - own - m
+        count = min(t, k + 1)
+        comb_k = np.fromiter(map(float, itertools.accumulate(
+            range(count - 1), lambda c, l: c * (k - l) // (l + 1), initial=1)), float, count)
         # term l is C(k, l) * down**(k-l) * up**l; accumulate sums along l in order
         terms = comb_k * down_pow[:, k::-1][:, :count] * up_pow[:, :count]
         upper += _binomial(m_relays, m, fail, ps) * np.add.accumulate(terms, axis=1)[:, -1]

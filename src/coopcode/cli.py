@@ -137,7 +137,8 @@ def _inputs(args) -> tuple:
     A ValueError names the first input at fault, in this order: --q,
     --seed, --workers, --n, the rate, --m, --trials, --beta, the schemes,
     --k-select, --r-points and dmt's --gamma; the SNR grid in dB; analyze's
-    --gamma or --lam, --m and 24-row cap; where a field is built, N+M
+    --gamma or --lam, --m, and its cap on N+M (MAX_TOTAL rows with a
+    threshold given, 24 without); where a field is built, N+M
     against the largest default field, and --q where a code is built; the
     grid in linear SNR; a scheme the traffic mode does not
     support; 2**r0; and last a flag the command would not read (a config
@@ -247,6 +248,10 @@ def _inputs(args) -> tuple:
             if not low <= given <= n + m:
                 raise ValueError(f"--{threshold} must be in [{low_name}, N+M] = [{low}, {n + m}], "
                                  f"got {given}")
+            if n + m > analytic.MAX_TOTAL:
+                raise ValueError(f"--n + --m must be <= {analytic.MAX_TOTAL} where analyze builds "
+                                 f"no code, so that every binomial C(N+M, j) is a float, "
+                                 f"got {n + m}")
         elif n + m > SUBSET_ROW_CAP:
             raise ValueError(f"--n + --m must be <= {SUBSET_ROW_CAP} where analyze builds a code "
                              f"(give --gamma or --lam), got {n + m}")
@@ -352,7 +357,7 @@ def cmd_simulate(args, schemes, r0, grid_db, grid_rho) -> int:
     n, m = args.n, args.m
     # one field and one code per command, shared by every scheme that uses it
     field = code = None
-    if {"dncc", "selection", "rncc"} & set(schemes):
+    if set(analytic.COOP_SCHEMES) & set(schemes):
         field = _field_for(args.q, n, m)
     if {"dncc", "selection"} & set(schemes):
         code = _build_code(args.kind, n, m, field, args.seed)

@@ -106,6 +106,23 @@ class PerLinkBeta:
         )
 
 
+def _check_integers(**values):
+    for name, value in values.items():
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_run(n, m, trials, seed):
+    """Scenario's checks of N, M, trials and seed, which selected_link_gain_cdf shares."""
+    if n < 1 or m < 1:
+        raise ValueError("need n_sources >= 1 and n_relays >= 1")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    _check_integers(n_sources=n, n_relays=m, trials=trials)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One simulation configuration over a grid of SNR points."""
@@ -127,17 +144,14 @@ class Scenario:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.n_sources < 1 or self.n_relays < 1:
-            raise ValueError("need n_sources >= 1 and n_relays >= 1")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        _check_run(self.n_sources, self.n_relays, self.trials, self.seed)
         grid = tuple(float(r) for r in self.snr_grid)
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("snr_grid must be non-empty and strictly increasing")
         if any(r <= 0 for r in grid):
             raise ValueError("snr values must be positive")
+        if not all(map(math.isfinite, grid)):
+            raise ValueError("snr values must be finite")
         object.__setattr__(self, "snr_grid", grid)
         if self.strategy not in ("A", "B"):
             raise ValueError("strategy must be 'A' or 'B'")
@@ -165,6 +179,7 @@ class Scenario:
         if self.scheme == "selection":
             if self.k_select is None or not 1 <= self.k_select <= self.n_relays:
                 raise ValueError("selection needs k_select in [1, M]")
+            _check_integers(k_select=self.k_select)
         if self.scheme in ("ncc", "cc") and self.traffic != "unicast":
             raise ValueError(f"{self.scheme} supports unicast traffic only")
 
@@ -382,7 +397,7 @@ def draw_chunk(scn: Scenario, rng: np.random.Generator, count: int, tau=None,
             if buf is not None:
                 np.greater(g, tau, out=block[lo:hi])
             if h is not None and b != 1:  # sd links are adjacent to no relay
-                _fold_bottleneck(h[:, lo:hi], g, sr=b == 0)
+                _fold_bottleneck(h[:, lo:hi], g if b == 0 else g.transpose(0, 2, 1))
     coeffs = None
     if scn.scheme == "rncc":
         coeffs = rng.integers(0, scn.field.order, size=(count, m, n),
@@ -566,25 +581,24 @@ def _link_states(tau, gsr, gsd, grd):
     return gsr > tau, gsd > tau, grd > tau
 
 
-def _fold_bottleneck(h, g, sr):
-    """Fold one gain block of B trials into the (M, B) bottleneck rows h, in
-    place: h[i] becomes the minimum of h[i] and the gains of relay i's links
-    in g, an sr block (B, N, M) when `sr` (any (B, L, M) block of L links
-    per relay folds the same way), else an rd block (B, M, N).  From
-    h = inf, folding both blocks gives each relay's bottleneck gain, the min
-    over its 2N adjacent links.  Folding one contiguous row per relay beats
-    a reduction along the short source axis."""
-    n = g.shape[1] if sr else g.shape[2]
+def _fold_bottleneck(h, g):
+    """Fold one gain block g of B trials, shaped (B, L, M) with L links per
+    relay, into the (M, B) bottleneck rows h, in place: h[i] becomes the
+    minimum of h[i] and g[:, :, i].  An sr block (B, N, M) folds as it is, an
+    rd block (B, M, N) as its view g.transpose(0, 2, 1).  From h = inf,
+    folding both blocks gives each relay's bottleneck gain, the min over its
+    2N adjacent links.  Folding one contiguous row per relay beats a
+    reduction along the short source axis."""
     for i, row in enumerate(h):
-        for k in range(n):
-            np.minimum(row, g[:, k, i] if sr else g[:, i, k], out=row)
+        for k in range(g.shape[1]):
+            np.minimum(row, g[:, k, i], out=row)
 
 
 def _bottleneck(gsr, grd):
     """The (M, B) bottleneck gains of full sr and rd gain blocks."""
     h = np.full((gsr.shape[2], gsr.shape[0]), np.inf)
-    _fold_bottleneck(h, gsr, sr=True)
-    _fold_bottleneck(h, grd, sr=False)
+    _fold_bottleneck(h, gsr)
+    _fold_bottleneck(h, grd.transpose(0, 2, 1))
     return h
 
 
@@ -903,14 +917,9 @@ def selected_link_gain_cdf(n: int, m: int, beta: float, taus, trials: int,
     relay of the best bottleneck on a tie.  g is that relay's first gain.
     Raises ValueError on the inputs a Scenario rejects.
     """
-    if n < 1 or m < 1:
-        raise ValueError("need n_sources >= 1 and n_relays >= 1")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_run(n, m, trials, seed)
     if not (math.isfinite(beta) and beta > 0):
         raise ValueError(f"beta must be finite and positive, got {beta}")
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     taus = np.asarray(taus, dtype=float)
     counts = np.zeros(taus.shape, dtype=np.int64)
     done = 0
@@ -922,7 +931,7 @@ def selected_link_gain_cdf(n: int, m: int, beta: float, taus, trials: int,
         if beta != 1.0:
             gains /= beta
         h = np.full((m, nb), np.inf)
-        _fold_bottleneck(h, gains.transpose(0, 2, 1), sr=True)
+        _fold_bottleneck(h, gains.transpose(0, 2, 1))
         g = gains[:, :, 0][_kept_relays(h, 1).T]
         counts += (g[None, :] <= taus[..., None]).sum(axis=-1)
         done += nb

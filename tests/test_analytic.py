@@ -2,12 +2,14 @@
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
 from coopcode import simkernel
 from coopcode.analytic import (
+    MAX_TOTAL,
     SCHEMES,
     DmtCurve,
     LinkParams,
@@ -58,6 +60,9 @@ def test_link_params_validation():
         base[name] = value
         with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
             LinkParams(**base)
+    for n, m in ((0, 2), (2, -1)):
+        with pytest.raises(ValueError, match="^need n_sources >= 1 and n_relays >= 0$"):
+            _lp(1.0, n=n, m=m)
 
 
 def test_p0_frozen_value_and_asymptote():
@@ -281,6 +286,27 @@ def test_a_grid_names_its_first_bad_point():
         system_outage([np.array([0.1, 0.2]), np.array([0.3, 1.5])])
 
 
+def test_a_bracket_takes_n_plus_m_up_to_the_float_limit():
+    """MAX_TOTAL is the largest N+M whose binomials C(k, j), k <= N+M, are
+    all floats; a bracket takes it and refuses one more row."""
+    top = MAX_TOTAL
+    assert top == 1029  # for IEEE doubles
+    assert float(math.comb(top, top // 2)) < math.inf
+    with pytest.raises(OverflowError):
+        float(math.comb(top + 1, (top + 1) // 2))
+    for n in (1, top - 1):  # widest relay binomials, widest rows
+        lp = _lp(10.0, n=n, m=top - n)
+        for bounds in (outage_bounds_multicast(lp, top), outage_bounds_unicast(lp, 1)):
+            assert 0.0 <= bounds.lower <= bounds.upper <= 1.0
+        wider = _lp(10.0, n=n, m=top + 1 - n)
+        message = re.escape(f"N+M must be <= {top}, where every binomial C(k, j) with k <= N+M "
+                            f"is a float, got {top + 1}")
+        with pytest.raises(ValueError, match=message):
+            outage_bounds_multicast(wider, n)
+        with pytest.raises(ValueError, match=message):
+            outage_bounds_unicast(wider, top)
+
+
 def test_upper_bound_monotone_in_snr():
     ups = [
         outage_bounds_multicast(_lp(10 ** (db / 10)), 2).upper for db in range(0, 31)
@@ -358,6 +384,12 @@ def test_dmt_ncc_is_the_selection_k1_line():
 
 
 def test_dmt_validation():
+    for n, m in ((0, 2), (2, 0)):
+        with pytest.raises(ValueError, match="^need n >= 1 and m >= 1$"):
+            dmt_curve("dncc", n, m)
+    for d0, r_max in ((-1.0, 0.5), (2.0, 0.0)):
+        with pytest.raises(ValueError, match="^need d0 >= 0 and r_max > 0$"):
+            DmtCurve("dncc", d0, r_max)
     with pytest.raises(ValueError):
         dmt_curve("dncc", 2, 2, gamma_n=1)
     with pytest.raises(ValueError):

@@ -792,6 +792,8 @@ def test_strategy_without_a_scheme_that_reads_it_is_rejected(tmp_path, capsys, s
 
 
 _NO_DEFAULT_FIELD = "--n + --m must be <= 65535 where a field is built without --q, got 80000"
+_BINOMIAL_CAP = ("--n + --m must be <= 1029 where analyze builds no code, so that every "
+                 "binomial C(N+M, j) is a float, got {}")
 
 
 def _assert_rejected_before_any_work(monkeypatch, capsys, argv, message):
@@ -824,9 +826,36 @@ def _assert_rejected_before_any_work(monkeypatch, capsys, argv, message):
     (("construct", "--n", "40000", "--m", "40000"), _NO_DEFAULT_FIELD),
     (("construct", "--n", "40000", "--m", "40000", "--seed", "3"), _NO_DEFAULT_FIELD),
     (("simulate", "--scheme", "rncc", "--n", "40000", "--m", "40000"), _NO_DEFAULT_FIELD),
+    (("analyze", "--n", "1", "--m", "1100", "--gamma", "1"), _BINOMIAL_CAP.format(1101)),
+    (("analyze", "--n", "1029", "--m", "1", "--gamma", "1029"), _BINOMIAL_CAP.format(1030)),
+    (("analyze", "--n", "1", "--m", "1029", "--gamma", "1"), _BINOMIAL_CAP.format(1030)),
+    (("analyze", "--n", "1100", "--m", "1", "--traffic", "unicast", "--lam", "1"),
+     _BINOMIAL_CAP.format(1101)),
 ])
 def test_an_input_error_is_rejected_before_any_work(monkeypatch, capsys, argv, message):
     _assert_rejected_before_any_work(monkeypatch, capsys, argv, message)
+
+
+@pytest.mark.parametrize("argv, out", [
+    (("--n", "1", "--m", "1028", "--gamma", "1"),
+     "0,dncc,multicast,0.6321205588,0,7.590567082e-66,0,0\n"),
+    (("--n", "1028", "--m", "1", "--gamma", "1028", "--snr-stop-db", "40", "--snr-step-db", "20"),
+     "0,dncc,multicast,0.6321205588,0,1,0,1\n"
+     "20,dncc,multicast,0.009950166251,1.177359442e-13,0.9999656754,1.209787825e-10,1\n"
+     "40,dncc,multicast,9.999500017e-05,8.141586753e-09,0.01400125596,8.369516176e-06,"
+     "0.9999994931\n"),
+    (("--n", "1000", "--m", "29", "--traffic", "unicast", "--lam", "515", "--snr-stop-db", "30",
+      "--snr-step-db", "10"),
+     "0,dncc,unicast,0.6321205588,0,0.6321205588,0,1\n"
+     "10,dncc,unicast,0.09516258196,0,0,0,0\n"
+     "20,dncc,unicast,0.009950166251,0,0,0,0\n"
+     "30,dncc,unicast,0.0009995001666,0,0,0,0\n"),
+])
+def test_analyze_at_the_binomial_cap_prints_what_it_did(capsys, argv, out):
+    """N+M = MAX_TOTAL is the widest bracket analyze evaluates, with the
+    rows it took at one relay, at one source and at a mid threshold."""
+    header = "snr_db,scheme,traffic,p0,p_low,p_up,p_system_low,p_system_up\n"
+    assert _run(capsys, "analyze", *argv) == (0, header + out, "")
 
 
 def test_the_largest_default_field_is_still_built(capsys):

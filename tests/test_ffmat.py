@@ -2,6 +2,7 @@
 
 import pickle
 import random
+import re
 import time
 import tracemalloc
 from itertools import combinations
@@ -200,6 +201,25 @@ def test_solve_inconsistent_and_underdetermined():
 def test_solve_dimension_mismatch():
     with pytest.raises(ValueError):
         EXAMPLE_A.solve(FfMatrix(F4, [[1], [2]]))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: EXAMPLE_A.vstack(FfMatrix.identity(F4, 3)), ValueError,
+     "vstack needs matching field and width"),
+    (lambda: EXAMPLE_A.vstack(FfMatrix.identity(F16, 2)), ValueError,
+     "vstack needs matching field and width"),
+    (lambda: EXAMPLE_A @ [[1], [0]], TypeError,
+     "unsupported operand type(s) for @: 'FfMatrix' and 'list'"),
+    (lambda: EXAMPLE_A.solve([[1], [0], [0], [0]]), ValueError,
+     "rhs must be an FfMatrix over the same field"),
+    (lambda: EXAMPLE_A.solve(FfMatrix.zeros(F16, 4, 1)), ValueError,
+     "rhs must be an FfMatrix over the same field"),
+    (lambda: EXAMPLE_A.invert(), ValueError, "only square matrices can be inverted"),
+], ids=["vstack-width", "vstack-field", "matmul-list", "solve-list", "solve-field",
+        "invert-4x2"])
+def test_a_bad_operand_is_refused_with_its_message(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_invert_self_inverse_and_random():

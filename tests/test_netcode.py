@@ -495,6 +495,29 @@ def test_bit_helpers():
         symbols_to_bits([4], 2)
 
 
+_CODE22 = build_vandermonde(2, 2, F4)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: bits_to_symbols([1, 2], 2), "bits must be 0 or 1"),
+    (lambda: NetworkCode(FfMatrix.zeros(F4, 2, 0), "explicit", None),
+     "need n_sources >= 1 and n_relays >= 0"),
+    (lambda: NetworkCode(FfMatrix(F4, [[1, 0]]), "explicit", None),
+     "need n_sources >= 1 and n_relays >= 0"),
+    (lambda: build_random(0, 2, F4, 0), "need n >= 1 and m >= 1"),
+    (lambda: build_random(2, 0, F4, 0), "need n >= 1 and m >= 1"),
+    (lambda: encode(_CODE22, FfMatrix.zeros(F4, 3, 1)), "packets must have 2 rows"),
+    (lambda: recover(_CODE22, [0, 1], FfMatrix.zeros(F4, 1, 1)),
+     "observations must have one row per received index"),
+    (lambda: recover(_CODE22, [0], FfMatrix.zeros(F4, 1, 1), "broadcast"),
+     "unknown mode 'broadcast'"),
+], ids=["bits", "code-n0", "code-m-negative", "random-n0", "random-m0", "encode-rows",
+        "recover-rows", "recover-mode"])
+def test_a_bad_argument_is_refused_with_its_bound(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_systematic_top_block_enforced():
     with pytest.raises(ValueError):
         build_explicit(FfMatrix(F4, [[1, 1], [0, 1], [2, 3]]))

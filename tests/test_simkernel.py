@@ -3,6 +3,7 @@
 import concurrent.futures
 import math
 import multiprocessing
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -155,6 +156,15 @@ def test_selection_does_not_replace_a_failed_relay():
     assert run_trial(scn, 1.0, draw) == (False, False)
 
 
+def test_run_trial_rejects_a_draw_or_scheme_it_cannot_decide():
+    up = _draw([[9, 9]] * 2, [[9, 9]] * 2, [[9, 9]] * 2)
+    with pytest.raises(ValueError, match="^rncc trial needs draw.coeffs$"):
+        run_trial(_scn(scheme="rncc", code=None, field=F4), 1.0, up)
+    for scheme in ("ncc", "cc"):
+        with pytest.raises(ValueError, match="^run_trial handles dncc/rncc/selection; "):
+            run_trial(_scn(scheme=scheme, code=None, traffic="unicast"), 1.0, up)
+
+
 def test_run_trial_ncc_semantics():
     scn = _scn(scheme="ncc", code=None, traffic="unicast")
     # direct link up beats everything
@@ -214,6 +224,28 @@ def test_scenario_validation():
             _scn(seed=value)
 
 
+@pytest.mark.parametrize("bad, message", [
+    (dict(n_sources=0), "need n_sources >= 1 and n_relays >= 1"),
+    (dict(n_relays=0), "need n_sources >= 1 and n_relays >= 1"),
+    (dict(n_sources=2.0), "n_sources must be an integer, got 2.0"),
+    (dict(n_relays=2.0), "n_relays must be an integer, got 2.0"),
+    (dict(trials=2.5), "trials must be an integer, got 2.5"),
+    (dict(snr_grid=(0.0, 1.0)), "snr values must be positive"),
+    (dict(snr_grid=(math.nan,)), "snr values must be finite"),
+    (dict(snr_grid=(1.0, math.nan)), "snr values must be finite"),
+    (dict(snr_grid=(10.0, math.inf)), "snr values must be finite"),
+    (dict(traffic="broadcast"), "traffic must be 'multicast' or 'unicast'"),
+    (dict(code=None), "dncc needs a code"),
+    (dict(scheme="selection", k_select=1.5), "k_select must be an integer, got 1.5"),
+], ids=["n0", "m0", "n-float", "m-float", "trials-float", "snr-zero", "snr-nan", "snr-then-nan",
+        "snr-inf", "traffic", "needs-code", "k-float"])
+def test_scenario_names_the_field_at_fault(bad, message):
+    """Every input that would change the counts silently, or fail deep in
+    the engine, fails here with a ValueError naming its field."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _scn(**bad)
+
+
 def test_per_link_beta_validation():
     good = PerLinkBeta.uniform(2, 2, 1.0)
     _scn(beta=good)
@@ -236,8 +268,10 @@ def test_per_link_beta_validation():
 
 
 def test_sweep_point_invariants():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="below any per-destination count"):
         SweepPoint(1.0, (5, 2), system_errors=3, trials=10)
+    with pytest.raises(ValueError, match="^more errors than trials$"):
+        SweepPoint(1.0, (5, 2), system_errors=11, trials=10)
     pt = SweepPoint(1.0, (5, 2), system_errors=6, trials=10)
     assert pt.dest_rates == (0.5, 0.2)
     assert pt.avg_outage == pytest.approx(0.35)
@@ -738,7 +772,7 @@ def test_selected_gain_folds_equal_the_argmax_gather_bit_for_bit():
                       rng.integers(0, 3, (4000, m, 2 * n)).astype(float)):
             want = gains[np.arange(len(gains)), np.argmax(gains.min(axis=2), axis=1), 0]
             h = np.full((m, len(gains)), np.inf)
-            simkernel._fold_bottleneck(h, gains.transpose(0, 2, 1), sr=True)
+            simkernel._fold_bottleneck(h, gains.transpose(0, 2, 1))
             got = gains[:, :, 0][simkernel._kept_relays(h, 1).T]
             assert got.tobytes() == want.tobytes()
     # and the whole estimate, with and without the division by beta
@@ -1183,6 +1217,9 @@ def test_rncc_table_regime_counts_equal_the_scalar_reference(n, m, field, strate
     (dict(beta=math.inf), "beta must be finite and positive, got inf"),
     (dict(seed=1.5), "seed must be a non-negative integer, got 1.5"),
     (dict(seed=-1), "seed must be a non-negative integer, got -1"),
+    (dict(n=2.0), "n_sources must be an integer, got 2.0"),
+    (dict(m=3.0), "n_relays must be an integer, got 3.0"),
+    (dict(trials=2.5), "trials must be an integer, got 2.5"),
 ])
 def test_selected_link_gain_cdf_rejects_bad_inputs(bad, message):
     args = dict(n=2, m=2, beta=1.0, taus=[0.1], trials=100) | bad
@@ -1291,9 +1328,9 @@ def test_folded_bottleneck_selects_as_the_full_gains_do(n, m):
         for step in (1, 7, 64, 400):
             h = np.full((m, 400), np.inf)
             for lo in range(0, 400, step):
-                simkernel._fold_bottleneck(h[:, lo:lo + step], gsr[lo:lo + step], sr=True)
+                simkernel._fold_bottleneck(h[:, lo:lo + step], gsr[lo:lo + step])
             for lo in range(0, 400, step):
-                simkernel._fold_bottleneck(h[:, lo:lo + step], grd[lo:lo + step], sr=False)
+                simkernel._fold_bottleneck(h[:, lo:lo + step], grd[lo:lo + step].transpose(0, 2, 1))
             assert h.tobytes() == full.tobytes()
         for k in range(1, m + 1):
             scn = _scn(scheme="selection", n_sources=n, n_relays=m, k_select=k,
