@@ -127,8 +127,13 @@ def _powers(x: np.ndarray, count: int) -> np.ndarray:
 
 def _binomial(k: int, j: int, p: np.ndarray, not_p: np.ndarray) -> np.ndarray:
     """P(exactly j of k independent events of probability p) at every
-    point, given p and 1 - p (each computed stably by the caller)."""
-    return float(math.comb(k, j)) * _pow(not_p, k - j) * _pow(p, j)
+    point, given p and 1 - p (each computed stably by the caller).
+    Raises ValueError where C(k, j) is no float."""
+    try:
+        count = float(math.comb(k, j))
+    except OverflowError:
+        raise ValueError(f"C({k}, {j}) passes the float limit {sys.float_info.max!r}") from None
+    return count * _pow(not_p, k - j) * _pow(p, j)
 
 
 def p0(lp: LinkParams):

@@ -4,10 +4,12 @@ Everything here is exact arithmetic (Gauss-Jordan elimination with
 deterministic pivoting: first nonzero entry, lowest row index).  Stacks of
 matrices are reduced at once in numpy by batch_rank, which leaves each one
 in reduced row-echelon form; the simulator's decide uses it too, and so do
-solve, solve_any and invert, as a one-matrix stack.  Products (@) go
-through the field's numpy log/antilog tables.  FfMatrix.rank is the one
-pure-Python elimination: the scalar reference the batched paths are tested
-against.
+solve, solve_any and invert, as a one-matrix stack.  batch_rank takes any
+integer stack wide enough for q and works in that width; the stacks built
+here and in the simulator are in the field's own width, field.dtype.
+Products (@) go through the field's numpy log/antilog tables.
+FfMatrix.rank is the one pure-Python elimination: the scalar reference the
+batched paths are tested against.
 
 The subset metrics kruskal_rank / gamma_rank / lambda_rank read one
 record per subset size (level): the least rank of the level's row subsets
@@ -44,7 +46,12 @@ _MINOR_BLOCK = 1 << 18  # products per block of minors, bounding memory
 
 
 def batch_rank(mats: np.ndarray, field: Field) -> np.ndarray:
-    """Rank of each matrix in a (B, R, C) int32 stack.
+    """Rank of each matrix in a (B, R, C) stack of field elements.
+
+    The stack may be of any integer type that holds q - 1; it is reduced
+    in that type, so a stack built in field.dtype (uint8 up to GF(256),
+    uint16 above) is never widened.  The products go through the field's
+    np_narrow_tables.  A type too narrow for q raises ValueError.
 
     Runs Gauss-Jordan elimination in place on every matrix at once, with
     the same pivoting as the scalar FfMatrix.rank (first nonzero entry at
@@ -58,7 +65,10 @@ def batch_rank(mats: np.ndarray, field: Field) -> np.ndarray:
     current rank are zero to its left.  The matrices with a pivot in
     column c are gathered, reduced and scattered back.
     """
-    log_t, exp2_t, inv_t = field.np_tables()
+    if mats.dtype.kind not in "iu" or np.iinfo(mats.dtype).max < field.order - 1:
+        raise ValueError(f"a GF({field.order}) stack needs an integer type holding "
+                         f"{field.order - 1}, got {mats.dtype}")
+    log_t, exp2_t, inv_t = field.np_narrow_tables()
     nb, nr, nc = mats.shape
     rk = np.zeros(nb, dtype=np.int64)
     rowidx = np.arange(nr)[None, :]
@@ -276,7 +286,7 @@ class FfMatrix:
         if b.rows != self.rows:
             raise ValueError("rhs row count mismatch")
         n = self.cols
-        work = np.hstack([self._a, b._a]).astype(np.int32)[None]
+        work = np.hstack([self._a, b._a]).astype(self.field.dtype)[None]
         rank = int(batch_rank(work, self.field)[0])
         rows = work[0, :rank]  # reduced [A | b]: pivot 1s in increasing columns
         pivots = [int(np.flatnonzero(row)[0]) for row in rows]
@@ -302,7 +312,7 @@ class FfMatrix:
         SUBSET_BLOCK subsets per batch_rank call, then read from the record.
         Only reached through kruskal_full, which enforces SUBSET_ROW_CAP."""
         if size not in self._levels:
-            a = self._a.astype(np.int32)
+            a = self._a.astype(self.field.dtype)
             subsets = combinations(range(self.rows), size)
             least, spans = size, np.ones(self.cols, dtype=bool)
             while chunk := list(islice(subsets, SUBSET_BLOCK)):

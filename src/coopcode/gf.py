@@ -40,7 +40,8 @@ DEFAULT_PRIM_POLY = {
 
 
 class Field:
-    """GF(2^ell) with table-based multiply/invert/power."""
+    """GF(2^ell) with table-based multiply/invert/power.  `dtype` is the
+    narrowest unsigned numpy type that holds every element, np.min_scalar_type(q - 1)."""
 
     def __init__(self, ell: int):
         if not 1 <= ell <= MAX_ELL:
@@ -48,8 +49,9 @@ class Field:
         self.ell = ell
         self.order = 1 << ell
         self.prim_poly = DEFAULT_PRIM_POLY[ell]
+        self.dtype = np.min_scalar_type(self.order - 1)
         self._build_tables()
-        self._np = None  # numpy table mirror, built on demand
+        self._np = self._narrow = None  # numpy table mirrors, built on demand
 
     def _times_x(self, v):
         """v * x modulo prim_poly, elementwise over an int64 array."""
@@ -107,13 +109,15 @@ class Field:
         """An element of multiplicative order q-1 (x itself, or 1 in GF(2))."""
         return 2 if self.ell > 1 else 1
 
-    # -- numpy table mirror (used by the batched kernel ffmat.batch_rank) --
+    # -- numpy table mirrors (products, minors and ffmat.batch_rank) ---------
 
     def np_tables(self):
         """Return (log, exp2, inv) int32 arrays for vectorized arithmetic.
 
         log[0] is a sentinel 2*(q-1) and exp2 is zero-padded past 2*(q-1),
-        so exp2[log[a] + log[b]] is a*b including the zero cases.
+        so exp2[log[a] + log[b]] is a*b including the zero cases.  Matrix
+        products and the MDS minors use these; batch_rank uses the same
+        tables in narrower types, np_narrow_tables.
         """
         if self._np is None:
             q = self.order
@@ -126,6 +130,18 @@ class Field:
             inv[1:] = exp[-log[1:] % (q - 1)]
             self._np = (log, exp2, inv)
         return self._np
+
+    def np_narrow_tables(self):
+        """np_tables in the narrowest types, for batch_rank: exp2 and inv in
+        self.dtype, and log in int16 while a sum of two logs, at most the
+        4*(q-1) of two sentinels, fits an int16 (q <= 8192), else int32.
+        Built once per field."""
+        if self._narrow is None:
+            log, exp2, inv = self.np_tables()
+            wide = 4 * (self.order - 1) > np.iinfo(np.int16).max
+            self._narrow = (log.astype(np.int32 if wide else np.int16),
+                            exp2.astype(self.dtype), inv.astype(self.dtype))
+        return self._narrow
 
     # -- plumbing ----------------------------------------------------------
 

@@ -47,7 +47,10 @@ ranked: its packed key is dropped before the dedupe, and a pattern too
 wide to pack never has its rows gathered.  The key
 layout, its peel tables and, when there are at most 2**TABLE_BITS keys,
 the outcome of every key are built once per sweep by run_sweep; those
-table-regime keys are packed as uint16, the others as int64.
+table-regime keys are packed as uint16, the others as int64.  The relay
+stacks the patterns unpack to are built in the field's own width,
+field.dtype (uint8 up to GF(256), uint16 above), slot by slot with no
+int64 intermediate, and reduced in that width.
 
 The decide reads only link states, and _decide maps the states (and
 rncc's coefficients) to failure flags.  draw_chunk has two call forms:
@@ -498,22 +501,33 @@ class _PatternKey:
         return keys.T
 
     def unpack(self, keys):
-        """(direct, relay) arrays of the patterns, as fails() takes them."""
-        n = self.n
+        """(direct, relay) arrays of the patterns, as fails() takes them: the
+        (P, N) direct bits and the (P, M, N) relay rows in field.dtype, each
+        slot shifted out of the keys and written into its entry."""
+        n, mask = self.n, (1 << self.width) - 1
         direct = (keys[:, None] >> np.arange(n)) & 1
-        syms = (keys[:, None] >> self.shifts) & ((1 << self.width) - 1)
-        relay = np.zeros((len(keys), self.m, n), dtype=np.int32)
-        relay[:, self.slot_i, self.slot_k] = syms * self.scale[self.slot_i, self.slot_k]
+        relay = np.zeros((len(keys), self.m, n), dtype=self.field.dtype)
+        for i, k, shift in zip(self.slot_i, self.slot_k, self.shifts):
+            entry = relay[:, i, k]
+            np.bitwise_and(keys >> shift, mask, out=entry, casting="unsafe")
+            if self.scale[i, k] != 1:  # a code entry times its 1-bit symbol
+                entry *= self.field.dtype.type(self.scale[i, k])
         return direct, relay
 
     def drop_covered(self, keys):
         """The keys with every relay slot of a column k cleared whose direct
         row e_k is held (col_bits[k] are the bits of column k's slots).
-        fails() ignores those entries, so equivalent patterns share a key."""
+        fails() ignores those entries, so equivalent patterns share a key.
+        Column k ANDs in ~col_bits[k] where bit k is set and all ones
+        elsewhere, (bit k - 1) | ~col_bits[k], built in one temporary."""
         out = keys.copy()
         for k, bits in enumerate(self.col_bits):
             if bits:
-                out &= ~(((keys >> k) & 1) * np.int64(bits))
+                held = keys >> k
+                held &= 1
+                held -= 1
+                held |= ~keys.dtype.type(bits)
+                out &= held
         return out
 
     def canonical(self, keys):
@@ -542,13 +556,16 @@ class _PatternKey:
         direct rows e_k with direct[p, k] set plus the relay rows relay[p]
         (an all-zero row is one that did not arrive).
 
+        `relay` is a (P, M, N) integer stack, in field.dtype as unpack
+        builds it; fails zeroes its held columns and reduces it, in place.
+
         Only the relay rows are eliminated.  The held rows E_D span the
         kernel of the projection that zeroes the columns D, so the pattern
         has rank |D| + rank(relay'), where relay' is relay with those
         columns zeroed, and it spans e_j iff j is in D or relay' spans e_j.
         """
         held = direct != 0
-        relay = np.where(held[:, None, :], 0, relay)
+        np.copyto(relay, 0, where=held[:, None, :])
         rank = batch_rank(relay, self.field)  # leaves relay reduced for unit_spans
         if self.unicast:
             return ~(held | unit_spans(relay))
@@ -686,7 +703,8 @@ def _decide(scn, ok_sr, ok_sd, ok_rd, coeffs, key=None):
         flat_b, flat_j = np.nonzero(~settled)
         fails = np.zeros((nb, n), dtype=bool)
         if len(flat_b):
-            relay = (sym * key.scale).astype(np.int32)
+            relay = np.empty((nb, m, n), dtype=key.field.dtype)
+            np.multiply(sym, key.scale, out=relay, casting="unsafe")
             deliver = heard.T[:, :, None] & ok_rd  # deliver[b, i, j]
 
             def fails_of(lo, hi):
@@ -915,12 +933,15 @@ def selected_link_gain_cdf(n: int, m: int, beta: float, taus, trials: int,
     own Philox stream and picks the relay by the sweep's rule:
     _fold_bottleneck, then _kept_relays with k = 1, which keeps the first
     relay of the best bottleneck on a tie.  g is that relay's first gain.
-    Raises ValueError on the inputs a Scenario rejects.
+    Raises ValueError on the inputs a Scenario rejects and on a nan in
+    `taus`; an infinite or negative tau is a CDF point (1 or 0).
     """
     _check_run(n, m, trials, seed)
     if not (math.isfinite(beta) and beta > 0):
         raise ValueError(f"beta must be finite and positive, got {beta}")
     taus = np.asarray(taus, dtype=float)
+    if np.isnan(taus).any():  # g <= nan is false: it would read as P = 0
+        raise ValueError("taus must not hold nan")
     counts = np.zeros(taus.shape, dtype=np.int64)
     done = 0
     ci = 0

@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -305,6 +306,24 @@ def test_a_bracket_takes_n_plus_m_up_to_the_float_limit():
             outage_bounds_multicast(wider, n)
         with pytest.raises(ValueError, match=message):
             outage_bounds_unicast(wider, top)
+
+
+def test_a_binomial_past_the_float_limit_is_refused():
+    """p_fm and p_ekl raise ValueError naming C(k, j) where it is no float,
+    and every binomial that fits reads as float(C(k, j)) times libm's powers."""
+    message = re.escape(f"C(1100, 550) passes the float limit {sys.float_info.max!r}")
+    lp = LinkParams(1.0, 10.0, 1.0, 1, 1100)
+    with pytest.raises(ValueError, match=message):
+        p_ekl(lp, 1100, 550)
+    with pytest.raises(ValueError, match=message):
+        p_fm(lp, 550)
+    top = LinkParams(1.0, 1 / math.log(2), 1.0, 1, MAX_TOTAL)  # a link is up about half the time
+    up, down = math.exp(-top.tau), -math.expm1(-top.tau)  # also a relay's, as N = 1
+    for k, j in ((MAX_TOTAL, MAX_TOTAL // 2), (MAX_TOTAL, 3), (40, 20)):
+        want = float(math.comb(k, j)) * down ** (k - j) * up ** j
+        assert p_ekl(top, k, j) == want
+        assert want > 0
+        assert p_fm(top, j) == float(math.comb(MAX_TOTAL, j)) * up ** (MAX_TOTAL - j) * down ** j
 
 
 def test_upper_bound_monotone_in_snr():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from coopcode import ffmat
 from coopcode.ffmat import SUBSET_ROW_CAP, FfMatrix, batch_rank, load_matrix, unit_spans
-from coopcode.gf import field_new
+from coopcode.gf import Field, field_new
 from coopcode.netcode import (build_cauchy, build_explicit, build_random, build_vandermonde,
                               mds_check)
 
@@ -500,6 +500,65 @@ def test_batch_rank_reduces_in_place_where_every_matrix_pivots():
         want = mats.copy()
         assert np.array_equal(batch_rank(mats, F16), _reference_batch_rank(want, F16))
         assert np.array_equal(mats, want)
+
+
+@pytest.mark.parametrize("ell", [1, 2, 4, 8, 9, 16])
+@pytest.mark.parametrize("nb, rows, cols", [(60, 4, 6), (60, 7, 3), (1, 5, 5), (1, 3, 6)])
+def test_batch_rank_reduces_alike_in_every_width_that_holds_q(ell, nb, rows, cols):
+    """A stack reduces in its own integer type: uint8 (up to GF(256)), uint16
+    and int32 copies of one stack, with rank-deficient matrices and zero
+    rows, give the same ranks, unit spans and reduced entries."""
+    field = field_new(ell)
+    rng = np.random.default_rng(ell * 100 + rows * 10 + cols)
+    base = _mixed_stack(field, nb, rows, cols, rng)
+    widths = [t for t in (np.uint8, np.uint16, np.int32) if np.iinfo(t).max >= field.order - 1]
+    assert field.dtype == widths[0] and field.dtype == np.min_scalar_type(field.order - 1)
+    results = []
+    for t in widths:
+        mats = base.astype(t)
+        ranks = batch_rank(mats, field)
+        assert mats.dtype == t  # reduced in place, never widened
+        results.append((ranks, unit_spans(mats), mats.astype(np.int64)))
+    for ranks, spans, reduced in results[1:]:
+        assert np.array_equal(ranks, results[0][0])
+        assert np.array_equal(spans, results[0][1])
+        assert np.array_equal(reduced, results[0][2])
+    assert results[0][0].tolist() == [FfMatrix(field, a).rank() for a in base]
+
+
+@pytest.mark.parametrize("ell, dtype", [(9, np.uint8), (16, np.int8), (2, np.float64)])
+def test_batch_rank_refuses_a_type_that_cannot_hold_q(ell, dtype):
+    field = field_new(ell)
+    with pytest.raises(ValueError, match=re.escape(
+            f"a GF({field.order}) stack needs an integer type holding {field.order - 1}, "
+            f"got {np.dtype(dtype)}")):
+        batch_rank(np.zeros((1, 2, 2), dtype=dtype), field)
+
+
+@pytest.mark.parametrize("ell", [1, 2, 4, 8, 9])
+def test_solve_and_levels_match_an_int32_field(ell):
+    """solve, solve_any and every subset level read the same over a field
+    whose stacks are narrow (field.dtype) as over one whose stacks are
+    int32, the width they were built in before."""
+    narrow = field_new(ell)
+    wide = Field(ell)
+    wide.dtype = np.dtype(np.int32)
+    rng = random.Random(ell)
+    for _ in range(25):
+        rows, n, k = rng.randrange(1, 6), rng.randrange(1, 5), rng.randrange(1, 3)
+        a = _random_block(narrow, rows, n, rng).to_array()
+        b = _random_block(narrow, rows, k, rng).to_array()
+        if rng.random() < 0.5:  # consistent by construction
+            b = (FfMatrix(narrow, a) @ _random_block(narrow, n, k, rng)).to_array()
+        got = [FfMatrix(narrow, a), FfMatrix(narrow, b)]
+        want = [FfMatrix(wide, a), FfMatrix(wide, b)]
+        for solve in ("solve", "solve_any"):
+            x, y = getattr(got[0], solve)(got[1]), getattr(want[0], solve)(want[1])
+            assert (x is None) == (y is None)
+            if x is not None:
+                assert np.array_equal(x.to_array(), y.to_array())
+        for size in range(1, rows + 1):
+            assert got[0]._level(size) == want[0]._level(size)
 
 
 @pytest.mark.parametrize("shape", [(0, 3, 4), (5, 0, 4), (0, 0, 4), (5, 3, 0), (0, 0, 0)])
