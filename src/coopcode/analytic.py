@@ -33,13 +33,14 @@ evaluation gives, on any grid:
 The CLI hands the grid over in blocks of cli.GRID_BLOCK points, so memory
 stays bounded on any grid, and prints the bytes a point-by-point loop did.
 
-The link terms have one home, _rate, _up_down and _binomial, which
-_bracket reads once per call; it also builds the powers of a link's up
-and down probabilities, and the binomial rows C(k, l), once per call, and
-keeps nothing between calls.  p_fm, p_ekl and p_relay_all are the same
-terms one at a time: no bracket calls them, and they stay as the
-term-by-term reference the tests check _bracket against.  A bracket takes
-N+M up to MAX_TOTAL, past which a binomial it may need is no float.
+The link terms have one home, _rate and _up_down, which _bracket reads
+once per call; it also builds the powers of a link's up and down
+probabilities and of a relay's success and failure, and the binomial rows
+C(k, l), once per call, and keeps nothing between calls.  _binomial, p_fm,
+p_ekl and p_relay_all are the same terms one at a time: no bracket calls
+them, and they stay as the term-by-term reference the tests check _bracket
+against.  A bracket takes N+M up to MAX_TOTAL, past which a binomial it
+may need is no float.
 """
 
 import itertools
@@ -183,11 +184,14 @@ def _bracket(lp: LinkParams, t: int, own: int) -> OutageBounds:
     conditions the destination's own direct row on being down, a factor p0
     on the upper bound.
 
-    The link terms (tau, p0 and 1 - p0, a relay's success and failure) and
-    the power tables up**l (l < t) and down**e (e <= N+M) are computed once
-    per call; the sum is p_fm times p_ekl, term by term, each term from the
-    same operands in the same order as _binomial's, and each sum left to
-    right.  Each row C(k, l), l < t, comes from the exact integer recurrence
+    The link terms (tau, p0 and 1 - p0, a relay's success ps and failure)
+    and the power tables up**l (l < t), down**e (e <= N+M), ps**e and
+    fail**e (e <= M) are computed once per call; the sum is p_fm times
+    p_ekl, term by term, each term from the same operands in the same order
+    as _binomial's, and each sum left to right.  So P(exactly m relays
+    fail) is float(C(M, m)) * ps**(M-m) * fail**m read off the tables, for
+    the upper bound's M+1 relay counts and the lower bound's m = 0 alike.
+    Each row C(k, l), l < t, comes from the exact integer recurrence
     C(k, l+1) = C(k, l)*(k-l)//(l+1), so each float is float(math.comb(k, l)).
     N+M above MAX_TOTAL raises ValueError."""
     n, m_relays = lp.n_sources, lp.n_relays
@@ -198,6 +202,10 @@ def _bracket(lp: LinkParams, t: int, own: int) -> OutageBounds:
     up, down = _up_down(_rate(lp))
     ps, fail = _up_down(_rate(lp, n))
     up_pow, down_pow = _powers(up, t), _powers(down, total + 1)
+    ps_pow, fail_pow = _powers(ps, m_relays + 1), _powers(fail, m_relays + 1)
+    # P(exactly m relays fail), as _binomial(M, m, fail, ps) gives it
+    relays = [float(math.comb(m_relays, m)) * ps_pow[:, m_relays - m] * fail_pow[:, m]
+              for m in range(m_relays + 1)]
     upper = np.zeros(len(up))
     for m in range(m_relays + 1):
         k = total - own - m
@@ -206,11 +214,11 @@ def _bracket(lp: LinkParams, t: int, own: int) -> OutageBounds:
             range(count - 1), lambda c, l: c * (k - l) // (l + 1), initial=1)), float, count)
         # term l is C(k, l) * down**(k-l) * up**l; accumulate sums along l in order
         terms = comb_k * down_pow[:, k::-1][:, :count] * up_pow[:, :count]
-        upper += _binomial(m_relays, m, fail, ps) * np.add.accumulate(terms, axis=1)[:, -1]
+        upper += relays[m] * np.add.accumulate(terms, axis=1)[:, -1]
     if own:
         upper *= down
     d = total - (t - 1)
-    lower = _binomial(m_relays, 0, fail, ps) * down_pow[:, d] * _pow(1.0 - down, t - 1)
+    lower = relays[0] * down_pow[:, d] * _pow(1.0 - down, t - 1)
     return OutageBounds(_mirror(lp, lower), _mirror(lp, np.minimum(upper, 1.0)))
 
 

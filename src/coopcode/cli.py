@@ -74,13 +74,21 @@ def _read_config(path: str) -> dict:
 
 
 def _parse_args(argv: list) -> argparse.Namespace:
-    """Parse argv.  --config entries go into this call's namespace (never
-    into a parser), where flags override them and defaults fill the rest;
-    unrecognized arguments are reported after the config file is checked."""
+    """Parse argv with the parser of the command argv[0] names, once; the
+    top-level parser reads argv only where argv[0] is no command, which it
+    reports (no command, an unknown one, -h) and exits.  --config entries
+    go into this call's namespace (never into a parser), where flags
+    override them and defaults fill the rest, so a config file takes a
+    second parse by the command's parser.  Unrecognized arguments are
+    reported by the top-level parser, after the config file is checked."""
     parser = build_parser()
-    args, extra = parser.parse_known_args(argv)
-    if getattr(args, "config", None):
-        sub = parser.commands[args.command]
+    if argv and argv[0] in parser.commands:
+        sub, rest = parser.commands[argv[0]], argv[1:]
+        args, extra = sub.parse_known_args(rest, argparse.Namespace(command=argv[0]))
+    else:
+        args, extra = parser.parse_known_args(argv)
+        sub, rest = parser.commands[args.command], argv[argv.index(args.command) + 1:]
+    if args.config:
         given = argparse.Namespace(command=args.command)
         for key, val in _read_config(args.config).items():
             if key not in sub.flags:
@@ -95,7 +103,7 @@ def _parse_args(argv: list) -> argparse.Namespace:
                     f"config key {key!r}: {val!r} not one of {', '.join(map(str, act.choices))}"
                 )
             setattr(given, key, parsed)
-        args, _ = sub.parse_known_args(argv[argv.index(args.command) + 1:], given)
+        args, _ = sub.parse_known_args(rest, given)
     if extra:
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
     return args
@@ -143,7 +151,18 @@ def _inputs(args) -> tuple:
     grid in linear SNR; a scheme the traffic mode does not
     support; 2**r0; and last a flag the command would not read (a config
     entry counts as given), so that an error in an input it reads keeps
-    its message."""
+    its message.
+
+    The dB grid's own checks (finite, step > 0, stop >= start, at most
+    MAX_GRID_POINTS points) come first in its place.  It is built only up
+    to its first point that does not rise above the one before it: below
+    the float spacing at --snr-start-db (at 1e25 dB, say), start + i*step
+    rounds back to one value for as many steps as half that spacing holds,
+    which the cap on the point count does not bound.  Two points that are
+    one float in dB are one float in linear SNR too, so the linear grid's
+    checks refuse such a grid, each with its own message: an SNR that
+    overflows or underflows a float, or two points whose linear SNRs are
+    one float."""
     cmd, n, m = args.command, args.n, args.m
     sweep = cmd in ("analyze", "simulate")
 
@@ -232,6 +251,8 @@ def _inputs(args) -> tuple:
         i = 0
         while (db := start + i * step) <= stop + 1e-9:
             grid_db.append(db)
+            if i and db <= grid_db[-2]:
+                break  # a step below the float spacing; it ties the linear grid, refused below
             i += 1
 
     builds_code = cmd == "construct"

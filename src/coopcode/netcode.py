@@ -61,7 +61,8 @@ def symbols_to_bits(symbols, ell: int):
 @dataclass(frozen=True)
 class NetworkCode:
     """The (N+M) x N code matrix [I_N; R] over GF(q); N is its column count,
-    M its rows past N and the field its field."""
+    M its rows past N and the field its field.  The top block is checked
+    against I_N on the matrix's entry array, building no other matrix."""
     matrix: FfMatrix           # (N+M) x N, top block I_N
     construction: str          # cauchy | vandermonde | random | explicit
     certified_kappa: int | None  # N where kruskal_full proved it, else None
@@ -71,8 +72,8 @@ class NetworkCode:
             raise ValueError("need n_sources >= 1 and n_relays >= 0")
         if self.construction not in ("cauchy", "vandermonde", "random", "explicit"):
             raise ValueError(f"unknown construction {self.construction!r}")
-        eye = FfMatrix.identity(self.field, self.n_sources)
-        if self.matrix.row_submatrix(range(self.n_sources)) != eye:
+        n = self.n_sources
+        if not np.array_equal(self.matrix.to_array()[:n], np.eye(n, dtype=np.int64)):
             raise ValueError("top block must be the identity")
 
     @property
@@ -99,8 +100,11 @@ def _proven_kappa(matrix: FfMatrix) -> int | None:
     return matrix.cols if matrix.rows <= SUBSET_ROW_CAP and matrix.kruskal_full() else None
 
 
-def _stack_code(field, n, relay_rows, construction):
-    a = FfMatrix.identity(field, n).vstack(FfMatrix(field, relay_rows))
+def _stack_code(field, n, relay, construction):
+    """The code [I_N; relay] of a builder, certified where its construction
+    promises full diversity.  The entries are stacked as one array and
+    validated once, by the one FfMatrix they make."""
+    a = FfMatrix(field, np.concatenate((np.eye(n, dtype=np.int64), relay)))
     certify = construction in ("cauchy", "vandermonde")
     kappa = _proven_kappa(a) if certify else None
     if certify and kappa is None and a.rows <= SUBSET_ROW_CAP:
@@ -152,7 +156,7 @@ def build_cauchy(n: int, m: int, field: Field) -> NetworkCode:
     if len(set(xs) | set(ys)) != total:
         raise FieldTooSmallError(f"q={field.order} gives repeated points and zero "
                                  f"denominators; need q >= {total + 1}")
-    return _stack_code(field, n, _lagrange(field, xs, ys).T.tolist(), "cauchy")
+    return _stack_code(field, n, _lagrange(field, xs, ys).T, "cauchy")
 
 
 def build_vandermonde(n: int, m: int, field: Field) -> NetworkCode:
@@ -167,8 +171,7 @@ def build_vandermonde(n: int, m: int, field: Field) -> NetworkCode:
     swapped, and a generalized Cauchy matrix too.
     """
     _check_shape(n, m, field)
-    return _stack_code(field, n, _lagrange(field, range(n), range(n, n + m)).tolist(),
-                       "vandermonde")
+    return _stack_code(field, n, _lagrange(field, range(n), range(n, n + m)), "vandermonde")
 
 
 def build_random(n: int, m: int, field: Field, seed: int) -> NetworkCode:
@@ -178,8 +181,7 @@ def build_random(n: int, m: int, field: Field, seed: int) -> NetworkCode:
     if not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
-    rows = rng.integers(0, field.order, size=(m, n)).tolist()
-    return _stack_code(field, n, rows, "random")
+    return _stack_code(field, n, rng.integers(0, field.order, size=(m, n)), "random")
 
 
 def build_explicit(matrix: FfMatrix) -> NetworkCode:

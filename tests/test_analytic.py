@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from coopcode import simkernel
+from coopcode import analytic, simkernel
 from coopcode.analytic import (
     MAX_TOTAL,
     SCHEMES,
@@ -306,6 +306,20 @@ def test_a_bracket_takes_n_plus_m_up_to_the_float_limit():
             outage_bounds_multicast(wider, n)
         with pytest.raises(ValueError, match=message):
             outage_bounds_unicast(wider, top)
+
+
+def test_a_bracket_reads_its_relay_counts_from_power_tables(monkeypatch):
+    """One bracket builds four power tables (up, down, a relay's success and
+    failure) and takes one more power, (1 - down)**(t-1) for the lower
+    bound; its M+1 relay counts call no _binomial."""
+    calls = []
+    for name in ("_binomial", "_pow", "_powers"):
+        monkeypatch.setattr(analytic, name, lambda *a, _fn=getattr(analytic, name), _name=name:
+                            calls.append(_name) or _fn(*a))
+    for bound, t in ((outage_bounds_multicast, 4), (outage_bounds_unicast, 2)):
+        calls.clear()
+        bound(_lp(np.array([1.0, 10.0, 100.0]), n=3, m=4), t)
+        assert sorted(calls) == ["_pow"] + ["_powers"] * 4
 
 
 def test_a_binomial_past_the_float_limit_is_refused():

@@ -1,5 +1,9 @@
 """Command-line driver: flags, config files, CSV shapes, and determinism."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from coopcode import analytic, cli, ffmat, netcode, simkernel
@@ -722,6 +726,103 @@ def test_the_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
 
 
+def test_a_command_is_parsed_by_its_own_parser_alone(tmp_path, monkeypatch, capsys):
+    parser, calls = cli.build_parser(), []
+
+    def recorded(self, *args, _fn=cli._Parser.parse_known_args, **kwargs):
+        calls.append(self)
+        return _fn(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "parse_known_args", recorded)
+    dmt = parser.commands["dmt"]
+    assert _run(capsys, "dmt", "--r-points", "2")[0] == 0
+    assert calls == [dmt]
+    cfg = tmp_path / "dmt.cfg"
+    cfg.write_text("r-points = 3\n")
+    calls.clear()
+    assert _run(capsys, "dmt", "--config", str(cfg))[0] == 0
+    assert calls == [dmt, dmt]  # one parse finds the file, one reads argv over its entries
+
+
+_USAGE = "usage: coopcode [-h] {construct,analyze,simulate,dmt} ...\n"
+_HELP = _USAGE + """
+Construct relay codes, evaluate outage bounds, and run Monte Carlo sweeps.
+
+positional arguments:
+  {construct,analyze,simulate,dmt}
+    construct           build and serialize a relay coefficient matrix
+    analyze             closed-form outage bounds over an SNR sweep
+    simulate            Monte Carlo outage sweep
+    dmt                 diversity-multiplexing tradeoff curves
+
+options:
+  -h, --help            show this help message and exit
+"""
+_SIMULATE_HELP = """\
+usage: coopcode simulate [-h] [--n N] [--m M] [--out OUT] [--config CONFIG]
+                         [--q Q] [--seed SEED]
+                         [--kind {vandermonde,cauchy,random}] [--beta BETA]
+                         [--r0 R0] [--rate RATE] [--snr-start-db SNR_START_DB]
+                         [--snr-stop-db SNR_STOP_DB]
+                         [--snr-step-db SNR_STEP_DB] [--strategy {A,B}]
+                         [--trials TRIALS] [--workers WORKERS]
+                         [--k-select K_SELECT] [--scheme SCHEME]
+                         [--traffic {multicast,unicast}]
+
+options:
+  -h, --help            show this help message and exit
+  --n N                 number of sources/destinations N
+  --m M                 number of relays M
+  --out OUT             output path (default: stdout)
+  --config CONFIG       key=value file; flags override it
+  --q Q                 field size (power of two); default: smallest admitting
+                        N+M+1 points
+  --seed SEED           seed of a --kind random code and of simulate's draws
+                        (default 0)
+  --kind {vandermonde,cauchy,random}
+                        code construction (default: vandermonde)
+  --beta BETA           exponential rate of every link gain
+  --r0 R0               per-packet rate (bpcu)
+  --rate RATE           system rate R (bpcu) of the N+M-slot dncc/rncc
+                        schedule: every scheme in --scheme runs at r0 =
+                        R*(N+M)/N, so selection, ncc and cc run at another
+                        system rate
+  --snr-start-db SNR_START_DB
+  --snr-stop-db SNR_STOP_DB
+                        default: same as start (single point)
+  --snr-step-db SNR_STEP_DB
+  --strategy {A,B}      relay forwards only after decoding all N (A) or any
+                        subset (B)
+  --trials TRIALS       Monte Carlo trials per point
+  --workers WORKERS     worker processes
+  --k-select K_SELECT   relays kept by selection (scheme=selection)
+  --scheme SCHEME       comma-separated subset of dncc,rncc,selection,ncc,cc
+  --traffic {multicast,unicast}
+"""
+_UNRECOGNIZED = _USAGE + "coopcode: error: unrecognized arguments: --nope 3\n"
+
+
+@pytest.mark.parametrize("argv, status, out, err", [
+    ((), 2, "", _USAGE + "coopcode: error: the following arguments are required: command\n"),
+    (("bogus",), 2, "", _USAGE + "coopcode: error: argument command: invalid choice: 'bogus' "
+                                 "(choose from 'construct', 'analyze', 'simulate', 'dmt')\n"),
+    (("-h",), 0, _HELP, ""),
+    (("simulate", "-h"), 0, _SIMULATE_HELP, ""),
+    (("simulate", "--nope", "3"), 2, "", _UNRECOGNIZED),
+    (("simulate", "--config", "CFG", "--nope", "3"), 2, "", _UNRECOGNIZED),
+])
+def test_the_parsers_reports_are_pinned(tmp_path, monkeypatch, capsys, argv, status, out, err):
+    """argparse's usage, help and error text, byte for byte, as CPython 3.11
+    lays it out at 80 columns."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps at the terminal's width
+    cfg = tmp_path / "good.cfg"
+    cfg.write_text("trials = 10\n")
+    with pytest.raises(SystemExit) as exc:
+        main([str(cfg) if a == "CFG" else a for a in argv])
+    assert exc.value.code == status
+    assert capsys.readouterr() == (out, err)
+
+
 def test_config_values_do_not_outlive_their_call(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# experiment defaults\nn = 2\nm = 2\nq = 4\ntrials = 5000\n"
@@ -942,6 +1043,9 @@ def test_analyze_at_the_smallest_positive_rate_runs_as_simulate_does(monkeypatch
      "--snr-stop-db is too large: 10**400 overflows a float"),
     (("--r0", "2000"), "--r0 is too large: 2**2000 overflows a float"),
     (("--rate", "600"), "--rate is too large: 2**1200 overflows a float"),
+    # a step of 1 dB rounds back to 1e16 and 1e18: each grid's second point ties the first
+    (("--snr-start-db", "1e16"), "--snr-start-db is too large: 10**1e+15 overflows a float"),
+    (("--snr-start-db", "1e18"), "--snr-start-db is too large: 10**1e+17 overflows a float"),
 ])
 @pytest.mark.parametrize("command", ["analyze", "simulate"])
 def test_an_overflowing_snr_or_rate_is_rejected_before_any_work(monkeypatch, capsys, command,
@@ -958,6 +1062,9 @@ _UNDERFLOW = "--snr-start-db is too small: 10**-400 underflows a float to 0"
     (("--snr-start-db", "-3233", "--snr-stop-db", "-3232", "--snr-step-db", "0.5"),
      "--snr-start-db and --snr-stop-db give grid points -3233.0 and -3232.5 dB "
      "whose linear SNRs are one float, 4.94066e-324"),
+    (("--snr-start-db", "1000", "--snr-step-db", "1e-14"),  # below the float spacing at 1000
+     "--snr-start-db and --snr-stop-db give grid points 1000.0 and 1000.0 dB "
+     "whose linear SNRs are one float, 1e+100"),
 ])
 @pytest.mark.parametrize("command", ["analyze", "simulate"])
 def test_an_snr_whose_linear_grid_underflows_is_rejected_before_any_work(
@@ -981,3 +1088,41 @@ def test_snr_and_rate_just_below_the_overflow_run(capsys, command):
     for argv in (("--snr-start-db", "3082.5"), ("--r0", "1023.5")):
         code, out, err = _run(capsys, command, *argv, *extra)
         assert (code, err) == (0, "") and len(_rows(out)[1]) == 1
+
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+_AS_LIMIT = 1_500_000_000  # bytes of address space for the bounded run below
+
+
+def _bounded_main(*argv):
+    """main(argv) in a fresh interpreter whose address space is capped at
+    _AS_LIMIT and which is given 60 s, so that a grid that does not end
+    fails the test, by MemoryError or timeout, instead of stalling it.
+    One BLAS thread keeps numpy's own reservations far below the cap on a
+    host with many cores."""
+    probe = ("import resource, sys\n"
+             "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+             f"cap = {_AS_LIMIT} if hard == resource.RLIM_INFINITY else min({_AS_LIMIT}, hard)\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+             "from coopcode.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    return subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=_SRC, OPENBLAS_NUM_THREADS="1"),
+                          timeout=60)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("analyze", "--gamma", "2", "--snr-start-db", "1e25"),
+     "--snr-start-db is too large: 10**1e+24 overflows a float"),
+    (("simulate", "--snr-start-db", "1e25"),
+     "--snr-start-db is too large: 10**1e+24 overflows a float"),
+    (("analyze", "--snr-start-db", "1e25", "--snr-stop-db", "1e25"),
+     "--snr-stop-db is too large: 10**1e+24 overflows a float"),
+    (("simulate", "--snr-start-db=-1e25"),
+     "--snr-start-db is too small: 10**-1e+24 underflows a float to 0"),
+])
+def test_a_step_below_the_float_spacing_ends_the_snr_grid(argv, message):
+    """At 1e25 dB, start + i*step rounds back to start for about 1e9 steps
+    of 1 dB: the grid stops at its first point that does not rise."""
+    proc = _bounded_main(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")

@@ -120,7 +120,7 @@ def _assert_builder_equals_its_reference(monkeypatch, kind, ell):
     # every (n, m) with n + m <= top; a Vandermonde relay row i depends on
     # t = n+i alone, so one reference at m = q-n holds the rows of every
     # smaller m
-    monkeypatch.setattr(netcode, "_stack_code", lambda field, n, rows, kind: rows)
+    monkeypatch.setattr(netcode, "_stack_code", lambda field, n, relay, kind: relay.tolist())
     for n in range(1, top):
         whole = _vandermonde_by_inverse(n, q - n, field) if kind == "vandermonde" else None
         for m in range(1, top - n + 1):
@@ -519,5 +519,27 @@ def test_a_bad_argument_is_refused_with_its_bound(call, message):
 
 
 def test_systematic_top_block_enforced():
-    with pytest.raises(ValueError):
-        build_explicit(FfMatrix(F4, [[1, 1], [0, 1], [2, 3]]))
+    for rows in ([[1, 1], [0, 1], [2, 3]],
+                 [[0, 1], [1, 0], [2, 3]],  # the identity's rows, swapped
+                 [[1, 0], [0, 2], [1, 1]],
+                 [[3], [1]]):
+        with pytest.raises(ValueError, match="^top block must be the identity$"):
+            build_explicit(FfMatrix(F4, rows))
+
+
+@pytest.mark.parametrize("build", [build_vandermonde, build_cauchy,
+                                   lambda n, m, field: build_random(n, m, field, 3)],
+                         ids=["vandermonde", "cauchy", "random"])
+def test_a_build_validates_one_matrix(monkeypatch, build):
+    """A builder stacks [I_N; R] as one array: one FfMatrix, its entries
+    validated once, and the top block checked on that array."""
+    made = []
+
+    def recorded(self, field, entries, _fn=FfMatrix.__init__):
+        made.append(np.shape(entries))
+        _fn(self, field, entries)
+
+    monkeypatch.setattr(FfMatrix, "__init__", recorded)
+    code = build(3, 4, F16)
+    assert made == [(7, 3)]
+    assert code.matrix.to_lists()[:3] == np.eye(3, dtype=int).tolist()
