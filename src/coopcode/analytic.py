@@ -52,6 +52,8 @@ import numpy as np
 
 SCHEMES = ("dncc", "rncc", "selection", "ncc", "cc")  # the labels of dmt_curve, the simulator and --scheme
 COOP_SCHEMES = ("dncc", "rncc", "selection")  # the coded ones: run_trial's and --strategy's
+CODE_SCHEMES = ("dncc", "selection")  # the ones that read a code: Scenario.code, --kind
+GAMMA_SCHEMES = ("dncc", "rncc")  # a gamma threshold and a closed-form bracket: analyze, --gamma
 # The largest N+M for which every C(k, j), k <= N+M, is a float: C(k, k//2),
 # the largest, passes the float limit a few k past max_exp (1029 for doubles).
 MAX_TOTAL = next(k for k in itertools.count(sys.float_info.max_exp)
@@ -321,7 +323,7 @@ def dmt_curve(scheme: str, n: int, m: int, *, gamma_n: int | None = None,
     """
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
-    if scheme in ("dncc", "rncc"):
+    if scheme in GAMMA_SCHEMES:
         g = n if gamma_n is None else gamma_n
         if not n <= g <= n + m:
             raise ValueError(f"gamma_n must be in [{n}, {n + m}]")

@@ -91,7 +91,7 @@ def _parse_args(argv: list) -> argparse.Namespace:
     if args.config:
         given = argparse.Namespace(command=args.command)
         for key, val in _read_config(args.config).items():
-            if key not in sub.flags:
+            if key not in sub.flags or key in ("help", "config"):  # no value to seed
                 raise ValueError(f"unknown config key {key!r}")
             act = sub.flags[key]
             try:
@@ -212,7 +212,7 @@ def _inputs(args) -> tuple:
                 raise ValueError(f"unknown scheme {s!r}; choose from {', '.join(analytic.SCHEMES)}")
     if cmd == "analyze":
         for s in schemes:
-            if s not in ("dncc", "rncc"):
+            if s not in analytic.GAMMA_SCHEMES:
                 raise ValueError(f"analyze covers the coded schemes dncc/rncc, not {s!r}")
     elif cmd != "construct":  # --k-select: given exactly where selection reads it, in [1, M]
         k = args.k_select
@@ -229,7 +229,7 @@ def _inputs(args) -> tuple:
             raise ValueError(f"--r-points must be >= 2, got {args.r_points}")
         if args.r_points > MAX_GRID_POINTS:
             raise ValueError(f"--r-points must be <= {MAX_GRID_POINTS}, got {args.r_points}")
-        if args.gamma is not None and {"dncc", "rncc"} & set(schemes):
+        if args.gamma is not None and set(analytic.GAMMA_SCHEMES) & set(schemes):
             if not n <= args.gamma <= n + m:
                 raise ValueError(f"--gamma must be in [{n}, {n + m}], got {args.gamma}")
 
@@ -257,7 +257,7 @@ def _inputs(args) -> tuple:
 
     builds_code = cmd == "construct"
     if cmd == "simulate":
-        builds_code = bool({"dncc", "selection"} & set(schemes))
+        builds_code = bool(set(analytic.CODE_SCHEMES) & set(schemes))
     if cmd == "analyze":
         threshold, stray = ("gamma", "lam") if args.traffic == "multicast" else ("lam", "gamma")
         given = getattr(args, threshold)
@@ -325,7 +325,7 @@ def _inputs(args) -> tuple:
         if not set(analytic.COOP_SCHEMES) & set(schemes):
             unread["strategy"] = ("to schemes dncc, rncc and selection, none of which is in "
                                   "--scheme")
-    if cmd == "dmt" and not {"dncc", "rncc"} & set(schemes):
+    if cmd == "dmt" and not set(analytic.GAMMA_SCHEMES) & set(schemes):
         unread["gamma"] = "to schemes dncc and rncc, neither of which is in --scheme"
     for flag, where in unread.items():
         if getattr(args, flag) is not None:
@@ -380,7 +380,7 @@ def cmd_simulate(args, schemes, r0, grid_db, grid_rho) -> int:
     field = code = None
     if set(analytic.COOP_SCHEMES) & set(schemes):
         field = _field_for(args.q, n, m)
-    if {"dncc", "selection"} & set(schemes):
+    if set(analytic.CODE_SCHEMES) & set(schemes):
         code = _build_code(args.kind, n, m, field, args.seed)
     from . import simkernel  # the one command that sweeps imports the simulator
     scenarios = [simkernel.Scenario(
@@ -390,7 +390,7 @@ def cmd_simulate(args, schemes, r0, grid_db, grid_rho) -> int:
         snr_grid=tuple(grid_rho),
         trials=args.trials,
         seed=args.seed or 0,
-        code=code if s in ("dncc", "selection") else None,
+        code=code if s in analytic.CODE_SCHEMES else None,
         field=field if s == "rncc" else None,
         strategy=(args.strategy or "A") if s in analytic.COOP_SCHEMES else "A",
         traffic=args.traffic,

@@ -7,7 +7,8 @@ in reduced row-echelon form; the simulator's decide uses it too, and so do
 solve, solve_any and invert, as a one-matrix stack.  batch_rank takes any
 integer stack wide enough for q and works in that width; the stacks built
 here and in the simulator are in the field's own width, field.dtype.
-Products (@) go through the field's numpy log/antilog tables.
+Products (@) sum in field.dtype and the MDS minors keep logs in the log
+table's type: all three read the field's one numpy set, Field.np_tables.
 FfMatrix.rank is the one pure-Python elimination: the scalar reference the
 batched paths are tested against.
 
@@ -50,8 +51,8 @@ def batch_rank(mats: np.ndarray, field: Field) -> np.ndarray:
 
     The stack may be of any integer type that holds q - 1; it is reduced
     in that type, so a stack built in field.dtype (uint8 up to GF(256),
-    uint16 above) is never widened.  The products go through the field's
-    np_narrow_tables.  A type too narrow for q raises ValueError.
+    uint16 above) is never widened.  Products go through field.np_tables(),
+    in its widths.  A type too narrow for q raises ValueError.
 
     Runs Gauss-Jordan elimination in place on every matrix at once, with
     the same pivoting as the scalar FfMatrix.rank (first nonzero entry at
@@ -68,7 +69,7 @@ def batch_rank(mats: np.ndarray, field: Field) -> np.ndarray:
     if mats.dtype.kind not in "iu" or np.iinfo(mats.dtype).max < field.order - 1:
         raise ValueError(f"a GF({field.order}) stack needs an integer type holding "
                          f"{field.order - 1}, got {mats.dtype}")
-    log_t, exp2_t, inv_t = field.np_narrow_tables()
+    log_t, exp2_t, inv_t = field.np_tables()
     nb, nr, nc = mats.shape
     rk = np.zeros(nb, dtype=np.int64)
     rowidx = np.arange(nr)[None, :]
@@ -119,10 +120,10 @@ def _every_minor_nonzero(block: np.ndarray, field: Field) -> bool:
     by Laplace expansion along its last row.  In characteristic 2 the signs
     drop out: det R[I, J] is the XOR over c in J of R[max I, c] times
     det R[I - {max I}, J - {c}].  A level is kept as the logs of its minors
-    (every one is nonzero once the level has passed), indexed by row subset
-    and column subset.  Its row subsets are expanded in blocks of at most
-    _MINOR_BLOCK products, which bounds memory.  Returns False at the first
-    level with a zero minor.
+    (every one is nonzero once the level has passed), in the log table's
+    type, indexed by row subset and column subset.  Its row subsets are
+    expanded in blocks of at most _MINOR_BLOCK products, which bounds
+    memory.  Returns False at the first level with a zero minor.
     """
     log_t, exp2_t, _ = field.np_tables()
     if not block.all():
@@ -131,7 +132,7 @@ def _every_minor_nonzero(block: np.ndarray, field: Field) -> bool:
     for k in range(2, min(block.shape) + 1):
         rows, row_drop = _subsets(block.shape[0], k)
         cols, col_drop = _subsets(block.shape[1], k)
-        level = np.empty((len(rows), len(cols)), dtype=np.int32)
+        level = np.empty((len(rows), len(cols)), dtype=log_t.dtype)
         step = max(1, _MINOR_BLOCK // (len(cols) * k))
         for lo in range(0, len(rows), step):
             last = log_t[block[rows[lo:lo + step, -1]]]  # each row subset's last row
@@ -229,7 +230,7 @@ class FfMatrix:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         log_t, exp2_t, _ = self.field.np_tables()
         left, right = log_t[self._a], log_t[other._a]
-        out = np.zeros((self.rows, other.cols), dtype=np.int32)
+        out = np.zeros((self.rows, other.cols), dtype=self.field.dtype)
         for k in range(self.cols):  # one inner index at a time: memory stays rows x cols
             out ^= exp2_t[left[:, k, None] + right[k]]
         return FfMatrix(self.field, out)

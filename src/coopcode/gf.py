@@ -4,8 +4,10 @@ Field elements are plain ints in [0, 2^l).  The integer's bits are the
 coefficients of the element written as a polynomial in the generator x,
 high bit first: in GF(4) the value 2 is x and 3 is x + 1.  Addition is
 XOR; multiplication and inversion go through log/antilog tables built
-once per field, so a Field instance is cheap to use and safe to share
-(treat it as immutable).  Each q names one field: GF(2^l) is always taken
+once per field, as Python lists for the scalar ops and as the one numpy
+set every vectorized consumer reads, np_tables, in widths the field
+decides.  So a Field instance is cheap to use and safe to share (treat it
+as immutable).  Each q names one field: GF(2^l) is always taken
 modulo DEFAULT_PRIM_POLY[l], so q alone fixes every product, and a matrix
 written as q and its entries reads back as the same matrix.
 """
@@ -51,7 +53,6 @@ class Field:
         self.prim_poly = DEFAULT_PRIM_POLY[ell]
         self.dtype = np.min_scalar_type(self.order - 1)
         self._build_tables()
-        self._np = self._narrow = None  # numpy table mirrors, built on demand
 
     def _times_x(self, v):
         """v * x modulo prim_poly, elementwise over an int64 array."""
@@ -77,7 +78,16 @@ class Field:
         log[exp] = np.arange(q - 1)
         self._exp = exp.tolist()  # exp[i] = x^i
         self._log = log.tolist()  # log[v] = i with x^i == v
-        self._arrays = (exp, log)  # the same tables, kept for np_tables
+        sentinel = 2 * (q - 1)
+        log_t = log.astype(np.int16 if 2 * sentinel <= np.iinfo(np.int16).max else np.int32)
+        log_t[0] = sentinel
+        exp2 = np.zeros(2 * sentinel + 1, dtype=self.dtype)
+        exp2[:sentinel] = np.tile(exp, 2)
+        inv = np.zeros(q, dtype=self.dtype)
+        inv[1:] = exp[-log[1:] % (q - 1)]
+        for t in (log_t, exp2, inv):
+            t.setflags(write=False)
+        self._np = (log_t, exp2, inv)
 
     # -- scalar ops --------------------------------------------------------
 
@@ -109,39 +119,19 @@ class Field:
         """An element of multiplicative order q-1 (x itself, or 1 in GF(2))."""
         return 2 if self.ell > 1 else 1
 
-    # -- numpy table mirrors (products, minors and ffmat.batch_rank) ---------
+    # -- numpy tables -------------------------------------------------------
 
     def np_tables(self):
-        """Return (log, exp2, inv) int32 arrays for vectorized arithmetic.
+        """The read-only (log, exp2, inv) arrays for vectorized arithmetic,
+        built with the field: products, minors, Lagrange bases, batch_rank.
 
         log[0] is a sentinel 2*(q-1) and exp2 is zero-padded past 2*(q-1),
-        so exp2[log[a] + log[b]] is a*b including the zero cases.  Matrix
-        products and the MDS minors use these; batch_rank uses the same
-        tables in narrower types, np_narrow_tables.
+        so exp2[log[a] + log[b]] is a*b including the zero cases.  exp2 and
+        inv are in self.dtype.  log is int16 while a sum of two logs (at
+        most 4*(q-1)) fits one, q <= 8192, else int32; longer sums need a
+        wider type, which their caller names.
         """
-        if self._np is None:
-            q = self.order
-            sentinel = 2 * (q - 1)
-            exp, log = (a.astype(np.int32) for a in self._arrays)
-            log[0] = sentinel
-            exp2 = np.zeros(2 * sentinel + 1, dtype=np.int32)
-            exp2[:sentinel] = np.tile(exp, 2)
-            inv = np.zeros(q, dtype=np.int32)
-            inv[1:] = exp[-log[1:] % (q - 1)]
-            self._np = (log, exp2, inv)
         return self._np
-
-    def np_narrow_tables(self):
-        """np_tables in the narrowest types, for batch_rank: exp2 and inv in
-        self.dtype, and log in int16 while a sum of two logs, at most the
-        4*(q-1) of two sentinels, fits an int16 (q <= 8192), else int32.
-        Built once per field."""
-        if self._narrow is None:
-            log, exp2, inv = self.np_tables()
-            wide = 4 * (self.order - 1) > np.iinfo(np.int16).max
-            self._narrow = (log.astype(np.int32 if wide else np.int16),
-                            exp2.astype(self.dtype), inv.astype(self.dtype))
-        return self._narrow
 
     # -- plumbing ----------------------------------------------------------
 

@@ -134,7 +134,8 @@ def _lagrange(field: Field, nodes, points) -> np.ndarray:
     num = log_t[points[:, None] ^ nodes]  # num[a, l] = log(points[a] + nodes[l])
     den = log_t[nodes[:, None] ^ nodes]
     np.fill_diagonal(den, 0)  # the l = k factor, left out of both products
-    logs = num.sum(axis=1, keepdims=True) - num - den.sum(axis=1)
+    # a sum of up to N+M-1 logs can pass log's own type, int16
+    logs = num.sum(axis=1, keepdims=True, dtype=np.int64) - num - den.sum(axis=1, dtype=np.int64)
     return exp2_t[logs % (field.order - 1)]
 
 

@@ -75,6 +75,7 @@ rows vary per trial, and wider networks are decided per trial.
 """
 
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -82,7 +83,7 @@ import numpy as np
 from .gf import Field, field_new
 from .ffmat import FfMatrix, batch_rank, unit_spans
 from .netcode import NetworkCode, build_explicit
-from .analytic import COOP_SCHEMES, SCHEMES, tau_for
+from .analytic import CODE_SCHEMES, COOP_SCHEMES, SCHEMES, tau_for
 
 CHUNK_TRIALS = 1 << 14  # fixed chunk size; part of the reproducibility contract
 TABLE_BITS = 12    # pattern keys and link states this narrow are decided by enumerating them all
@@ -172,7 +173,7 @@ class Scenario:
                     raise ValueError(f"beta.{name} entries must be finite and positive")
         elif not (math.isfinite(self.beta) and self.beta > 0):
             raise ValueError(f"beta must be finite and positive, got {self.beta}")
-        if self.scheme in ("dncc", "selection"):
+        if self.scheme in CODE_SCHEMES:
             if self.code is None:
                 raise ValueError(f"{self.scheme} needs a code")
             if (self.code.n_sources, self.code.n_relays) != (self.n_sources, self.n_relays):
@@ -877,7 +878,8 @@ def _check_shared(scenarios) -> None:
 def run_sweep(scn, workers: int = 1):
     """Simulate every grid point; deterministic in (scenario, CHUNK_TRIALS)
     and independent of `workers`, which caps the worker processes: no more
-    start than there are (grid point, chunk) tasks.
+    start than there are (grid point, chunk) tasks or CPUs this process
+    may run on, as a pool starts all of them at once.
 
     `scn` is one Scenario, which gives one OutageReport, or a sequence of
     them, which gives a tuple of OutageReports in the same order.  The
@@ -899,7 +901,9 @@ def run_sweep(scn, workers: int = 1):
              for g in range(len(grid)) for c in range(n_chunks)]
     dest_tot = np.zeros((len(scenarios), len(grid), first.n_sources), dtype=np.int64)
     sys_tot = np.zeros((len(scenarios), len(grid)), dtype=np.int64)
-    workers = min(workers, len(tasks))
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(workers, len(tasks), cpus)
     if workers == 1:
         results = list(map(_sweep_task, tasks))
     else:

@@ -263,11 +263,14 @@ def test_config_file_with_flag_override(tmp_path, capsys):
 
 
 def test_config_rejects_unknown_key(tmp_path, capsys):
+    # help and config are the parser's own entries, but no value a file
+    # could set: -h's action and the file itself
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("bogus = 1\n")
-    code, _, err = _run(capsys, "simulate", "--config", str(cfg),
-                        "--snr-start-db", "10")
-    assert code == 2 and "bogus" in err
+    for key, val in (("bogus", "1"), ("help", "1"), ("config", "/nonexistent")):
+        cfg.write_text(f"{key} = {val}\n")
+        for argv in (("simulate", "--snr-start-db", "10"), ("dmt",)):
+            code, out, err = _run(capsys, argv[0], "--config", str(cfg), *argv[1:])
+            assert (code, out, err) == (2, "", f"error: unknown config key {key!r}\n"), argv
 
 
 def test_config_rejects_a_line_without_equals(tmp_path, monkeypatch, capsys):

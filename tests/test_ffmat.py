@@ -111,7 +111,7 @@ def test_matmul_against_hand_product():
         assert str(exc.value) == message
 
 
-@pytest.mark.parametrize("ell", [1, 2, 4, 8, 16])
+@pytest.mark.parametrize("ell", [1, 2, 4, 8, 13, 14, 16])
 def test_matmul_equals_a_field_mul_sum(ell):
     field = field_new(ell)
     rng = random.Random(ell)
@@ -502,7 +502,7 @@ def test_batch_rank_reduces_in_place_where_every_matrix_pivots():
         assert np.array_equal(mats, want)
 
 
-@pytest.mark.parametrize("ell", [1, 2, 4, 8, 9, 16])
+@pytest.mark.parametrize("ell", [1, 2, 4, 8, 9, 13, 14, 16])
 @pytest.mark.parametrize("nb, rows, cols", [(60, 4, 6), (60, 7, 3), (1, 5, 5), (1, 3, 6)])
 def test_batch_rank_reduces_alike_in_every_width_that_holds_q(ell, nb, rows, cols):
     """A stack reduces in its own integer type: uint8 (up to GF(256)), uint16

@@ -140,10 +140,18 @@ def _loop_np_tables(f):
 
 @pytest.mark.parametrize("ell", range(1, MAX_ELL + 1))
 def test_np_tables_match_the_loop_reference(ell):
+    """The one numpy set, in the field's widths: exp2 and inv in f.dtype,
+    log in int16 while 4*(q-1) fits one (q <= 8192), else int32.  Built
+    with the field, shared and read-only."""
     f = field_new(ell)
-    for got, want in zip(f.np_tables(), _loop_np_tables(f)):
-        assert got.dtype == want.dtype == np.int32
+    tables = f.np_tables()
+    log_type = np.int16 if ell <= 13 else np.int32
+    assert [t.dtype for t in tables] == [log_type, f.dtype, f.dtype]
+    assert 4 * (f.order - 1) <= np.iinfo(log_type).max
+    for got, want in zip(tables, _loop_np_tables(f)):
         assert np.array_equal(got, want)
+        assert not got.flags.writeable
+    assert f.np_tables() is tables
 
 
 def _loop_tables(ell, prim_poly):

@@ -149,6 +149,21 @@ def test_cauchy_lagrange_form_is_u_i_v_j_over_x_i_plus_y_j(monkeypatch, ell):
     _assert_builder_equals_its_reference(monkeypatch, "cauchy", ell)
 
 
+@pytest.mark.parametrize("ell", [13, 14], ids=lambda ell: f"q{1 << ell}")
+@pytest.mark.parametrize("kind", ["cauchy", "vandermonde"])
+def test_a_certified_build_at_the_log_width_boundary(kind, ell):
+    """GF(8192) is the largest field whose logs are int16, GF(16384) the
+    smallest whose logs are int32.  A 6x6 build in each runs _lagrange and
+    the relay block's minors, certifies, and equals its reference formula."""
+    field = field_new(ell)
+    assert field.np_tables()[0].dtype == (np.int16 if ell == 13 else np.int32)
+    build = {"cauchy": build_cauchy, "vandermonde": build_vandermonde}[kind]
+    reference = {"cauchy": _cauchy_by_formula, "vandermonde": _vandermonde_by_inverse}[kind]
+    code = build(6, 6, field)
+    assert code.relay_block.to_lists() == reference(6, 6, field)
+    assert code.certified_kappa == 6 and code.construction == kind
+
+
 def test_cauchy_constructions():
     code = build_cauchy(1, 1, F4)
     assert code.matrix.to_lists()[0] == [1]

@@ -3,6 +3,7 @@
 import concurrent.futures
 import math
 import multiprocessing
+import os
 import re
 import tracemalloc
 from dataclasses import replace
@@ -588,10 +589,13 @@ def test_run_sweep_rejects_workers_below_one():
             run_sweep(_scn(), workers=workers)
 
 
-def test_run_sweep_starts_no_more_workers_than_chunks(monkeypatch):
+def _recording_pool(monkeypatch, cpus):
+    """Stand a recorder in for the process pool, so no process starts, and
+    give this process `cpus` usable CPUs.  Returns the list of each pool's
+    max_workers."""
     started = []
 
-    class RecordingPool:  # stands in for the pool, so no process starts
+    class RecordingPool:
         def __init__(self, max_workers):
             started.append(max_workers)
 
@@ -605,6 +609,12 @@ def test_run_sweep_starts_no_more_workers_than_chunks(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    return started
+
+
+def test_run_sweep_starts_no_more_workers_than_chunks(monkeypatch):
+    started = _recording_pool(monkeypatch, cpus=64)
     scn = _scn(snr_grid=(1.0, 5.0, 25.0), trials=100, seed=5)  # 3 chunks
     serial = run_sweep(scn)
     assert started == []
@@ -613,6 +623,24 @@ def test_run_sweep_starts_no_more_workers_than_chunks(monkeypatch):
         assert started[-1] == size
     run_sweep(_scn(trials=100), workers=8)  # 1 chunk: no pool at all
     assert started == [2, 3, 3]
+
+
+def test_run_sweep_starts_no_more_workers_than_usable_cpus(monkeypatch):
+    """A pool starts all its processes at once, so --workers 4096 must not
+    fork 4096: the CPUs the process may run on cap it, and the counts do
+    not depend on it.  Where the OS keeps no affinity set, os.cpu_count
+    stands in, and 1 where that is unknown."""
+    scn = _scn(snr_grid=tuple(float(g) for g in range(1, 9)), trials=100, seed=5)  # 8 chunks
+    serial = run_sweep(scn)
+    started = _recording_pool(monkeypatch, cpus=3)
+    for workers in (2, 3, 4096):
+        assert run_sweep(scn, workers=workers) == serial
+    assert started == [2, 3, 3]
+    monkeypatch.delattr(os, "sched_getaffinity")
+    for cpus in (5, None, 1):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert run_sweep(scn, workers=4096) == serial
+    assert started == [2, 3, 3, 5]  # at None and 1, the sweep runs in this process
 
 
 _SKEWED_BETA = PerLinkBeta(sr=((0.5, 1.0), (2.0, 1.5)), sd=((1.0, 3.0), (0.7, 1.0)),
