@@ -66,6 +66,15 @@ def tau_for(rho, rate_r0: float):
     return (2.0 ** rate_r0 - 1.0) / rho
 
 
+def check_rate(rate_r0) -> None:
+    """Raise a ValueError naming rate_r0 where 2**r0, which tau_for takes,
+    overflows a float (from r0 = 1024 on); LinkParams and Scenario call it."""
+    try:
+        2.0 ** float(rate_r0)
+    except OverflowError:
+        raise ValueError(f"rate_r0 is too large: 2**{rate_r0:g} overflows a float") from None
+
+
 @dataclass(frozen=True)
 class LinkParams:
     """Fading/rate operating point shared by the closed-form expressions.
@@ -85,6 +94,7 @@ class LinkParams:
             bad = np.flatnonzero(~(np.isfinite(value) & (value > 0)))
             if bad.size:
                 raise ValueError(f"{name} must be finite and positive, got {value[bad[0]]}")
+        check_rate(self.rate_r0)
         if self.n_sources < 1 or self.n_relays < 0:
             raise ValueError("need n_sources >= 1 and n_relays >= 0")
 

@@ -54,29 +54,20 @@ class Field:
         self.dtype = np.min_scalar_type(self.order - 1)
         self._build_tables()
 
-    def _times_x(self, v):
-        """v * x modulo prim_poly, elementwise over an int64 array."""
-        v = v << 1
-        return v ^ ((v >> self.ell) & 1) * self.prim_poly
-
     def _build_tables(self):
-        # powers[i] = x^i mod prim_poly for i in [0, q).  Doubling: the
-        # block x^L .. x^(2L-1) is x^0 .. x^(L-1) times the constant x^L,
-        # multiplied shift-and-add over the constant's bits.
-        q = self.order
-        powers = np.ones(1, dtype=np.int64)
-        for _ in range(self.ell):
-            x_l = int(self._times_x(powers[-1:])[0])  # x^L, L = len(powers)
-            block, shifted = np.zeros_like(powers), powers
-            for b in range(x_l.bit_length()):
-                if x_l >> b & 1:
-                    block ^= shifted
-                shifted = self._times_x(shifted)
-            powers = np.concatenate([powers, block])
-        exp = powers[:q - 1]
+        # x^i mod prim_poly for i in [0, q - 1): times x is a shift, reduced
+        # when the degree reaches ell
+        q, poly = self.order, self.prim_poly
+        self._exp = powers = [0] * (q - 1)  # exp[i] = x^i
+        v = 1
+        for i in range(q - 1):
+            powers[i] = v
+            v <<= 1
+            if v & q:
+                v ^= poly
+        exp = np.array(powers, dtype=np.int64)
         log = np.zeros(q, dtype=np.int64)  # log[0] unused
         log[exp] = np.arange(q - 1)
-        self._exp = exp.tolist()  # exp[i] = x^i
         self._log = log.tolist()  # log[v] = i with x^i == v
         sentinel = 2 * (q - 1)
         log_t = log.astype(np.int16 if 2 * sentinel <= np.iinfo(np.int16).max else np.int32)

@@ -46,7 +46,7 @@ tables below, such a pair reads success and is neither deduplicated nor
 ranked: its packed key is dropped before the dedupe, and a pattern too
 wide to pack never has its rows gathered.  The key
 layout, its peel tables and, when there are at most 2**TABLE_BITS keys,
-the outcome of every key are built once per sweep by run_sweep; those
+the outcome of every key are built once per sweep, by _plan; those
 table-regime keys are packed as uint16, the others as int64.  The relay
 stacks the patterns unpack to are built in the field's own width,
 field.dtype (uint8 up to GF(256), uint16 above), slot by slot with no
@@ -54,13 +54,17 @@ int64 intermediate, and reduced in that width.
 
 The decide reads only link states, and _decide maps the states (and
 rncc's coefficients) to failure flags.  draw_chunk has two call forms:
-draw_chunk(scn, rng, count) returns the float64 gains, which the tests
-and the reference path (_coop_failures) threshold whole; run_sweep's
+draw_chunk(scn, rng, count) returns the float64 gains, which the scalar
+run_trial* reference reads trial by trial; run_sweep's
 draw_chunk(scn, rng, count, tau, bottleneck) draws each link block in
 slices of at most DRAW_SLICE values and compares each slice with tau as
 it is drawn, so it keeps only the bool link states and never holds a
 chunk's gains.  When a scenario selects, the same slices fold each
 relay's bottleneck gain (_fold_bottleneck), which selection ranks.
+_plan holds a scenario's decide state (ncc as selection, its pattern
+key, its link-state table); a chunk decided per trial runs the threshold
+form, _selected_links and _decide with that key, the one batched path,
+which the tests check against run_trial* on the same stream's gains.
 Selection is applied as links taken down: _selected_links clears the
 source->relay links of the relays it drops, and a relay that heard
 nothing never transmits, just as an unselected one.  So when the
@@ -83,7 +87,7 @@ import numpy as np
 from .gf import Field, field_new
 from .ffmat import FfMatrix, batch_rank, unit_spans
 from .netcode import NetworkCode, build_explicit
-from .analytic import CODE_SCHEMES, COOP_SCHEMES, SCHEMES, tau_for
+from .analytic import CODE_SCHEMES, COOP_SCHEMES, SCHEMES, check_rate, tau_for
 
 CHUNK_TRIALS = 1 << 14  # fixed chunk size; part of the reproducibility contract
 TABLE_BITS = 12    # pattern keys and link states this narrow are decided by enumerating them all
@@ -95,7 +99,8 @@ DRAW_SLICE = 1 << 14  # gains drawn and compared at a time (128 KiB); results do
 
 @dataclass(frozen=True)
 class PerLinkBeta:
-    """Per-link exponential rates; arrays shaped (N,M), (N,N), (M,N)."""
+    """Per-link exponential rates; arrays shaped (N,M), (N,N), (M,N).  A
+    Scenario keeps them as tuples of float tuples."""
 
     sr: tuple
     sd: tuple
@@ -163,14 +168,19 @@ class Scenario:
             raise ValueError("traffic must be 'multicast' or 'unicast'")
         if not (math.isfinite(self.rate_r0) and self.rate_r0 > 0):
             raise ValueError(f"rate_r0 must be finite and positive, got {self.rate_r0}")
+        check_rate(self.rate_r0)
         if isinstance(self.beta, PerLinkBeta):
             n, m = self.n_sources, self.n_relays
+            tables = []
             for name, shape in (("sr", (n, m)), ("sd", (n, n)), ("rd", (m, n))):
                 table = np.asarray(getattr(self.beta, name), dtype=float)
                 if table.shape != shape:
                     raise ValueError(f"beta.{name} must have shape {shape}, got {table.shape}")
                 if not (np.isfinite(table) & (table > 0)).all():
                     raise ValueError(f"beta.{name} entries must be finite and positive")
+                tables.append(tuple(map(tuple, table.tolist())))
+            # tuples of floats, so scenarios compare (and share a sweep) by value
+            object.__setattr__(self, "beta", PerLinkBeta(*tables))
         elif not (math.isfinite(self.beta) and self.beta > 0):
             raise ValueError(f"beta must be finite and positive, got {self.beta}")
         if self.scheme in CODE_SCHEMES:
@@ -380,7 +390,8 @@ def draw_chunk(scn: Scenario, rng: np.random.Generator, count: int, tau=None,
     most DRAW_SLICE values each unless one trial holds more, and compares
     (and folds) each slice as it is drawn, so the gains are never held
     whole.  Consecutive draws continue one stream, so both forms read the
-    same values."""
+    same values: the first form is what run_trial* reads, the second what
+    the sweep decides."""
     n, m = scn.n_sources, scn.n_relays
     shapes = ((count, n, m), (count, n, n), (count, m, n))
     blocks = [np.empty(shape, dtype=float if tau is None else bool) for shape in shapes]
@@ -594,11 +605,6 @@ def _blockwise(count, fails_of):
                            for lo in range(0, count, RANK_BLOCK)])
 
 
-def _link_states(tau, gsr, gsd, grd):
-    """(ok_sr, ok_sd, ok_rd): which links carry a packet, gain > tau."""
-    return gsr > tau, gsd > tau, grd > tau
-
-
 def _fold_bottleneck(h, g):
     """Fold one gain block g of B trials, shaped (B, L, M) with L links per
     relay, into the (M, B) bottleneck rows h, in place: h[i] becomes the
@@ -610,14 +616,6 @@ def _fold_bottleneck(h, g):
     for i, row in enumerate(h):
         for k in range(g.shape[1]):
             np.minimum(row, g[:, k, i], out=row)
-
-
-def _bottleneck(gsr, grd):
-    """The (M, B) bottleneck gains of full sr and rd gain blocks."""
-    h = np.full((gsr.shape[2], gsr.shape[0]), np.inf)
-    _fold_bottleneck(h, gsr)
-    _fold_bottleneck(h, grd.transpose(0, 2, 1))
-    return h
 
 
 def _kept_relays(h, k):
@@ -648,14 +646,14 @@ def _selected_links(scn, ok_sr, h):
     return ok_sr & _kept_relays(h, scn.k_select).T[:, None, :]
 
 
-def _decide(scn, ok_sr, ok_sd, ok_rd, coeffs, key=None):
+def _decide(scn, ok_sr, ok_sd, ok_rd, coeffs, key):
     """(B, N) boolean failure flags of B trials from their link states.
 
-    `coeffs` are rncc's (B, M, N) coefficients; the other schemes ignore
-    them.  `key` is the scenario's _pattern_key, which run_sweep builds once
-    per sweep; None builds one for these B trials.  Selection reaches the
-    decide as its dropped relays' source->relay links taken down
-    (_selected_links); ncc is decided as _ncc_as_selection(scn).
+    `scn` and `key` are a _plan's: the scenario as decided (ncc as
+    _ncc_as_selection(scn)) and its _pattern_key, None for cc, which needs
+    none.  `coeffs` are rncc's (B, M, N) coefficients; the other schemes
+    ignore them.  Selection reaches the decide as its dropped relays'
+    source->relay links taken down (_selected_links).
     """
     n, m = scn.n_sources, scn.n_relays
     nb = ok_sr.shape[0]
@@ -690,8 +688,6 @@ def _decide(scn, ok_sr, ok_sd, ok_rd, coeffs, key=None):
     # one by one ("wide").  Outside the table, a (trial, j) pair settled by
     # its direct rows (e_j in unicast, all N in multicast) reads success, so
     # only the open pairs are deduped and ranked, or gathered and ranked.
-    if key is None:
-        key = _pattern_key(scn)
     if scn.scheme != "rncc":
         sym = keep
     else:  # under A every relay that sends sends its whole row
@@ -743,21 +739,14 @@ def _decide(scn, ok_sr, ok_sd, ok_rd, coeffs, key=None):
     return fails.T
 
 
-def _coop_failures(scn, tau, gsr, gsd, grd, coeffs):
-    """(B, N) boolean failure flags of B drawn trials at threshold tau."""
-    ok_sr, ok_sd, ok_rd = _link_states(tau, gsr, gsd, grd)
-    h = _bottleneck(gsr, grd) if scn.scheme == "selection" else None
-    return _decide(scn, _selected_links(scn, ok_sr, h), ok_sd, ok_rd, coeffs)
-
-
-def _failure_table(scn):
+def _failure_table(scn, key):
     """The outcome of every link state of a scenario whose L = NM + N^2 + MN
     links fit TABLE_BITS, as a (2**L, N + 1) bool array: row s holds the
     failure flags of state s (link l up iff bit l of s is set, links in
-    _state_keys order), then whether any destination fails.  A selection
-    scenario looks up its states after _selected_links has taken its
-    dropped relays' links down.  None for rncc, whose relay rows vary per
-    trial, and for wider networks: those are decided per trial."""
+    _state_keys order), then whether any destination fails, decided with
+    _plan's key.  A selection scenario looks up its states after
+    _selected_links has taken its dropped relays' links down.  None for rncc, whose relay rows vary per trial, and for wider
+    networks: those are decided per trial."""
     n, m = scn.n_sources, scn.n_relays
     links = n * m + n * n + m * n
     if scn.scheme == "rncc" or links > TABLE_BITS:
@@ -765,7 +754,7 @@ def _failure_table(scn):
     up = ((np.arange(1 << links)[:, None] >> np.arange(links)) & 1).astype(bool)
     ok_sr, ok_sd, ok_rd = np.split(up, [n * m, n * m + n * n], axis=1)
     fails = _decide(scn, ok_sr.reshape(-1, n, m), ok_sd.reshape(-1, n, n),
-                    ok_rd.reshape(-1, m, n), None)
+                    ok_rd.reshape(-1, m, n), None, key)
     return np.column_stack([fails, fails.any(axis=1)])
 
 
@@ -848,14 +837,15 @@ def _chunk_counts(plans, grid_index: int, chunk_index: int, count: int):
 
 
 def _plan(scn):
-    """(scn, table, key): the scenario's decide state, built once per sweep
-    and shipped with every chunk task.  `table` is its _failure_table, and
-    `key` the _pattern_key of a coded scenario without one, whose outcome
-    table, if its layout has one, serves every chunk; either is None where
-    it does not apply."""
-    table = _failure_table(scn)
-    coded = table is None and scn.scheme != "cc"
-    return scn, table, _pattern_key(scn) if coded else None
+    """(scn, table, key): a scenario's decide state, built once per sweep
+    and shipped with every chunk task.  `scn` is the scenario as decided
+    (ncc as _ncc_as_selection(scn)), `key` its _pattern_key (None for cc)
+    and `table` its _failure_table, decided with that key (None where the
+    links do not fit one)."""
+    if scn.scheme == "ncc":
+        scn = _ncc_as_selection(scn)
+    key = None if scn.scheme == "cc" else _pattern_key(scn)
+    return scn, _failure_table(scn, key), key
 
 
 def _sweep_task(args):
@@ -894,8 +884,7 @@ def run_sweep(scn, workers: int = 1):
     _check_shared(scenarios)
     first = scenarios[0]
     grid, trials = first.snr_grid, first.trials
-    work = (_ncc_as_selection(s) if s.scheme == "ncc" else s for s in scenarios)
-    plans = tuple(_plan(s) for s in work)  # travels with each task
+    plans = tuple(map(_plan, scenarios))  # travels with each task
     n_chunks = (trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
     tasks = [(plans, g, c, min(CHUNK_TRIALS, trials - c * CHUNK_TRIALS))
              for g in range(len(grid)) for c in range(n_chunks)]

@@ -155,8 +155,8 @@ def test_np_tables_match_the_loop_reference(ell):
 
 
 def _loop_tables(ell, prim_poly):
-    """The per-power loop _build_tables once was: the reference for the
-    numpy build.  Asserts that x^0 .. x^(q-2) are distinct and that x^(q-1)
+    """An independent per-power loop: the reference for _build_tables.
+    Asserts that x^0 .. x^(q-2) are distinct and that x^(q-1)
     closes the cycle, i.e. that prim_poly is primitive."""
     q = 1 << ell
     exp, log, seen = [0] * (q - 1), [0] * q, [False] * q
