@@ -41,6 +41,12 @@ p_ekl and p_relay_all are the same terms one at a time: no bracket calls
 them, and they stay as the term-by-term reference the tests check _bracket
 against.  A bracket takes N+M up to MAX_TOTAL, past which a binomial it
 may need is no float.
+
+Each input rule of the library has one copy here, which simkernel reads
+too: check_integers (N, M, thresholds, k, trials and workers are ints or
+numpy integers, never floats such as 2.0), check_positive (beta, rho and
+r0 are finite and positive at every point) and check_rate (2**r0 is a
+float).  Each raises a ValueError that names the input at fault.
 """
 
 import itertools
@@ -68,11 +74,29 @@ def tau_for(rho, rate_r0: float):
 
 def check_rate(rate_r0) -> None:
     """Raise a ValueError naming rate_r0 where 2**r0, which tau_for takes,
-    overflows a float (from r0 = 1024 on); LinkParams and Scenario call it."""
+    overflows a float (from r0 = 1024 on); LinkParams and Scenario call it
+    after check_positive."""
     try:
         2.0 ** float(rate_r0)
     except OverflowError:
         raise ValueError(f"rate_r0 is too large: 2**{rate_r0:g} overflows a float") from None
+
+
+def check_integers(**values) -> None:
+    """Raise a ValueError naming the first of `values` that is not an int
+    or a numpy integer (2.0 is refused, not rounded)."""
+    for name, value in values.items():
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def check_positive(name: str, value) -> None:
+    """Raise a ValueError naming `name` and its first point that is not
+    finite and positive; `value` is a float or an array of points."""
+    value = np.ravel(value)
+    bad = np.flatnonzero(~(np.isfinite(value) & (value > 0)))
+    if bad.size:
+        raise ValueError(f"{name} must be finite and positive, got {value[bad[0]]}")
 
 
 @dataclass(frozen=True)
@@ -90,11 +114,9 @@ class LinkParams:
 
     def __post_init__(self):
         for name in ("beta", "rho", "rate_r0"):
-            value = np.atleast_1d(getattr(self, name))
-            bad = np.flatnonzero(~(np.isfinite(value) & (value > 0)))
-            if bad.size:
-                raise ValueError(f"{name} must be finite and positive, got {value[bad[0]]}")
+            check_positive(name, getattr(self, name))
         check_rate(self.rate_r0)
+        check_integers(n_sources=self.n_sources, n_relays=self.n_relays)
         if self.n_sources < 1 or self.n_relays < 0:
             raise ValueError("need n_sources >= 1 and n_relays >= 0")
 
@@ -242,6 +264,7 @@ def outage_bounds_multicast(lp: LinkParams, gamma_n: int) -> OutageBounds:
     most gamma_n-1 survivors it always fails.  The count runs over all N+M
     transmissions (`_bracket` with own=0).
     """
+    check_integers(gamma_n=gamma_n)
     total = lp.n_sources + lp.n_relays
     if not lp.n_sources <= gamma_n <= total:
         raise ValueError(f"gamma_n must be in [N, N+M] = [{lp.n_sources}, {total}]")
@@ -256,6 +279,7 @@ def outage_bounds_unicast(lp: LinkParams, lambda_i: int) -> OutageBounds:
     link being down (factor p0), over the other N-1+M transmissions
     (`_bracket` with own=1).
     """
+    check_integers(lambda_i=lambda_i)
     total = lp.n_sources + lp.n_relays
     if not 1 <= lambda_i <= total:
         raise ValueError(f"lambda_i must be in [1, N+M] = [1, {total}]")
@@ -290,6 +314,7 @@ def selection_cdf_approx(n: int, m: int, beta: float, tau: float) -> float:
     link gains, the chosen relay's individual link gain g satisfies
     P(g <= tau) ~= (2*N*beta)**(M-1) * beta * tau**M as tau -> 0.
     """
+    check_integers(n=n, m=m)
     if n < 1 or m < 1 or not (0 < beta < math.inf and 0 <= tau < math.inf):
         raise ValueError("need n, m >= 1, beta > 0, tau >= 0")
     return (2 * n * beta) ** (m - 1) * beta * tau ** m
@@ -331,6 +356,8 @@ def dmt_curve(scheme: str, n: int, m: int, *, gamma_n: int | None = None,
       selection line with k_select=1: diversity 2, or M+1 at N=1.
     cc: repetition-based cooperation, diversity M+1 at half multiplexing.
     """
+    given = {"gamma_n": gamma_n, "k_select": k_select}
+    check_integers(n=n, m=m, **{name: v for name, v in given.items() if v is not None})
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
     if scheme in GAMMA_SCHEMES:

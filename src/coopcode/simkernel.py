@@ -87,7 +87,8 @@ import numpy as np
 from .gf import Field, field_new
 from .ffmat import FfMatrix, batch_rank, unit_spans
 from .netcode import NetworkCode, build_explicit
-from .analytic import CODE_SCHEMES, COOP_SCHEMES, SCHEMES, check_rate, tau_for
+from .analytic import (CODE_SCHEMES, COOP_SCHEMES, SCHEMES, check_integers, check_positive,
+                       check_rate, tau_for)
 
 CHUNK_TRIALS = 1 << 14  # fixed chunk size; part of the reproducibility contract
 TABLE_BITS = 12    # pattern keys and link states this narrow are decided by enumerating them all
@@ -115,12 +116,6 @@ class PerLinkBeta:
         )
 
 
-def _check_integers(**values):
-    for name, value in values.items():
-        if not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 def _check_run(n, m, trials, seed):
     """Scenario's checks of N, M, trials and seed, which selected_link_gain_cdf shares."""
     if n < 1 or m < 1:
@@ -129,12 +124,26 @@ def _check_run(n, m, trials, seed):
         raise ValueError("trials must be >= 1")
     if not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    _check_integers(n_sources=n, n_relays=m, trials=trials)
+    check_integers(n_sources=n, n_relays=m, trials=trials)
+
+
+# Scenario's optional settings: each one's default and the schemes that read it
+_SETTINGS = {"code": (None, CODE_SCHEMES), "field": (None, ("rncc",)),
+             "k_select": (None, ("selection",)), "strategy": ("A", COOP_SCHEMES)}
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """One simulation configuration over a grid of SNR points."""
+    """One simulation configuration over a grid of SNR points.
+
+    A scheme takes only the settings it reads: dncc a code, rncc a field
+    (its coefficients are drawn per trial), selection a code and k_select,
+    and all three a strategy; ncc and cc read none of the four.  A setting
+    the scheme does not read must keep its default (None, strategy "A"),
+    or construction raises a ValueError that names it.  beta (each entry of
+    a PerLinkBeta) and rate_r0 pass analytic.check_positive, and N, M,
+    trials and k_select analytic.check_integers, the rules LinkParams
+    applies."""
 
     scheme: str
     n_sources: int
@@ -166,8 +175,10 @@ class Scenario:
             raise ValueError("strategy must be 'A' or 'B'")
         if self.traffic not in ("multicast", "unicast"):
             raise ValueError("traffic must be 'multicast' or 'unicast'")
-        if not (math.isfinite(self.rate_r0) and self.rate_r0 > 0):
-            raise ValueError(f"rate_r0 must be finite and positive, got {self.rate_r0}")
+        for name, (default, readers) in _SETTINGS.items():
+            if self.scheme not in readers and getattr(self, name) != default:
+                raise ValueError(f"{self.scheme} reads no {name}; leave it at {default!r}")
+        check_positive("rate_r0", self.rate_r0)
         check_rate(self.rate_r0)
         if isinstance(self.beta, PerLinkBeta):
             n, m = self.n_sources, self.n_relays
@@ -176,13 +187,12 @@ class Scenario:
                 table = np.asarray(getattr(self.beta, name), dtype=float)
                 if table.shape != shape:
                     raise ValueError(f"beta.{name} must have shape {shape}, got {table.shape}")
-                if not (np.isfinite(table) & (table > 0)).all():
-                    raise ValueError(f"beta.{name} entries must be finite and positive")
+                check_positive(f"beta.{name}", table)
                 tables.append(tuple(map(tuple, table.tolist())))
             # tuples of floats, so scenarios compare (and share a sweep) by value
             object.__setattr__(self, "beta", PerLinkBeta(*tables))
-        elif not (math.isfinite(self.beta) and self.beta > 0):
-            raise ValueError(f"beta must be finite and positive, got {self.beta}")
+        else:  # one float: float() refuses a list or an array of several
+            check_positive("beta", float(self.beta))
         if self.scheme in CODE_SCHEMES:
             if self.code is None:
                 raise ValueError(f"{self.scheme} needs a code")
@@ -193,7 +203,7 @@ class Scenario:
         if self.scheme == "selection":
             if self.k_select is None or not 1 <= self.k_select <= self.n_relays:
                 raise ValueError("selection needs k_select in [1, M]")
-            _check_integers(k_select=self.k_select)
+            check_integers(k_select=self.k_select)
         if self.scheme in ("ncc", "cc") and self.traffic != "unicast":
             raise ValueError(f"{self.scheme} supports unicast traffic only")
 
@@ -800,8 +810,7 @@ def _ncc_as_selection(scn: Scenario) -> Scenario:
     (strategy A).  It draws the same gains and no coefficients."""
     n, gf2 = scn.n_sources, field_new(1)
     xor = FfMatrix.identity(gf2, n).vstack(FfMatrix(gf2, [[1] * n] * scn.n_relays))
-    return replace(scn, scheme="selection", code=build_explicit(xor),
-                   k_select=1, strategy="A")
+    return replace(scn, scheme="selection", code=build_explicit(xor), k_select=1)
 
 
 def _chunk_counts(plans, grid_index: int, chunk_index: int, count: int):
@@ -877,6 +886,7 @@ def run_sweep(scn, workers: int = 1):
     as RNG contract v1 already implies for equal seeds) and threshold, so
     they must agree on seed, sizes, grid, trials, beta and rate, and rncc
     ones on field order; every report equals the one a separate call gives."""
+    check_integers(workers=workers)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     single = isinstance(scn, Scenario)
@@ -930,8 +940,7 @@ def selected_link_gain_cdf(n: int, m: int, beta: float, taus, trials: int,
     `taus`; an infinite or negative tau is a CDF point (1 or 0).
     """
     _check_run(n, m, trials, seed)
-    if not (math.isfinite(beta) and beta > 0):
-        raise ValueError(f"beta must be finite and positive, got {beta}")
+    check_positive("beta", float(beta))
     taus = np.asarray(taus, dtype=float)
     if np.isnan(taus).any():  # g <= nan is false: it would read as P = 0
         raise ValueError("taus must not hold nan")

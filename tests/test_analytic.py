@@ -64,6 +64,11 @@ def test_link_params_validation():
     for n, m in ((0, 2), (2, -1)):
         with pytest.raises(ValueError, match="^need n_sources >= 1 and n_relays >= 0$"):
             _lp(1.0, n=n, m=m)
+    for n, m, message in ((2.5, 2, "n_sources must be an integer, got 2.5"),
+                          (2.0, 2, "n_sources must be an integer, got 2.0"),
+                          (2, 1.0, "n_relays must be an integer, got 1.0")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            LinkParams(1.0, 10.0, 1.0, n, m)
 
 
 def test_p0_frozen_value_and_asymptote():
@@ -124,6 +129,9 @@ def test_multicast_gamma_range():
     for g in (1, 5):
         with pytest.raises(ValueError):
             outage_bounds_multicast(lp, g)
+    for g in (2.0, 2.5):
+        with pytest.raises(ValueError, match=f"^gamma_n must be an integer, got {g}$"):
+            outage_bounds_multicast(lp, g)
 
 
 def test_unicast_bounds():
@@ -138,6 +146,8 @@ def test_unicast_bounds():
         outage_bounds_unicast(lp, 0)
     with pytest.raises(ValueError):
         outage_bounds_unicast(lp, 5)
+    with pytest.raises(ValueError, match=r"^lambda_i must be an integer, got 2\.0$"):
+        outage_bounds_unicast(lp, 2.0)
 
 
 def test_bounds_bracket_over_random_parameters():
@@ -381,6 +391,15 @@ def test_selection_cdf_approx_rejects_bad_inputs(args):
         selection_cdf_approx(*args)
 
 
+@pytest.mark.parametrize("args, message", [
+    ((2.5, 2, 1.0, 0.1), "n must be an integer, got 2.5"),
+    ((2, 2.0, 1.0, 0.1), "m must be an integer, got 2.0"),
+])
+def test_selection_cdf_approx_takes_integer_sizes(args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        selection_cdf_approx(*args)
+
+
 def test_dmt_curve_values():
     c = dmt_curve("dncc", 2, 2)
     assert (c.d0, c.r_max) == (3, 0.5)
@@ -429,6 +448,13 @@ def test_dmt_validation():
         dmt_curve("selection", 2, 2)  # k_select missing
     with pytest.raises(ValueError):
         dmt_curve("nope", 2, 2)
+    for args, kwargs, message in (
+            (("dncc", 2.5, 1.5), {}, "n must be an integer, got 2.5"),
+            (("cc", 2, 2.0), {}, "m must be an integer, got 2.0"),
+            (("dncc", 2, 2), dict(gamma_n=3.0), "gamma_n must be an integer, got 3.0"),
+            (("selection", 2, 2), dict(k_select=1.0), "k_select must be an integer, got 1.0")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dmt_curve(*args, **kwargs)
 
 
 def test_dmt_curve_shape_invariants():

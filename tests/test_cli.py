@@ -862,7 +862,24 @@ def test_a_bad_config_file_is_reported_before_unrecognized_arguments(tmp_path, c
     assert err.endswith("coopcode: error: unrecognized arguments: --nope 3\n")
 
 
-_STRATEGY_ARGV = ("simulate", "--traffic", "unicast", "--trials", "2000", "--snr-start-db", "10")
+def test_an_option_before_the_command_is_reported_after_the_config_file(tmp_path, capsys):
+    """argv that starts with an option, not a command, is parsed by the
+    top-level parser first: the option is reported as unrecognized, and a
+    --config file that cannot be read is reported before it, as when the
+    command comes first."""
+    with pytest.raises(SystemExit) as exc:
+        main(["--foo", "construct"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: coopcode [-h]")
+    assert err.endswith("coopcode: error: unrecognized arguments: --foo\n")
+    missing = str(tmp_path / "missing.cfg")
+    leading = _run(capsys, "--foo", "construct", "--config", missing)
+    assert leading == _run(capsys, "construct", "--config", missing, "--foo")
+    assert leading == (2, "", f"error: [Errno 2] No such file or directory: {missing!r}\n")
+
+
+_STRATEGY_ARGV = ("simulate","--traffic", "unicast", "--trials", "2000", "--snr-start-db", "10")
 
 
 def test_ncc_and_cc_rows_are_labelled_with_the_strategy_that_ran(capsys):

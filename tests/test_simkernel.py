@@ -65,6 +65,18 @@ def _scn(**kw):
     return Scenario(**base)
 
 
+# settings each scheme reads: with them _scn builds it (ncc and cc read none
+# of code, field, k_select and strategy, and need unicast traffic)
+READS = {"dncc": dict(code=CODE22), "rncc": dict(code=None, field=F4),
+         "selection": dict(code=CODE22, k_select=1), "ncc": dict(code=None, traffic="unicast"),
+         "cc": dict(code=None, traffic="unicast")}
+# a value for every (scheme, setting) pair the scheme does not read
+UNREAD = ([("dncc", "field", F4), ("dncc", "k_select", 2), ("rncc", "code", CODE22),
+           ("rncc", "k_select", 2), ("selection", "field", F4)]
+          + [(scheme, name, value) for scheme in ("ncc", "cc") for name, value in (
+              ("code", CODE22), ("field", F4), ("k_select", 1), ("strategy", "B"))])
+
+
 def _draw(gsr, gsd, grd, coeffs=None):
     return TrialDraw(
         np.asarray(gsr, float), np.asarray(gsd, float), np.asarray(grd, float),
@@ -200,12 +212,12 @@ def test_scenario_validation():
         _scn(snr_grid=(2.0, 1.0))
     with pytest.raises(ValueError):
         _scn(trials=0)
-    with pytest.raises(ValueError):
-        _scn(scheme="rncc", field=None)
+    with pytest.raises(ValueError, match="^rncc draws per-trial coefficients and needs a field$"):
+        _scn(scheme="rncc", code=None, field=None)
     with pytest.raises(ValueError):
         _scn(scheme="selection", k_select=5)
-    with pytest.raises(ValueError):
-        _scn(scheme="ncc", traffic="multicast")
+    with pytest.raises(ValueError, match="^ncc supports unicast traffic only$"):
+        _scn(scheme="ncc", code=None, traffic="multicast")
     with pytest.raises(ValueError):
         _scn(code=build_vandermonde(3, 2, F16))
     with pytest.raises(ValueError):
@@ -218,6 +230,11 @@ def test_scenario_validation():
     for value in (-1, 2.5, "3"):
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             _scn(seed=value)
+    for beta in ([1.0, 2.0], np.array([1.0, 2.0])):  # one float, or a PerLinkBeta
+        with pytest.raises(TypeError):
+            _scn(beta=beta)
+        with pytest.raises(TypeError):
+            selected_link_gain_cdf(2, 2, beta, [0.1], 100)
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -233,11 +250,16 @@ def test_scenario_validation():
     (dict(traffic="broadcast"), "traffic must be 'multicast' or 'unicast'"),
     (dict(code=None), "dncc needs a code"),
     (dict(scheme="selection", k_select=1.5), "k_select must be an integer, got 1.5"),
-], ids=["n0", "m0", "n-float", "m-float", "trials-float", "snr-zero", "snr-nan", "snr-then-nan",
-        "snr-inf", "traffic", "needs-code", "k-float"])
+] + [({**READS[scheme], "scheme": scheme, name: value},
+      f"{scheme} reads no {name}; leave it at {'A' if name == 'strategy' else None!r}")
+     for scheme, name, value in UNREAD],
+    ids=["n0", "m0", "n-float", "m-float", "trials-float", "snr-zero", "snr-nan", "snr-then-nan",
+         "snr-inf", "traffic", "needs-code", "k-float"]
+    + [f"{scheme}-reads-no-{name}" for scheme, name, _ in UNREAD])
 def test_scenario_names_the_field_at_fault(bad, message):
     """Every input that would change the counts silently, or fail deep in
-    the engine, fails here with a ValueError naming its field."""
+    the engine, fails here with a ValueError naming its field; so does a
+    setting the scheme does not read, which would be ignored."""
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         _scn(**bad)
 
@@ -350,6 +372,21 @@ def _assert_scalar_agrees(scn, rho, gains, fails, trials):
     for t in range(trials):
         draw = TrialDraw(gsr[t], gsd[t], grd[t], None if coeffs is None else coeffs[t])
         assert runner(scn, rho, draw) == tuple(not f for f in fails[t]), t
+
+
+def _assert_sweep_counts_match_scalar(scn, report):
+    """Each point of `report`, run_sweep's report of a one-chunk scenario,
+    counts the failures run_trial* finds on the float gains (and rncc's
+    coefficients) of that chunk's stream."""
+    assert scn.trials <= CHUNK_TRIALS
+    runner = SCALAR.get(scn.scheme, run_trial)
+    for g, (rho, pt) in enumerate(zip(scn.snr_grid, report.points)):
+        gsr, gsd, grd, coeffs = draw_chunk(scn, chunk_rng(scn.seed, g, 0), scn.trials)
+        fails = np.array([[not ok for ok in runner(scn, rho, TrialDraw(
+            gsr[t], gsd[t], grd[t], None if coeffs is None else coeffs[t]))]
+            for t in range(scn.trials)])
+        assert pt.dest_errors == tuple(int(v) for v in fails.sum(axis=0)), g
+        assert pt.system_errors == int(fails.any(axis=1).sum()), g
 
 
 def _assert_scalar_matches_batch(scn, trials=250):
@@ -564,9 +601,9 @@ def test_canonical_peels_a_chain_of_unit_rows(unicast):
 @st.composite
 def _coop_scenarios(draw):
     """dncc (cauchy, vandermonde, random, or explicit with zero entries),
-    rncc, selection or ncc (unicast only) on N, M in 1..4 over GF(2), GF(4)
-    or GF(16), with either strategy and traffic mode and a scalar or
-    per-link beta."""
+    rncc, selection or ncc (unicast and strategy A only) on N, M in 1..4
+    over GF(2), GF(4) or GF(16), with either strategy and traffic mode and
+    a scalar or per-link beta."""
     n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     field = draw(st.sampled_from((F2, F4, F16)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -575,7 +612,7 @@ def _coop_scenarios(draw):
               strategy=draw(st.sampled_from("AB")),
               traffic=draw(st.sampled_from(("multicast", "unicast"))))
     if scheme == "ncc":
-        kw["traffic"] = "unicast"
+        kw["traffic"], kw["strategy"] = "unicast", "A"
     elif scheme == "rncc":
         kw["field"] = field
     else:
@@ -622,19 +659,9 @@ def test_relabelled_non_mds_code_is_not_trusted():
     loaded = load_code(text)
     assert loaded.construction == "cauchy"
     assert loaded.certified_kappa is None
-    trials = 400
     for traffic in ("multicast", "unicast"):
-        scn = _scn(code=loaded, snr_grid=(10.0,), trials=trials, seed=3, traffic=traffic)
-        pt = run_sweep(scn).points[0]
-        gsr, gsd, grd, _ = draw_chunk(scn, chunk_rng(scn.seed, 0, 0), trials)
-        dest = [0, 0]
-        system = 0
-        for t in range(trials):
-            fails = [not ok for ok in run_trial(scn, 10.0, TrialDraw(gsr[t], gsd[t], grd[t]))]
-            dest = [d + f for d, f in zip(dest, fails)]
-            system += any(fails)
-        assert pt.dest_errors == tuple(dest)
-        assert pt.system_errors == system
+        scn = _scn(code=loaded, snr_grid=(10.0,), trials=400, seed=3, traffic=traffic)
+        _assert_sweep_counts_match_scalar(scn, run_sweep(scn))
 
 
 def test_sweep_pool_closes_when_a_worker_raises():
@@ -645,10 +672,18 @@ def test_sweep_pool_closes_when_a_worker_raises():
     assert multiprocessing.active_children() == []
 
 
-def test_run_sweep_rejects_workers_below_one():
-    for workers in (0, -1):
-        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
-            run_sweep(_scn(), workers=workers)
+def test_run_sweep_rejects_workers_below_one(monkeypatch):
+    """workers must be an integer >= 1; a float is refused before any pool
+    starts, even one that a pool would round down."""
+    started = _recording_pool(monkeypatch, cpus=64)
+    scn = _scn(snr_grid=(1.0, 5.0), trials=100)  # 2 chunks
+    for workers, message in ((0, "workers must be >= 1, got 0"),
+                             (-1, "workers must be >= 1, got -1"),
+                             (1.5, "workers must be an integer, got 1.5"),
+                             (2.5, "workers must be an integer, got 2.5")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_sweep(scn, workers=workers)
+    assert started == []
 
 
 def _recording_pool(monkeypatch, cpus):
@@ -719,12 +754,9 @@ _SKEWED_BETA = PerLinkBeta(sr=((0.5, 1.0), (2.0, 1.5)), sd=((1.0, 3.0), (0.7, 1.
     ((("ncc", "unicast"), ("cc", "unicast")), "A", _SKEWED_BETA),
 ])
 def test_shared_draw_sweep_equals_separate_sweeps(mix, strategy, beta):
-    extra = {"dncc": dict(code=CODE22), "selection": dict(code=CODE22, k_select=1),
-             "rncc": dict(code=None, field=F4), "ncc": dict(code=None),
-             "cc": dict(code=None)}
-    scenarios = [_scn(scheme=scheme, traffic=traffic, strategy=strategy, beta=beta,
-                      snr_grid=(3.0, 30.0), trials=CHUNK_TRIALS + 100, seed=17,
-                      **extra[scheme])
+    scenarios = [_scn(**{**READS[scheme], "scheme": scheme, "traffic": traffic},
+                      strategy=strategy if scheme in simkernel.COOP_SCHEMES else "A",
+                      beta=beta, snr_grid=(3.0, 30.0), trials=CHUNK_TRIALS + 100, seed=17)
                  for scheme, traffic in mix]
     separate = tuple(run_sweep(s) for s in scenarios)
     for workers in (1, 2):
@@ -1011,17 +1043,9 @@ def test_link_state_counts_equal_the_per_trial_path(n, m, beta):
 
 @pytest.mark.parametrize("n, m", TABLE_SHAPES)
 def test_link_state_counts_equal_the_scalar_reference(n, m):
-    sample = 64
-    mix = _table_mix(n, m, _skewed_beta(n, m) if m % 2 else 1.0, sample)
-    scalar = {"ncc": run_trial_ncc, "cc": run_trial_cc}
+    mix = _table_mix(n, m, _skewed_beta(n, m) if m % 2 else 1.0, 64)
     for scn, report in zip(mix, _sweep_per_rate(mix)):
-        trial = scalar.get(scn.scheme, run_trial)
-        for g, (rho, pt) in enumerate(zip(scn.snr_grid, report.points)):
-            gsr, gsd, grd, _ = draw_chunk(scn, chunk_rng(scn.seed, g, 0), sample)
-            fails = np.array([[not ok for ok in trial(scn, rho, TrialDraw(gsr[t], gsd[t], grd[t]))]
-                              for t in range(sample)])
-            assert pt.dest_errors == tuple(int(v) for v in fails.sum(axis=0))
-            assert pt.system_errors == int(fails.any(axis=1).sum())
+        _assert_sweep_counts_match_scalar(scn, report)
 
 
 def _record_decides(monkeypatch):
@@ -1293,18 +1317,11 @@ def test_table_regime_keys_are_uint16_and_equal_the_int64_packing(n, m, field, s
 def test_rncc_table_regime_counts_equal_the_scalar_reference(n, m, field, strategy):
     """rncc layouts of at most TABLE_BITS bits read their counts off the
     outcome table through uint16 keys; the counts must equal run_trial's."""
-    trials = 520
     for traffic in ("multicast", "unicast"):
         scn = Scenario(scheme="rncc", n_sources=n, n_relays=m, field=field, strategy=strategy,
-                       traffic=traffic, snr_grid=(3.0, 30.0), trials=trials, seed=n + m)
+                       traffic=traffic, snr_grid=(3.0, 30.0), trials=520, seed=n + m)
         assert _pattern_key(scn).regime == "table"
-        report = run_sweep(scn)
-        for g, (rho, pt) in enumerate(zip(scn.snr_grid, report.points)):
-            gsr, gsd, grd, coeffs = draw_chunk(scn, chunk_rng(scn.seed, g, 0), trials)
-            fails = np.array([[not ok for ok in run_trial(
-                scn, rho, TrialDraw(gsr[t], gsd[t], grd[t], coeffs[t]))] for t in range(trials)])
-            assert pt.dest_errors == tuple(int(v) for v in fails.sum(axis=0))
-            assert pt.system_errors == int(fails.any(axis=1).sum())
+        _assert_sweep_counts_match_scalar(scn, run_sweep(scn))
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -1423,6 +1440,37 @@ def test_streamed_link_states_equal_the_gains_compared_with_tau(monkeypatch, sch
                 assert draw_chunk(scn, chunk_rng(3, 1, 2), count, tau, False)[4] is None
 
 
+class _TauGenerator:
+    """Stands in for a Generator whose every exponential draw is tau
+    exactly; integers (rncc's coefficients) come from a seeded stream."""
+
+    def __init__(self, tau):
+        self.tau, self.rng = tau, np.random.default_rng(0)
+
+    def standard_exponential(self, out):
+        out.fill(self.tau)
+
+    def integers(self, *args, **kwargs):
+        return self.rng.integers(*args, **kwargs)
+
+
+@pytest.mark.parametrize("size", [simkernel.DRAW_SLICE, 1])
+@pytest.mark.parametrize("scheme", simkernel.SCHEMES)
+def test_a_gain_equal_to_tau_reads_the_link_down(monkeypatch, scheme, size):
+    """A link carries its packet iff its gain exceeds tau strictly: drawn
+    gains of exactly tau (beta = 1, so nothing divides them) give every
+    link down in the threshold form, at the default slice and at one
+    smaller than a trial, and fold into a bottleneck of tau."""
+    monkeypatch.setattr(simkernel, "DRAW_SLICE", size)
+    n, m, tau, count = 3, 2, 0.8, 40
+    scn = _stream_scn(scheme, n, m, 1.0)
+    ok_sr, ok_sd, ok_rd, coeffs, h = draw_chunk(scn, _TauGenerator(tau), count, tau, True)
+    for ok, shape in ((ok_sr, (count, n, m)), (ok_sd, (count, n, n)), (ok_rd, (count, m, n))):
+        assert ok.shape == shape and not ok.any()
+    assert (coeffs is None) == (scheme != "rncc")
+    assert h.shape == (m, count) and (h == tau).all()
+
+
 @pytest.mark.parametrize("size", [1, 7])
 @pytest.mark.parametrize("scheme", simkernel.SCHEMES)
 def test_streamed_decide_matches_scalar_at_small_draw_slices(monkeypatch, scheme, size):
@@ -1433,9 +1481,10 @@ def test_streamed_decide_matches_scalar_at_small_draw_slices(monkeypatch, scheme
     monkeypatch.setattr(simkernel, "DRAW_SLICE", size)
     n, m = 3, 2
     base = replace(_stream_scn(scheme, n, m, _skewed_beta(n, m)), snr_grid=(2.0, 20.0), seed=4)
-    traffics = ("unicast",) if scheme in ("ncc", "cc") else ("multicast", "unicast")
+    coop = scheme in simkernel.COOP_SCHEMES  # ncc and cc: unicast and strategy A only
+    traffics = ("multicast", "unicast") if coop else ("unicast",)
     for k in range(1, m + 1) if scheme == "selection" else (base.k_select,):
-        for strategy in "AB":
+        for strategy in "AB" if coop else "A":
             for traffic in traffics:
                 scn = replace(base, k_select=k, strategy=strategy, traffic=traffic)
                 _assert_scalar_matches_batch(scn, trials=200)
